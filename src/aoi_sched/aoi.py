@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OracleError, StabilityError
+from .plants import write_atomic
 
 # switch scalar power evaluation to the log scale for very old states to
 # dodge intermediate overflow in diagnostics
@@ -194,10 +195,8 @@ def stationary_aoi_distribution(
 
 def write_distribution_csv(path: str, psi: np.ndarray) -> None:
     """Dump a (delta, mass) table for plotting."""
-    with open(path, "w") as fh:
-        fh.write("delta,mass\n")
-        for d in range(1, len(psi)):
-            fh.write(f"{d},{float(psi[d])!r}\n")
+    rows = "".join(f"{d},{float(psi[d])!r}\n" for d in range(1, len(psi)))
+    write_atomic(path, "delta,mass\n" + rows)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FeasibilityError, StabilityError, UnsupportedPlantError
-from .plants import PlantModel, SteadyStateFilter, spectral_radius
+from .plants import PlantModel, SteadyStateFilter, spectral_radius, write_atomic
 
 _DEFECTIVE_COND = 1e8  # eigenvector basis above this condition number is treated as defective
 _DELTA_TILDE_CAP = 10**6
@@ -450,11 +449,7 @@ class BoundsReport:
         return d
 
     def to_json(self, path: str) -> None:
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
-        os.replace(tmp, path)
+        write_atomic(path, json.dumps(self.to_dict(), indent=1) + "\n")
 
 
 def compute_bounds_report(

@@ -1,4 +1,9 @@
-"""Command-line front end: gen | simulate | bounds | dp | sweep."""
+"""Command-line front end: gen | simulate | bounds | dp | sweep.
+
+``sweep`` is an alias of ``simulate --sweep`` that takes the sweep as
+``--kind``/``--values``. Every package error ends the command with exit
+status 1 and a one-line ``error:`` message on stderr.
+"""
 
 from __future__ import annotations
 
@@ -10,30 +15,32 @@ import sys
 import numpy as np
 
 from .bounds import compute_bounds_report
-from .plants import generate_ensemble, load_ensemble, save_ensemble
+from .errors import AoiSchedError
+from .plants import (
+    characteristic_params,
+    generate_ensemble,
+    load_ensemble,
+    save_ensemble,
+    steady_state_filter,
+    write_atomic,
+)
 from .policies import (
     POLICY_KINDS,
+    LightweightPolicy,
     dp_optimal_policy,
     evaluate_policy_average_cost,
     parse_policy,
 )
 from .sim import (
+    METRICS,
     SimConfig,
+    SweepRow,
     run_covariance_sim,
     run_sweep,
     run_trajectory_sim,
     write_sweep_csv,
     write_sweep_json,
-    SweepRow,
 )
-from .plants import steady_state_filter, characteristic_params
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _default_threads() -> int:
@@ -93,12 +100,11 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
 
 def cmd_gen(args) -> int:
     if not (1.0 < args.rho_min <= args.rho_max):
-        print("error: --rho-min must exceed 1 and not exceed --rho-max",
-              file=sys.stderr)
-        return 1
+        raise ValueError("--rho-min must exceed 1 and not exceed --rho-max")
     p_range = None
     if args.p_min is not None or args.p_max is not None:
-        p_range = (args.p_min or 0.8, args.p_max or 1.0)
+        p_range = (0.8 if args.p_min is None else args.p_min,
+                   1.0 if args.p_max is None else args.p_max)
     plants = generate_ensemble(
         args.count, args.order, args.meas, (args.rho_min, args.rho_max),
         args.seed, p_range=p_range,
@@ -117,7 +123,7 @@ def _sim_config(args) -> SimConfig:
         seed=args.seed,
         metric=args.metric,
         warmup=args.warmup,
-        threads=args.threads or _default_threads(),
+        threads=_default_threads() if args.threads is None else args.threads,
     )
 
 
@@ -125,17 +131,17 @@ def cmd_simulate(args) -> int:
     plants = _load_plants(args)
     specs = [parse_policy(p) for p in (args.policy or ["lightweight"])]
     config = _sim_config(args)
-    trajectory = args.metric == "squared-error"
     if args.sweep:
         kind, values = _parse_sweep(args.sweep)
-        rows = run_sweep(kind, values, plants, specs, config, m=args.m,
-                         trajectory=trajectory)
+        rows = run_sweep(kind, values, plants, specs, config, m=args.m)
     else:
-        runner = run_trajectory_sim if trajectory else run_covariance_sim
-        rows = []
-        for spec in specs:
-            rep = runner(plants, spec, args.m, config)
-            rows.append(SweepRow(sweep="none", sweep_value=0.0, report=rep))
+        runner = (run_trajectory_sim if config.metric == "squared-error"
+                  else run_covariance_sim)
+        rows = [
+            SweepRow(sweep="none", sweep_value=0.0,
+                     report=runner(plants, spec, args.m, config))
+            for spec in specs
+        ]
     prefix = args.out or "results"
     write_sweep_csv(f"{prefix}.csv", rows)
     write_sweep_json(f"{prefix}.json", rows)
@@ -170,7 +176,7 @@ def cmd_bounds(args) -> int:
     report = compute_bounds_report(plants, filters, cps, args.m)
     doc = report.to_dict()
     if args.out:
-        _atomic_write(args.out, json.dumps(doc, indent=1) + "\n")
+        report.to_json(args.out)
     if args.json:
         print(json.dumps(doc))
         return 0
@@ -220,8 +226,6 @@ def cmd_dp(args) -> int:
             filters = [steady_state_filter(pl) for pl in plants]
             cps = [characteristic_params(pl, ss) for pl, ss in zip(plants, filters)]
             sol = dp_optimal_policy(plants, m, delta_cap=args.cap, filters=filters)
-            from .policies import LightweightPolicy
-
             ours = evaluate_policy_average_cost(
                 LightweightPolicy(cps, [pl.p for pl in plants], m),
                 plants, m, delta_cap=args.cap, filters=filters,
@@ -240,7 +244,7 @@ def cmd_dp(args) -> int:
     else:
         print(f"ensemble-averaged ratio = {mean_ratio:.4f}")
     if args.out:
-        _atomic_write(args.out, "\n".join(lines) + "\n")
+        write_atomic(args.out, "\n".join(lines) + "\n")
         if not args.json:
             print(f"wrote {args.out}")
     return 0
@@ -249,6 +253,28 @@ def cmd_dp(args) -> int:
 def cmd_sweep(args) -> int:
     args.sweep = f"{args.kind}:{args.values}"
     return cmd_simulate(args)
+
+
+def _add_simulate_args(p: argparse.ArgumentParser, alias: bool) -> None:
+    """Arguments of ``simulate``; ``alias`` builds the ``sweep`` spelling."""
+    _add_common(p)
+    _add_plants_source(p)
+    p.add_argument("--m", type=int, required=not alias, default=None,
+                   help="channel budget M")
+    p.add_argument("--policy", action="append",
+                   help=f"policy, one of {', '.join(POLICY_KINDS)} (repeatable)")
+    p.add_argument("--metric", type=str, default="aoi-function", choices=METRICS)
+    p.add_argument("--horizon", type=int, default=1000)
+    p.add_argument("--runs", type=int, default=10_000)
+    p.add_argument("--warmup", type=int, default=None)
+    if alias:
+        p.add_argument("--kind", type=str, required=True,
+                       choices=("scale", "heterogeneity", "channel"))
+        p.add_argument("--values", type=str, required=True,
+                       help="lo:hi:steps or v1,v2,...")
+    else:
+        p.add_argument("--sweep", type=str, default=None,
+                       help="kind:lo:hi:steps or kind:v1,v2,...")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,18 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gen)
 
     s = sub.add_parser("simulate", help="Monte Carlo simulation")
-    _add_common(s)
-    _add_plants_source(s)
-    s.add_argument("--m", type=int, required=True, help="channel budget M")
-    s.add_argument("--policy", action="append",
-                   help=f"policy, one of {', '.join(POLICY_KINDS)} (repeatable)")
-    s.add_argument("--metric", type=str, default="aoi-function",
-                   choices=("aoi-function", "trace", "squared-error"))
-    s.add_argument("--horizon", type=int, default=1000)
-    s.add_argument("--runs", type=int, default=10_000)
-    s.add_argument("--warmup", type=int, default=None)
-    s.add_argument("--sweep", type=str, default=None,
-                   help="kind:lo:hi:steps or kind:v1,v2,...")
+    _add_simulate_args(s, alias=False)
     s.set_defaults(func=cmd_simulate)
 
     b = sub.add_parser("bounds", help="closed-form bounds and stability report")
@@ -302,20 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--rho-max", type=float, default=1.2)
     d.set_defaults(func=cmd_dp)
 
-    w = sub.add_parser("sweep", help="parameter sweep (scale/heterogeneity/channel)")
-    _add_common(w)
-    _add_plants_source(w)
-    w.add_argument("--m", type=int, default=None)
-    w.add_argument("--kind", type=str, required=True,
-                   choices=("scale", "heterogeneity", "channel"))
-    w.add_argument("--values", type=str, required=True,
-                   help="lo:hi:steps or v1,v2,...")
-    w.add_argument("--policy", action="append")
-    w.add_argument("--metric", type=str, default="aoi-function",
-                   choices=("aoi-function", "trace", "squared-error"))
-    w.add_argument("--horizon", type=int, default=1000)
-    w.add_argument("--runs", type=int, default=10_000)
-    w.add_argument("--warmup", type=int, default=None)
+    w = sub.add_parser("sweep", help="alias of simulate --sweep kind:values")
+    _add_simulate_args(w, alias=True)
     w.set_defaults(func=cmd_sweep)
 
     return top
@@ -325,7 +328,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (AoiSchedError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

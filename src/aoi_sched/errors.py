@@ -1,33 +1,37 @@
 """Exception types shared across the package."""
 
 
-class PlantInvariantError(ValueError):
+class AoiSchedError(Exception):
+    """Common base; each subclass also keeps its builtin ValueError/RuntimeError base."""
+
+
+class PlantInvariantError(AoiSchedError, ValueError):
     """A plant violates a structural assumption (dimensions, ranks, spectra)."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(AoiSchedError, RuntimeError):
     """An iterative solver failed to converge within its iteration budget."""
 
 
-class GenerationError(RuntimeError):
+class GenerationError(AoiSchedError, RuntimeError):
     """Random plant generation exhausted its retry budget."""
 
 
-class StabilityError(ValueError):
+class StabilityError(AoiSchedError, ValueError):
     """Parameters violate the stability condition alpha * (1 - p) < 1."""
 
 
-class FeasibilityError(ValueError):
+class FeasibilityError(AoiSchedError, ValueError):
     """No feasible solution exists (e.g. no stabilizing randomized policy)."""
 
 
-class OracleError(RuntimeError):
+class OracleError(AoiSchedError, RuntimeError):
     """A numerical oracle (bisection / value iteration) failed."""
 
 
-class UnsupportedPlantError(ValueError):
+class UnsupportedPlantError(AoiSchedError, ValueError):
     """The requested computation is not supported for this plant (e.g. defective A)."""
 
 
-class ResourceBudgetError(RuntimeError):
+class ResourceBudgetError(AoiSchedError, RuntimeError):
     """The requested computation exceeds the configured state-space budget."""

@@ -387,13 +387,21 @@ def ensemble_from_dict(doc: dict) -> list[PlantModel]:
     return [PlantModel.from_dict(d) for d in doc["plants"]]
 
 
-def save_ensemble(path: str, plants: list[PlantModel]) -> None:
-    """Write a plant ensemble as JSON (atomically: temp file then rename)."""
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file and a rename.
+
+    Readers see either the old file or the complete new one, never a
+    partial write. Every file the package writes goes through here.
+    """
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as fh:
-        json.dump(ensemble_to_dict(plants), fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
     os.replace(tmp, path)
+
+
+def save_ensemble(path: str, plants: list[PlantModel]) -> None:
+    """Write a plant ensemble as JSON (atomically: temp file then rename)."""
+    write_atomic(path, json.dumps(ensemble_to_dict(plants), indent=1) + "\n")
 
 
 def load_ensemble(path: str) -> list[PlantModel]:

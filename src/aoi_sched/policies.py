@@ -20,7 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aoi import AoiFunction, numeric_whittle_index, whittle_index_table
-from .errors import FeasibilityError, ResourceBudgetError, StabilityError
+from .errors import (
+    ConvergenceError,
+    FeasibilityError,
+    ResourceBudgetError,
+    StabilityError,
+)
 from .plants import (
     CharParams,
     PlantModel,
@@ -44,10 +49,9 @@ POLICY_KINDS = (
 
 @dataclass(frozen=True)
 class SensorState:
-    """Per-sensor scheduling state: AoI plus (optionally) the error trace."""
+    """Per-sensor scheduling state: the sensor's AoI."""
 
     delta: int
-    err_trace: float | None = None
 
 
 @dataclass(frozen=True)
@@ -158,9 +162,6 @@ class AoiGreedyPolicy(Policy):
 
     name = "aoi-greedy"
 
-    def __init__(self, n: int, m: int):
-        super().__init__(n, m)
-
     def decide_batch(self, deltas: np.ndarray) -> np.ndarray:
         return _top_m_mask(deltas.astype(float), self.m)
 
@@ -260,9 +261,9 @@ class RoundRobinPolicy(Policy):
 
     name = "round-robin"
 
-    def __init__(self, n: int, m: int, cursor: int = 0):
+    def __init__(self, n: int, m: int):
         super().__init__(n, m)
-        self.cursor = cursor % n
+        self.cursor = 0
 
     def reset(self) -> None:
         self.cursor = 0
@@ -429,7 +430,9 @@ def joint_value_iteration(
                 span=span,
                 sweeps=sweep,
             )
-    raise RuntimeError(f"joint value iteration did not converge in {max_sweeps} sweeps")
+    raise ConvergenceError(
+        f"joint value iteration did not converge in {max_sweeps} sweeps"
+    )
 
 
 def _cost_tables_for(
@@ -537,46 +540,6 @@ class DpTablePolicy(Policy):
 
 
 # ---------------------------------------------------------------------------
-# functional entry points mirroring the policy catalogue
-# ---------------------------------------------------------------------------
-
-
-def lightweight_schedule(states, char_params, probs, m: int) -> Decision:
-    return LightweightPolicy(char_params, probs, m).decide(states)
-
-
-def aoi_greedy_schedule(states, m: int) -> Decision:
-    return AoiGreedyPolicy(len(states), m).decide(states)
-
-
-def voi_greedy_schedule(states, plants, filters, m: int) -> Decision:
-    return VoiGreedyPolicy(plants, filters, m).decide(states)
-
-
-def aoi_whittle_schedule(states, probs, m: int) -> Decision:
-    return AoiWhittlePolicy(probs, m).decide(states)
-
-
-def voi_whittle_schedule(states, plants, filters, m: int, delta_cap: int = 40) -> Decision:
-    return VoiWhittlePolicy(plants, filters, m, delta_cap=delta_cap).decide(states)
-
-
-def randomized_stationary_schedule(q, m: int, rng: np.random.Generator) -> Decision:
-    pol = RandomizedStationaryPolicy(q, m, rng=rng)
-    mask = pol.decide_batch(np.ones((1, pol.n), dtype=np.int64))[0]
-    return Decision(scheduled=tuple(int(i) for i in np.flatnonzero(mask)))
-
-
-def round_robin_schedule(cursor: int, n: int, m: int) -> tuple[Decision, int]:
-    pol = RoundRobinPolicy(n, m, cursor=cursor)
-    mask = pol.decide_batch(np.ones((1, n), dtype=np.int64))[0]
-    return (
-        Decision(scheduled=tuple(int(i) for i in np.flatnonzero(mask))),
-        pol.cursor,
-    )
-
-
-# ---------------------------------------------------------------------------
 # policy specification (CLI surface)
 # ---------------------------------------------------------------------------
 
@@ -591,13 +554,10 @@ class PolicySpec:
     voi_delta_cap: int = 40  # voi-whittle index cache cutoff
     dp_cost: str = "aoi-function"
     use_cache: bool = True
-    tie_break: str = "lowest-index"
 
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.tie_break != "lowest-index":
-            raise ValueError("only the lowest-index tie break is supported")
 
     def make(
         self,

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -34,6 +33,7 @@ from .plants import (
     characteristic_params,
     prediction_trace_table,
     steady_state_filter,
+    write_atomic,
 )
 from .policies import AoiGreedyPolicy, PolicySpec
 
@@ -54,11 +54,12 @@ class SimConfig:
     warmup: int | None = None  # None -> 10% of the horizon
     threads: int = 1
     run_block: int = 2048
-    policy: PolicySpec | None = None
 
     def __post_init__(self) -> None:
         if self.horizon < 1 or self.runs < 1:
             raise ValueError("horizon and runs must be at least 1")
+        if self.threads < 1 or self.run_block < 1:
+            raise ValueError("threads and run_block must be at least 1")
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
         w = self.warmup if self.warmup is not None else self.horizon // 10
@@ -111,24 +112,26 @@ def _setup(plants: list[PlantModel]):
     return filters, cps
 
 
+def _cycle(plants: list[PlantModel], n: int) -> list[PlantModel]:
+    return [plants[i % len(plants)] for i in range(n)]
+
+
 def _metric_tables(
     plants: list[PlantModel], filters: list[SteadyStateFilter], cps, metric: str,
     max_delta: int,
 ) -> np.ndarray:
     """Per-sensor cost lookup tables indexed by AoI, shape (max_delta+1, N)."""
-    n = len(plants)
-    tabs = np.zeros((max_delta + 1, n))
-    if metric == "aoi-function":
-        d = np.arange(max_delta + 1, dtype=float)
-        with np.errstate(over="ignore"):
+    tabs = np.zeros((max_delta + 1, len(plants)))
+    with np.errstate(over="ignore"):
+        if metric == "aoi-function":
+            d = np.arange(max_delta + 1, dtype=float)
             for i, cp in enumerate(cps):
                 tabs[:, i] = cp.beta * np.power(cp.alpha, d)
-    elif metric == "trace":
-        with np.errstate(over="ignore"):
+        elif metric == "trace":
             for i, (pl, ss) in enumerate(zip(plants, filters)):
                 tabs[:, i] = prediction_trace_table(pl, ss, max_delta)
-    else:
-        raise ValueError(f"metric {metric!r} has no covariance-level table")
+        else:
+            raise ValueError(f"metric {metric!r} has no covariance-level table")
     tabs[0, :] = 0.0
     return tabs
 
@@ -141,19 +144,15 @@ class _BlockStats:
     successes: np.ndarray
     histogram: np.ndarray
     decision_time: float
-    decisions: int
 
 
-def _aggregate(
-    blocks: list[_BlockStats], policy_name, config, measured_steps
-) -> SimReport:
+def _aggregate(blocks: list[_BlockStats], policy_name, config) -> SimReport:
     means = np.concatenate([b.run_means for b in blocks])
     diverged = np.concatenate([b.diverged for b in blocks])
     attempts = np.sum([b.attempts for b in blocks], axis=0)
     successes = np.sum([b.successes for b in blocks], axis=0)
     hist = np.sum([b.histogram for b in blocks], axis=0)
     time_total = sum(b.decision_time for b in blocks)
-    decisions = sum(b.decisions for b in blocks)
     ok = ~diverged
     if ok.any():
         mean_j = float(np.mean(means[ok]))
@@ -161,7 +160,7 @@ def _aggregate(
         ci = 1.96 * sd / math.sqrt(ok.sum())
     else:
         mean_j, ci = math.inf, math.nan
-    denom = measured_steps * config.runs
+    denom = (config.horizon - config.warmup_steps) * config.runs
     with np.errstate(invalid="ignore", divide="ignore"):
         success_rate = np.where(attempts > 0, successes / np.maximum(attempts, 1), 0.0)
     return SimReport(
@@ -172,7 +171,7 @@ def _aggregate(
         per_sensor_attempt_rate=(attempts / denom).tolist(),
         per_sensor_success_rate=success_rate.tolist(),
         aoi_histogram=hist.tolist(),
-        wall_time_per_decision=time_total / max(decisions, 1),
+        wall_time_per_decision=time_total / (config.runs * config.horizon),
         diverged_runs=int(diverged.sum()),
         runs=config.runs,
         horizon=config.horizon,
@@ -181,45 +180,28 @@ def _aggregate(
     )
 
 
-def _block_sizes(runs: int, block: int) -> list[int]:
-    sizes = [block] * (runs // block)
-    if runs % block:
-        sizes.append(runs % block)
-    return sizes
+def _run_blocks(plants, proto, config: SimConfig, stride: int, make_step) -> SimReport:
+    """Run the replications block by block and reduce them in block order.
 
-
-def run_covariance_sim(
-    plants: list[PlantModel],
-    policy_spec: PolicySpec | None,
-    m: int,
-    config: SimConfig,
-) -> SimReport:
-    """Simulate the AoI chain and read costs from covariance tables.
-
-    Per step: the policy schedules up to M sensors on the current AoI
-    vector, scheduled deliveries succeed i.i.d. with probability p_i, AoI
-    resets on delivery and ages otherwise, and the post-update cost is
-    accumulated after warmup. Runs whose instantaneous cost ever exceeds
-    1e12 (or overflows) are reported as diverged and excluded from the
-    mean rather than crashing or poisoning it.
+    Block ``bi`` draws its channel from Philox tag ``stride * bi`` and hands
+    tag ``stride * bi + 1`` to its policy clone; a level may key further
+    streams of its own above those. ``make_step(bi, b)`` builds the block's
+    per-step cost kernel ``step(gamma, deltas, measured)``, called after
+    every AoI update and read only on measured (post-warmup) steps. Runs
+    whose instantaneous cost ever exceeds 1e12 (or overflows) are reported
+    as diverged and excluded from the mean rather than poisoning it.
     """
-    spec = policy_spec or config.policy
-    if spec is None:
-        raise ValueError("no policy specified")
-    filters, cps = _setup(plants)
     n = len(plants)
     probs = np.array([pl.p for pl in plants])
-    tabs = _metric_tables(plants, filters, cps, config.metric, config.horizon + 1)
-    proto = spec.make(plants, filters, cps, m)
     warm = config.warmup_steps
     measured = config.horizon - warm
-    sensor_cols = np.arange(n)[None, :]
 
     def one_block(args) -> _BlockStats:
         bi, b = args
         policy = proto.clone()
-        policy.rng = _philox(config.seed, 2 * bi + 1)
-        ch = _philox(config.seed, 2 * bi)
+        policy.rng = _philox(config.seed, stride * bi + 1)
+        ch = _philox(config.seed, stride * bi)
+        step = make_step(bi, b)
         deltas = np.ones((b, n), dtype=np.int64)
         cost_acc = np.zeros(b)
         diverged = np.zeros(b, dtype=bool)
@@ -233,10 +215,10 @@ def run_covariance_sim(
             t_policy += time.perf_counter() - t0
             gamma = mask & (ch.random((b, n)) < probs[None, :])
             deltas = np.where(gamma, 1, deltas + 1)
+            step_cost = step(gamma, deltas, t > warm)
             if t > warm:
                 attempts += mask.sum(axis=0)
                 successes += gamma.sum(axis=0)
-                step_cost = tabs[deltas, sensor_cols].sum(axis=1)
                 diverged |= ~np.isfinite(step_cost) | (step_cost > DIVERGENCE_LIMIT)
                 cost_acc += np.where(np.isfinite(step_cost), step_cost, 0.0)
                 hist += np.bincount(
@@ -249,21 +231,46 @@ def run_covariance_sim(
             successes=successes,
             histogram=hist,
             decision_time=t_policy,
-            decisions=b * config.horizon,
         )
 
-    jobs = list(enumerate(_block_sizes(config.runs, config.run_block)))
+    sizes = [min(config.run_block, config.runs - s)
+             for s in range(0, config.runs, config.run_block)]
+    jobs = list(enumerate(sizes))
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             blocks = list(pool.map(one_block, jobs))
     else:
         blocks = [one_block(j) for j in jobs]
-    return _aggregate(blocks, proto.name, config, measured)
+    return _aggregate(blocks, proto.name, config)
+
+
+def run_covariance_sim(
+    plants: list[PlantModel],
+    policy_spec: PolicySpec,
+    m: int,
+    config: SimConfig,
+) -> SimReport:
+    """Simulate the AoI chain and read costs from covariance tables.
+
+    Per step: the policy schedules up to M sensors on the current AoI
+    vector, scheduled deliveries succeed i.i.d. with probability p_i, AoI
+    resets on delivery and ages otherwise, and the post-update cost is
+    accumulated after warmup.
+    """
+    filters, cps = _setup(plants)
+    tabs = _metric_tables(plants, filters, cps, config.metric, config.horizon + 1)
+    proto = policy_spec.make(plants, filters, cps, m)
+    sensor_cols = np.arange(len(plants))[None, :]
+
+    def step(gamma, deltas, measured):
+        return tabs[deltas, sensor_cols].sum(axis=1) if measured else None
+
+    return _run_blocks(plants, proto, config, 2, lambda bi, b: step)
 
 
 def run_trajectory_sim(
     plants: list[PlantModel],
-    policy_spec: PolicySpec | None,
+    policy_spec: PolicySpec,
     m: int,
     config: SimConfig,
 ) -> SimReport:
@@ -278,83 +285,37 @@ def run_trajectory_sim(
 
     and reports the empirical squared error ||d||^2 summed over sensors.
     The local filter runs at its converged gain throughout, matching the
-    steady-state assumption of the covariance model.
+    steady-state assumption of the covariance model. Each block draws its
+    noise from a third Philox stream.
     """
-    spec = policy_spec or config.policy
-    if spec is None:
-        raise ValueError("no policy specified")
-    cfg = config if config.metric == "squared-error" else replace(
-        config, metric="squared-error"
-    )
+    cfg = replace(config, metric="squared-error")
     filters, cps = _setup(plants)
-    n = len(plants)
-    probs = np.array([pl.p for pl in plants])
-    proto = spec.make(plants, filters, cps, m)
-    warm = cfg.warmup_steps
-    measured = cfg.horizon - warm
+    proto = policy_spec.make(plants, filters, cps, m)
     chol_q = [np.linalg.cholesky(pl.Q) for pl in plants]
     chol_r = [np.linalg.cholesky(pl.R) for pl in plants]
     chol_p = [np.linalg.cholesky(ss.posterior_cov) for ss in filters]
 
-    def one_block(args) -> _BlockStats:
-        bi, b = args
-        policy = proto.clone()
-        policy.rng = _philox(cfg.seed, 3 * bi + 1)
-        ch = _philox(cfg.seed, 3 * bi)
+    def make_step(bi, b):
         noise = _philox(cfg.seed, 3 * bi + 2)
         e_loc = [noise.standard_normal((b, pl.n)) @ chol_p[i].T
                  for i, pl in enumerate(plants)]
         d_rem = [noise.standard_normal((b, pl.n)) @ chol_p[i].T
                  for i, pl in enumerate(plants)]
-        deltas = np.ones((b, n), dtype=np.int64)
-        cost_acc = np.zeros(b)
-        diverged = np.zeros(b, dtype=bool)
-        attempts = np.zeros(n, dtype=np.int64)
-        successes = np.zeros(n, dtype=np.int64)
-        hist = np.zeros(_HIST_BINS + 1, dtype=np.int64)
-        t_policy = 0.0
-        for t in range(1, cfg.horizon + 1):
-            t0 = time.perf_counter()
-            mask = policy.decide_batch(deltas)
-            t_policy += time.perf_counter() - t0
-            gamma = mask & (ch.random((b, n)) < probs[None, :])
+
+        def step(gamma, deltas, measured):
             step_cost = np.zeros(b)
             for i, pl in enumerate(plants):
                 w = noise.standard_normal((b, pl.n)) @ chol_q[i].T
                 v = noise.standard_normal((b, pl.m)) @ chol_r[i].T
                 pred = e_loc[i] @ pl.A.T + w
-                on_success = pred
-                d_rem[i] = np.where(
-                    gamma[:, i : i + 1], on_success, d_rem[i] @ pl.A.T + w
-                )
+                d_rem[i] = np.where(gamma[:, i : i + 1], pred, d_rem[i] @ pl.A.T + w)
                 e_loc[i] = pred - (pred @ pl.C.T + v) @ filters[i].gain.T
                 step_cost += np.einsum("ij,ij->i", d_rem[i], d_rem[i])
-            deltas = np.where(gamma, 1, deltas + 1)
-            if t > warm:
-                attempts += mask.sum(axis=0)
-                successes += gamma.sum(axis=0)
-                diverged |= ~np.isfinite(step_cost) | (step_cost > DIVERGENCE_LIMIT)
-                cost_acc += np.where(np.isfinite(step_cost), step_cost, 0.0)
-                hist += np.bincount(
-                    np.minimum(deltas, _HIST_BINS).ravel(), minlength=_HIST_BINS + 1
-                )
-        return _BlockStats(
-            run_means=cost_acc / measured,
-            diverged=diverged,
-            attempts=attempts,
-            successes=successes,
-            histogram=hist,
-            decision_time=t_policy,
-            decisions=b * cfg.horizon,
-        )
+            return step_cost
 
-    jobs = list(enumerate(_block_sizes(cfg.runs, cfg.run_block)))
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            blocks = list(pool.map(one_block, jobs))
-    else:
-        blocks = [one_block(j) for j in jobs]
-    return _aggregate(blocks, proto.name, cfg, measured)
+        return step
+
+    return _run_blocks(plants, proto, cfg, 3, make_step)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +341,7 @@ def measure_decision_time(
     """
     rows: list[dict] = []
     for n in n_list:
-        ens = [plants[i % len(plants)] for i in range(n)]
+        ens = _cycle(plants, n)
         filters, cps = _setup(ens)
         probs = np.array([pl.p for pl in ens])
         m = m_of_n(n)
@@ -435,10 +396,6 @@ class SweepRow:
         self.time_per_decision_ns = self.report.wall_time_per_decision * 1e9
 
 
-def _cycle(plants: list[PlantModel], n: int) -> list[PlantModel]:
-    return [plants[i % len(plants)] for i in range(n)]
-
-
 def run_sweep(
     kind: str,
     values,
@@ -447,16 +404,18 @@ def run_sweep(
     config: SimConfig,
     m: int | None = None,
     ratio: float = 2.0,
-    trajectory: bool = False,
 ) -> list[SweepRow]:
     """One SimReport per (sweep point, policy).
 
     Kinds: ``scale`` grows N at fixed N/M ratio; ``heterogeneity`` varies
     the fraction of distinct plants in the ensemble; ``channel`` forces a
-    common success probability p on every sensor.
+    common success probability p on every sensor. The ``squared-error``
+    metric runs the trajectory level, every other metric the covariance
+    level.
     """
     rows: list[SweepRow] = []
-    runner = run_trajectory_sim if trajectory else run_covariance_sim
+    runner = (run_trajectory_sim if config.metric == "squared-error"
+              else run_covariance_sim)
     for value in values:
         if kind == "scale":
             n = int(value)
@@ -480,16 +439,14 @@ def run_sweep(
 
 
 def write_sweep_csv(path: str, rows: list[SweepRow]) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write("sweep_value,policy,mean_J,ci95,time_per_decision_ns,diverged_runs\n")
-        for r in rows:
-            fh.write(
-                f"{r.sweep_value!r},{r.report.policy},{r.report.mean_J!r},"
-                f"{r.report.ci95!r},{r.time_per_decision_ns!r},"
-                f"{r.report.diverged_runs}\n"
-            )
-    os.replace(tmp, path)
+    lines = ["sweep_value,policy,mean_J,ci95,time_per_decision_ns,diverged_runs\n"]
+    for r in rows:
+        lines.append(
+            f"{r.sweep_value!r},{r.report.policy},{r.report.mean_J!r},"
+            f"{r.report.ci95!r},{r.time_per_decision_ns!r},"
+            f"{r.report.diverged_runs}\n"
+        )
+    write_atomic(path, "".join(lines))
 
 
 def write_sweep_json(path: str, rows: list[SweepRow]) -> None:
@@ -505,8 +462,4 @@ def write_sweep_json(path: str, rows: list[SweepRow]) -> None:
             for r in rows
         ],
     }
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(doc, indent=1) + "\n")

@@ -137,6 +137,17 @@ def test_sweep_subcommand(tmp_path):
     assert rc == 0
     lines = (tmp_path / "het.csv").read_text().strip().splitlines()
     assert len(lines) == 3
+    # `sweep` is an alias: `simulate --sweep` gives the same rows
+    rc = run_cli("simulate", "--plants", str(plants), "--m", "1",
+                 "--sweep", "heterogeneity:0,1", "--policy", "lightweight",
+                 "--runs", "40", "--horizon", "60", "--out", str(tmp_path / "sim"))
+    assert rc == 0
+    docs = [json.loads((tmp_path / f"{p}.json").read_text()) for p in ("het", "sim")]
+    for doc in docs:
+        for row in doc["rows"]:
+            row.pop("wall_time_per_decision")
+            row.pop("time_per_decision_ns")
+    assert docs[0] == docs[1]
 
 
 def test_threads_env_fallback(monkeypatch):
@@ -165,3 +176,43 @@ def test_simulate_divergence_only_exit(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
     # files are still written for inspection
     assert (tmp_path / "div.csv").exists()
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_package_error_exits_with_one_line(tmp_path, capsys):
+    # the joint DP over 8 plants exceeds its state budget: ResourceBudgetError
+    plants = tmp_path / "plants.json"
+    run_cli("gen", "--count", "8", "--seed", "14", "--p-min", "0.9",
+            "--out", str(plants))
+    capsys.readouterr()
+    rc = run_cli("simulate", "--plants", str(plants), "--m", "2",
+                 "--policy", "dp", "--runs", "10", "--horizon", "10",
+                 "--out", str(tmp_path / "res"))
+    assert rc == 1
+    assert "exceeds budget" in _one_line_error(capsys)
+    assert not (tmp_path / "res.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--p-min", "--p-max"])
+def test_gen_rejects_zero_probability(tmp_path, capsys, flag):
+    out = tmp_path / "x.json"
+    rc = run_cli("gen", "--count", "1", flag, "0", "--out", str(out))
+    assert rc == 1
+    assert "p_range" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_simulate_rejects_zero_threads(tmp_path, capsys):
+    plants = tmp_path / "plants.json"
+    run_cli("gen", "--count", "2", "--seed", "4", "--p-min", "0.9",
+            "--out", str(plants))
+    capsys.readouterr()
+    rc = run_cli("simulate", "--plants", str(plants), "--m", "1", "--threads", "0",
+                 "--runs", "10", "--horizon", "10", "--out", str(tmp_path / "r"))
+    assert rc == 1
+    assert "threads" in _one_line_error(capsys)

@@ -14,22 +14,16 @@ from aoi_sched import (
     PolicySpec,
     RandomizedStationaryPolicy,
     ResourceBudgetError,
+    RoundRobinPolicy,
     SensorState,
     VoiGreedyPolicy,
     VoiWhittlePolicy,
-    aoi_greedy_schedule,
-    aoi_whittle_schedule,
     characteristic_params,
     dp_optimal_policy,
     evaluate_policy_average_cost,
     generate_ensemble,
-    lightweight_schedule,
     parse_policy,
-    randomized_stationary_schedule,
-    round_robin_schedule,
     steady_state_filter,
-    voi_greedy_schedule,
-    voi_whittle_schedule,
     whittle_index,
 )
 
@@ -46,17 +40,17 @@ class TestLightweight:
         # sensor 0 has index 3.0 at AoI 1, sensor 1 has index 2.0
         cps = [CharParams(1.5, 2.0), CharParams(2.0, 1.0)]
         probs = [0.5, 1.0]
-        dec = lightweight_schedule([1, 1], cps, probs, 1)
+        dec = LightweightPolicy(cps, probs, 1).decide([1, 1])
         assert dec.scheduled == (0,)
 
     def test_homogeneous_reduces_to_oldest(self):
         cps = [CharParams(1.44, 1.0)] * 3
-        dec = lightweight_schedule([4, 2, 3], cps, [0.9] * 3, 1)
+        dec = LightweightPolicy(cps, [0.9] * 3, 1).decide([4, 2, 3])
         assert dec.scheduled == (0,)
 
     def test_tie_break_lowest_index(self):
         cps = [CharParams(1.44, 1.0)] * 3
-        dec = lightweight_schedule([5, 5, 5], cps, [0.9] * 3, 1)
+        dec = LightweightPolicy(cps, [0.9] * 3, 1).decide([5, 5, 5])
         assert dec.scheduled == (0,)
 
     def test_selection_invariant_to_uniform_beta_scale(self):
@@ -66,8 +60,8 @@ class TestLightweight:
         scaled = [CharParams(cp.alpha, 7.3 * cp.beta) for cp in cps]
         for _ in range(20):
             deltas = rng.integers(1, 30, 6).tolist()
-            a = lightweight_schedule(deltas, cps, probs, 3)
-            b = lightweight_schedule(deltas, scaled, probs, 3)
+            a = LightweightPolicy(cps, probs, 3).decide(deltas)
+            b = LightweightPolicy(scaled, probs, 3).decide(deltas)
             assert a.scheduled == b.scheduled
 
     def test_batch_budget(self):
@@ -80,26 +74,27 @@ class TestLightweight:
 
 class TestAoiGreedy:
     def test_top_two(self):
-        assert aoi_greedy_schedule([4, 2, 3], 2).scheduled == (0, 2)
+        assert AoiGreedyPolicy(3, 2).decide([4, 2, 3]).scheduled == (0, 2)
 
     def test_all_equal_lowest_wins(self):
-        assert aoi_greedy_schedule([7, 7, 7], 1).scheduled == (0,)
+        assert AoiGreedyPolicy(3, 1).decide([7, 7, 7]).scheduled == (0,)
 
     def test_schedule_everything(self):
-        assert aoi_greedy_schedule([1, 2, 3], 3).scheduled == (0, 1, 2)
+        assert AoiGreedyPolicy(3, 3).decide([1, 2, 3]).scheduled == (0, 1, 2)
 
 
 class TestVoiGreedy:
     def test_single_sensor(self):
         plants, filters, _ = _ensemble(1, 22)
-        assert voi_greedy_schedule([3], plants, filters, 1).scheduled == (0,)
+        assert VoiGreedyPolicy(plants, filters, 1).decide([3]).scheduled == (0,)
 
     def test_identical_plants_older_wins(self):
         plants, filters, _ = _ensemble(1, 23)
         two = plants * 2
         ftwo = filters * 2
-        assert voi_greedy_schedule([3, 1], two, ftwo, 1).scheduled == (0,)
-        assert voi_greedy_schedule([1, 3], two, ftwo, 1).scheduled == (1,)
+        pol = VoiGreedyPolicy(two, ftwo, 1)
+        assert pol.decide([3, 1]).scheduled == (0,)
+        assert pol.decide([1, 3]).scheduled == (1,)
 
     def test_score_is_expected_trace_reduction(self):
         plants, filters, _ = _ensemble(2, 24)
@@ -124,8 +119,8 @@ class TestAoiWhittle:
         rng = np.random.default_rng(25)
         for _ in range(10):
             deltas = rng.integers(1, 30, 5).tolist()
-            a = aoi_whittle_schedule(deltas, [0.8] * 5, 2)
-            b = aoi_greedy_schedule(deltas, 2)
+            a = AoiWhittlePolicy([0.8] * 5, 2).decide(deltas)
+            b = AoiGreedyPolicy(5, 2).decide(deltas)
             assert a.scheduled == b.scheduled
 
 
@@ -168,7 +163,8 @@ class TestRandomized:
         assert np.all(mask.sum(axis=1) <= 1)
 
     def test_single_sensor_always(self):
-        dec = randomized_stationary_schedule([1.0], 1, np.random.default_rng(0))
+        pol = RandomizedStationaryPolicy([1.0], 1, rng=np.random.default_rng(0))
+        dec = pol.decide([1])
         assert dec.scheduled == (0,)
 
     def test_heterogeneous_marginals(self):
@@ -188,29 +184,23 @@ class TestRandomized:
 
 class TestRoundRobin:
     def test_cycle(self):
-        dec, cur = round_robin_schedule(0, 4, 2)
-        assert dec.scheduled == (0, 1) and cur == 2
-        dec, cur = round_robin_schedule(cur, 4, 2)
-        assert dec.scheduled == (2, 3) and cur == 0
-        dec, cur = round_robin_schedule(cur, 4, 2)
-        assert dec.scheduled == (0, 1)
+        pol = RoundRobinPolicy(4, 2)
+        assert pol.decide([1] * 4).scheduled == (0, 1) and pol.cursor == 2
+        assert pol.decide([1] * 4).scheduled == (2, 3) and pol.cursor == 0
+        assert pol.decide([1] * 4).scheduled == (0, 1)
 
     def test_wraparound(self):
-        dec, cur = round_robin_schedule(0, 3, 2)
-        assert dec.scheduled == (0, 1) and cur == 2
-        dec, cur = round_robin_schedule(cur, 3, 2)
-        assert dec.scheduled == (0, 2) and cur == 1
+        pol = RoundRobinPolicy(3, 2)
+        assert pol.decide([1] * 3).scheduled == (0, 1) and pol.cursor == 2
+        assert pol.decide([1] * 3).scheduled == (0, 2) and pol.cursor == 1
 
     def test_period(self):
         n, m = 6, 4
-        cur = 0
-        seen = []
-        for _ in range(np.lcm(n, m) // m):
-            dec, cur = round_robin_schedule(cur, n, m)
-            seen.append(dec.scheduled)
-        assert cur == 0
-        dec, _ = round_robin_schedule(cur, n, m)
-        assert dec.scheduled == seen[0]
+        pol = RoundRobinPolicy(n, m)
+        seen = [pol.decide([1] * n).scheduled for _ in range(np.lcm(n, m) // m)]
+        assert pol.cursor == 0
+        assert pol.decide([1] * n).scheduled == seen[0]
+        assert pol.clone().cursor == 0  # a clone starts a fresh cycle
 
 
 def test_homogeneous_staggered_policies_agree():
@@ -276,10 +266,12 @@ class TestJointDp:
 
 
 def test_sensor_state_and_decision_types():
-    s = SensorState(delta=3, err_trace=1.5)
+    s = SensorState(delta=3)
     assert s.delta == 3
-    dec = aoi_greedy_schedule([SensorState(4), SensorState(2)], 1)
+    dec = AoiGreedyPolicy(2, 1).decide([SensorState(4), SensorState(2)])
     assert 0 in dec and 1 not in dec
+    with pytest.raises(ValueError):
+        AoiGreedyPolicy(2, 1).decide([SensorState(0), SensorState(2)])
 
 
 def test_parse_policy():
@@ -290,4 +282,6 @@ def test_parse_policy():
     with pytest.raises(ValueError):
         parse_policy("nonsense")
     with pytest.raises(ValueError):
-        PolicySpec("lightweight", tie_break="random")
+        parse_policy("lightweight:tie=random")
+    with pytest.raises(ValueError):
+        PolicySpec("nonsense")

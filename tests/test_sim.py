@@ -1,5 +1,7 @@
 """Monte Carlo engine: covariance and trajectory simulation, sweeps, timing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -46,7 +48,6 @@ class _FixedPolicySpec(PolicySpec):
         object.__setattr__(self, "voi_delta_cap", 40)
         object.__setattr__(self, "dp_cost", "aoi-function")
         object.__setattr__(self, "use_cache", True)
-        object.__setattr__(self, "tie_break", "lowest-index")
         object.__setattr__(self, "_policy", policy)
 
     def make(self, plants, filters, char_params, m):
@@ -88,11 +89,20 @@ class TestCovarianceSim:
         assert a.stat_dict() == b.stat_dict()
 
     def test_threads_do_not_change_results(self, scalar09):
-        base = SimConfig(horizon=300, runs=600, seed=8, run_block=128)
-        threaded = SimConfig(horizon=300, runs=600, seed=8, run_block=128, threads=4)
-        a = run_covariance_sim([scalar09], PolicySpec("lightweight"), 1, base)
-        b = run_covariance_sim([scalar09], PolicySpec("lightweight"), 1, threaded)
-        assert a.stat_dict() == b.stat_dict()
+        ens = generate_ensemble(3, 2, 2, (1.05, 1.2), seed=8, p_range=(0.85, 1.0))
+        cases = [
+            # (runner, plants, m, runs, metric); 600 = 4 x 128 + 88 and
+            # 300 = 2 x 128 + 44 leave a short last block
+            (run_covariance_sim, [scalar09], 1, 600, "aoi-function"),
+            (run_covariance_sim, ens, 2, 300, "trace"),
+            (run_trajectory_sim, [scalar09], 1, 300, "squared-error"),
+            (run_trajectory_sim, ens, 1, 300, "squared-error"),
+        ]
+        for runner, plants, m, runs, metric in cases:
+            cfg = SimConfig(horizon=300, runs=runs, seed=8, run_block=128, metric=metric)
+            a = runner(plants, PolicySpec("lightweight"), m, cfg)
+            b = runner(plants, PolicySpec("lightweight"), m, replace(cfg, threads=4))
+            assert a.stat_dict() == b.stat_dict()
 
     def test_budget_and_rates(self):
         plants = generate_ensemble(4, 3, 3, (1.05, 1.2), seed=9, p_range=(0.85, 1.0))
@@ -245,12 +255,25 @@ def test_origin_lower_bound_below_trace_sim():
         assert value <= rep.mean_J + 2 * rep.ci95
 
 
-def test_config_policy_fallback(scalar09):
-    cfg = SimConfig(horizon=100, runs=50, seed=27, policy=PolicySpec("aoi-greedy"))
-    rep = run_covariance_sim([scalar09], None, 1, cfg)
-    assert rep.policy == "aoi-greedy"
+@pytest.mark.parametrize("bad", [
+    dict(threads=0), dict(threads=-1), dict(run_block=0), dict(run_block=-5),
+    dict(runs=0), dict(horizon=0), dict(metric="mse"), dict(horizon=10, warmup=10),
+])
+def test_sim_config_rejects_invalid_layout(bad):
     with pytest.raises(ValueError):
-        run_covariance_sim([scalar09], None, 1, SimConfig(horizon=10, runs=5, seed=0))
+        SimConfig(**bad)
+
+
+def test_sweep_level_follows_metric(scalar09):
+    # squared-error selects the trajectory level, every other metric the
+    # covariance level, exactly as the direct runner calls
+    for metric, runner in (("squared-error", run_trajectory_sim),
+                           ("trace", run_covariance_sim)):
+        cfg = SimConfig(horizon=60, runs=40, seed=28, metric=metric)
+        [row] = run_sweep("channel", [0.9], [scalar09],
+                          [PolicySpec("lightweight")], cfg, m=1)
+        direct = runner([scalar09], PolicySpec("lightweight"), 1, cfg)
+        assert row.report.stat_dict() == direct.stat_dict()
 
 
 def test_distribution_csv_export(tmp_path):
@@ -263,3 +286,4 @@ def test_distribution_csv_export(tmp_path):
     assert lines[0] == "delta,mass"
     assert len(lines) == 7
     assert float(lines[1].split(",")[1]) == pytest.approx(1 / 3)
+    assert [p.name for p in tmp_path.iterdir()] == ["dist.csv"]  # no temp left
