@@ -5,7 +5,8 @@ per step plus a Lagrangian price W per transmission attempt; its optimal
 policy transmits exactly when the AoI reaches a threshold. This module
 carries the closed forms derived from that structure (threshold value
 function, average cost, Whittle index, stationary AoI distribution) plus an
-independent value-iteration oracle for the index.
+independent numerical oracle for the index: bisection over exact policy
+iteration on the truncated AoI chain.
 
 All operations require alpha * (1 - p) < 1: with a faster divergence rate
 than the channel can offset, the geometric series behind every closed form
@@ -200,46 +201,73 @@ def write_distribution_csv(path: str, psi: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# numeric Whittle index oracle (bisection over relative value iteration)
+# numeric Whittle index oracle (bisection over exact policy iteration)
 # ---------------------------------------------------------------------------
 
 
-def _rvi_values(
-    costs: np.ndarray,
-    p: float,
-    w: float,
-    v0: np.ndarray | None,
-    span_tol: float,
-    max_sweeps: int,
+def _policy_values(
+    costs: list[float], p: float, w: float, act: list[bool]
 ) -> np.ndarray:
-    """Relative values of the truncated two-action AoI chain at price ``w``.
+    """Exact relative values of one policy on the truncated AoI chain.
 
-    States are AoI 1..K (cost vector indexed from 0); passive ages by one,
-    active resets with probability p; the top state self-loops. Iterates the
-    damped Bellman operator (1 - tau) V + tau T V, which has the same bias
-    fixed point but converges even when the induced chain is periodic
-    (e.g. a threshold policy at p = 1). Values are normalized to v[0] = 0.
-
-    Geometric costs span many orders of magnitude, so the stop criterion
-    measures every state's update relative to that state's own cost scale;
-    an absolute criterion would declare victory while the cheap states
-    (the ones the index probe reads) are still relaxing.
+    States are AoI 1..K (cost list indexed from 0); passive ages by one,
+    active resets with probability p; the top state self-loops. Solves
+    h(s) + theta = c(s) + w a(s) + p a(s) h(1) + (1 - p a(s)) h(s+1) with
+    h(1) = 0 in one backward pass from the top: every h(s) is affine in one
+    unknown, which h(1) = 0 then fixes. The unknown is the gain theta,
+    unless the top state is passive: then it absorbs the chain, theta is its
+    cost, and the unknown is h(K). A zero pivot means the policy has more
+    than one recurrent class (p = 1, an active state below a passive top),
+    where relative values are not defined.
     """
-    tau = 0.9
+    top = len(costs) - 1
+    q = 1.0 - p
+    if act[top]:
+        theta, slope = 0.0, -1.0
+        a, b = (costs[top] + w) / p, -1.0 / p
+    else:
+        theta, slope = costs[top], 0.0
+        a, b = 0.0, 1.0
+    av = [0.0] * (top + 1)
+    bv = [0.0] * (top + 1)
+    av[top], bv[top] = a, b
+    for s in range(top - 1, -1, -1):
+        if act[s]:
+            a = costs[s] + w - theta + q * a
+            b = slope + q * b
+        else:
+            a = costs[s] - theta + a
+            b = slope + b
+        av[s], bv[s] = a, b
+    if b == 0.0:
+        raise OracleError("policy has more than one recurrent class")
+    h = np.array(av) + np.array(bv) * (-a / b)
+    h[0] = 0.0
+    return h
+
+
+def _optimal_values(
+    costs: np.ndarray, p: float, w: float, act: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal relative values (and policy) at price ``w``, by policy iteration.
+
+    Starts from the boolean transmit policy ``act`` and alternates exact
+    evaluation with improvement until the policy repeats; on a tie between
+    the actions a state keeps its current one, which rules out cycling
+    between equally good policies.
+    """
     k = costs.shape[0]
     nxt = np.minimum(np.arange(1, k + 1), k - 1)
-    inv_scale = 1.0 / np.maximum(costs + abs(w), np.finfo(float).tiny)
-    v = np.zeros(k) if v0 is None else v0.copy()
-    for _ in range(max_sweeps):
-        vnext = v[nxt]
-        active = costs + w + p * v[0] + (1.0 - p) * vnext
-        passive = costs + vnext
-        vnew = (1.0 - tau) * v + tau * np.minimum(active, passive)
-        vnew -= vnew[0]
-        if float(np.max(np.abs(vnew - v) * inv_scale)) < span_tol:
-            return vnew
-        v = vnew
-    raise OracleError("relative value iteration did not converge")
+    cost_list = costs.tolist()
+    for _ in range(k + 1):
+        h = _policy_values(cost_list, p, w, act.tolist())
+        # active minus passive Q-value at every state (the cost cancels)
+        gap = w + p * (h[0] - h[nxt])
+        new = (gap < 0.0) | ((gap == 0.0) & act)
+        if np.array_equal(new, act):
+            return h, act
+        act = new
+    raise OracleError(f"policy iteration did not settle in {k + 1} improvements")
 
 
 def numeric_whittle_index(
@@ -247,17 +275,16 @@ def numeric_whittle_index(
     p: float,
     delta: int,
     bracket_hint: float | None = None,
-    span_tol: float = 1e-10,
     rel_tol: float = 1e-8,
-    max_sweeps: int = 100_000,
 ) -> float:
     """Whittle index at state ``delta`` for an arbitrary per-AoI cost table.
 
     Finds, by bisection, the price at which the active and passive actions
-    tie in the truncated average-cost chain. Costs are normalized by their
-    largest entry before iterating (the index scales linearly with costs)
-    so the span criterion is meaningful at any cost magnitude. Independent
-    of any closed form except for the optional bracket hint.
+    tie in the truncated average-cost chain; every probe solves that chain
+    exactly by policy iteration, warm-started from the previous probe's
+    optimal policy. Costs are normalized by their largest entry first (the
+    index scales linearly with costs). Independent of any closed form except
+    for the optional bracket hint.
     """
     costs = np.asarray(costs, dtype=float)
     k = costs.shape[0]
@@ -272,17 +299,17 @@ def numeric_whittle_index(
         raise OracleError("cost table is identically zero")
     costs = costs / scale
 
-    v: np.ndarray | None = None
+    # transmitting everywhere has a single recurrent class at any p > 0
+    act = np.ones(k, dtype=bool)
 
     def advantage(w: float) -> float:
         # active-minus-passive value at `delta`; positive means idling wins
-        nonlocal v
-        v = _rvi_values(costs, p, w, v, span_tol, max_sweeps)
+        nonlocal act
+        v, act = _optimal_values(costs, p, w, act)
         return w - p * (v[delta] - v[0])
 
-    # seed the bracket at the probed state's own cost scale; a price far
-    # above it pushes the tie threshold toward the cap, where the induced
-    # cycle is long and value iteration mixes slowly
+    # seed the bracket at the probed state's own cost scale, so that the
+    # doubling steps below stay in proportion to the index being sought
     ref = float(costs[delta - 1])
     hint = ref if bracket_hint is None else abs(bracket_hint) / scale
     lo, hi = -hint - ref, 10.0 * hint + ref
@@ -312,7 +339,7 @@ def numeric_whittle_index(
 def whittle_index_numeric(
     fn: AoiFunction, delta: int, delta_max: int = 400, **kwargs
 ) -> float:
-    """Value-iteration oracle for ``whittle_index`` on the AoI-cost chain."""
+    """Policy-iteration oracle for ``whittle_index`` on the AoI-cost chain."""
     _require_stable(fn)
     d = np.arange(1, delta_max + 1, dtype=float)
     costs = fn.beta * np.power(fn.alpha, d)

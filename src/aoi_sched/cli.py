@@ -55,8 +55,6 @@ def _default_threads() -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker pool size (default: AOI_SCHED_THREADS or 1)")
     p.add_argument("--out", type=str, default=None, help="output path or prefix")
     p.add_argument("--json", action="store_true",
                    help="machine-readable output only")
@@ -211,8 +209,13 @@ def cmd_bounds(args) -> int:
 def cmd_dp(args) -> int:
     pairs = []
     for chunk in args.pairs.split(","):
-        m_s, n_s = chunk.split(":")
-        pairs.append((int(m_s), int(n_s)))
+        m_s, _, n_s = chunk.partition(":")
+        try:
+            pairs.append((int(m_s), int(n_s)))
+        except ValueError:
+            raise ValueError(
+                f"--pairs wants a comma list of M:N pairs, got {chunk!r}"
+            ) from None
     rng_seed = args.seed
     lines = ["m,n,instance,ours,optimal,ratio"]
     ratios = []
@@ -259,6 +262,8 @@ def _add_simulate_args(p: argparse.ArgumentParser, alias: bool) -> None:
     """Arguments of ``simulate``; ``alias`` builds the ``sweep`` spelling."""
     _add_common(p)
     _add_plants_source(p)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker pool size (default: AOI_SCHED_THREADS or 1)")
     p.add_argument("--m", type=int, required=not alias, default=None,
                    help="channel budget M")
     p.add_argument("--policy", action="append",

@@ -206,7 +206,7 @@ class VoiWhittlePolicy(Policy):
     """Numeric Whittle index on the trace-of-covariance cost.
 
     No closed form exists for this cost, so each (sensor, AoI) index comes
-    from the bisection / value-iteration oracle. Indexes are cached up to
+    from the bisection / policy-iteration oracle. Indexes are cached up to
     ``delta_cap`` and extrapolated geometrically beyond it, which preserves
     the ordering because the index grows monotonically with AoI.
     """
@@ -384,6 +384,8 @@ def joint_value_iteration(
     """
     probs = np.asarray(probs, dtype=float)
     n = len(cost_tables)
+    if not 1 <= m <= n:
+        raise ValueError(f"budget m={m} outside 1..{n}")
     cap = delta_cap
     _check_budget(cap, n, state_budget)
     subsets = list(itertools.combinations(range(n), m))

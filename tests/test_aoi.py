@@ -5,10 +5,12 @@ import pytest
 
 from aoi_sched import (
     AoiFunction,
+    OracleError,
     StabilityError,
     ThresholdPolicy,
     aoi_step,
     f_value,
+    numeric_whittle_index,
     stationary_aoi_distribution,
     threshold_average_cost,
     threshold_transmission_rate,
@@ -17,6 +19,7 @@ from aoi_sched import (
     whittle_index_numeric,
     whittle_index_table,
 )
+from aoi_sched.aoi import _optimal_values
 
 
 def test_aoi_step():
@@ -86,6 +89,42 @@ class TestWhittleIndex:
             assert tab[d] == pytest.approx(whittle_index(fn, d), rel=1e-12)
 
 
+def _rvi_reference(costs, p, w):
+    """Damped relative value iteration on the oracle's truncated AoI chain.
+
+    An independent solver of the chain that ``_optimal_values`` solves
+    exactly: it iterates (1 - tau) V + tau T V, whose fixed point is the
+    same bias but which also converges when the chain is periodic (p = 1),
+    normalizes v[0] = 0, and stops once every state's update is below
+    1e-10 of that state's scale c(s) + |w|.
+    """
+    tau = 0.9
+    k = costs.shape[0]
+    nxt = np.minimum(np.arange(1, k + 1), k - 1)
+    inv_scale = 1.0 / np.maximum(costs + abs(w), np.finfo(float).tiny)
+    v = np.zeros(k)
+    for _ in range(100_000):
+        vnext = v[nxt]
+        active = costs + w + p * v[0] + (1.0 - p) * vnext
+        passive = costs + vnext
+        vnew = (1.0 - tau) * v + tau * np.minimum(active, passive)
+        vnew -= vnew[0]
+        if float(np.max(np.abs(vnew - v) * inv_scale)) < 1e-10:
+            return vnew
+        v = vnew
+    raise AssertionError("reference value iteration did not converge")
+
+
+# Tolerances, fixed from the reference's stop rule: it stops once every
+# state's last damped update is below 1e-10 of c(s) + |w|. Its slowest mode
+# (the period-K cycle at p = 1) shrinks by about 1 - 1.8 / K^2 per sweep, so
+# what is left is at most ~0.56 K^2 = 900 times the last update at K = 40:
+# 1e-7 of the scale, taken as 1e-6.
+_REF_K = 40
+_VALUE_RTOL = 1e-6
+_INDEX_RTOL = 1e-6
+
+
 class TestWhittleOracle:
     def test_deterministic_channel(self):
         fn = AoiFunction(2.0, 1.0, 1.0)
@@ -108,6 +147,43 @@ class TestWhittleOracle:
             cf = whittle_index(fn, d)
             assert whittle_index_numeric(fn, d, 400) == pytest.approx(cf, rel=1e-5)
             done += 1
+
+    @pytest.mark.parametrize("p", [0.3, 0.7, 1.0])
+    def test_matches_value_iteration_reference(self, p):
+        # p = 1 makes every threshold policy's chain periodic
+        costs = 1.25 ** np.arange(1, _REF_K + 1)
+        costs /= costs[-1]
+        active = []
+        for w in (-0.01, 1e-3, 3e-2, 0.3, 100.0):
+            h, act = _optimal_values(costs, p, w, np.ones(_REF_K, dtype=bool))
+            active.append(int(act.sum()))
+            ref = _rvi_reference(costs, p, w)
+            assert np.all(np.abs(h - ref) <= _VALUE_RTOL * (costs + abs(w)))
+        # the prices span transmit-always, three thresholds and never-transmit
+        assert active[0] == _REF_K and active[-1] == 0
+        assert all(0 < n < _REF_K for n in active[1:-1])
+        for delta in (1, 10, 25, _REF_K - 1):
+            w = numeric_whittle_index(costs, p, delta)
+            # the reference's active-minus-passive gap at `delta` changes
+            # sign inside [w - tol, w + tol]: its own index lies there
+            gaps = []
+            for price in (w - _INDEX_RTOL * abs(w), w + _INDEX_RTOL * abs(w)):
+                v = _rvi_reference(costs, p, price)
+                gaps.append(price - p * (v[delta] - v[0]))
+            assert gaps[0] < 0.0 < gaps[1], (delta, w, gaps)
+
+    def test_near_cap_probe(self):
+        # the figure is the value-iteration reference's index, which takes
+        # seconds here: the tie sits 9 states below the cap at p = 0.3
+        costs = 1.2 ** np.arange(1, 80)
+        assert numeric_whittle_index(costs, 0.3, 70) == pytest.approx(
+            13950095.253608381, rel=1e-8)
+
+    def test_multichain_policy_rejected(self):
+        # decreasing costs at p = 1: improvement reaches a policy that
+        # transmits at AoI 1 and idles at the cheap absorbing top state
+        with pytest.raises(OracleError):
+            numeric_whittle_index(np.array([0.67, 0.65, 0.62]), 1.0, 1)
 
 
 class TestThresholdAverageCost:

@@ -216,3 +216,27 @@ def test_simulate_rejects_zero_threads(tmp_path, capsys):
                  "--runs", "10", "--horizon", "10", "--out", str(tmp_path / "r"))
     assert rc == 1
     assert "threads" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("pairs,message", [
+    ("1-2", "--pairs wants a comma list of M:N pairs"),
+    ("1:2,3", "--pairs wants a comma list of M:N pairs"),
+    ("1:2:3", "--pairs wants a comma list of M:N pairs"),
+    ("a:b", "--pairs wants a comma list of M:N pairs"),
+    ("3:2", "budget m=3 outside 1..2"),
+])
+def test_dp_rejects_malformed_pairs(tmp_path, capsys, pairs, message):
+    rc = run_cli("dp", "--pairs", pairs, "--instances", "1", "--cap", "6",
+                 "--out", str(tmp_path / "dp.csv"))
+    assert rc == 1
+    assert message in _one_line_error(capsys)
+    assert not (tmp_path / "dp.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["gen", "--count", "1"],
+                                     ["bounds", "--m", "1"], ["dp"]])
+def test_threads_only_on_simulation_commands(capsys, command):
+    # gen, bounds and dp run no worker pool, so they take no --threads
+    with pytest.raises(SystemExit):
+        run_cli(*command, "--threads", "2")
+    assert "--threads" in capsys.readouterr().err
