@@ -26,6 +26,8 @@ from .plants import write_atomic
 # switch scalar power evaluation to the log scale for very old states to
 # dodge intermediate overflow in diagnostics
 _LOG_SCALE_DELTA = 200
+# relative bracket width at which the index oracle's bisection stops
+_ORACLE_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -275,7 +277,6 @@ def numeric_whittle_index(
     p: float,
     delta: int,
     bracket_hint: float | None = None,
-    rel_tol: float = 1e-8,
 ) -> float:
     """Whittle index at state ``delta`` for an arbitrary per-AoI cost table.
 
@@ -326,7 +327,7 @@ def numeric_whittle_index(
     else:
         raise OracleError("failed to bracket the index from above")
     for _ in range(300):
-        if hi - lo <= rel_tol * max(abs(lo), abs(hi)) or hi - lo <= 1e-14 * ref:
+        if hi - lo <= _ORACLE_REL_TOL * max(abs(lo), abs(hi)) or hi - lo <= 1e-14 * ref:
             break
         mid = 0.5 * (lo + hi)
         if advantage(mid) > 0.0:
@@ -336,9 +337,7 @@ def numeric_whittle_index(
     return 0.5 * (lo + hi) * scale
 
 
-def whittle_index_numeric(
-    fn: AoiFunction, delta: int, delta_max: int = 400, **kwargs
-) -> float:
+def whittle_index_numeric(fn: AoiFunction, delta: int, delta_max: int = 400) -> float:
     """Policy-iteration oracle for ``whittle_index`` on the AoI-cost chain."""
     _require_stable(fn)
     d = np.arange(1, delta_max + 1, dtype=float)
@@ -346,4 +345,4 @@ def whittle_index_numeric(
     if not np.all(np.isfinite(costs)):
         raise OracleError("AoI cost table overflows float64; reduce delta_max")
     hint = whittle_index(fn, delta)
-    return numeric_whittle_index(costs, fn.p, delta, bracket_hint=hint, **kwargs)
+    return numeric_whittle_index(costs, fn.p, delta, bracket_hint=hint)

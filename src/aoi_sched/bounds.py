@@ -26,6 +26,10 @@ from .plants import PlantModel, SteadyStateFilter, spectral_radius, write_atomic
 
 _DEFECTIVE_COND = 1e8  # eigenvector basis above this condition number is treated as defective
 _DELTA_TILDE_CAP = 10**6
+_Q_EPS = 1e-9  # smallest margin of a randomized rate above its stabilizing minimum
+_WATERFILL_TOL = 1e-13  # relative width at which the multiplier bisection stops
+_EXACT_N_LIMIT = 6  # largest ensemble whose integer thresholds are searched exactly
+_GAP_SEARCH_CAP = 512  # largest threshold tried per sensor by min_budget_gap
 
 
 def necessary_stability(plant: PlantModel) -> bool:
@@ -45,9 +49,7 @@ def sufficient_stability(plant: PlantModel, q_star_i: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def optimize_randomized_q(
-    alphas, betas, probs, m: int, eps: float = 1e-9, tol: float = 1e-13
-) -> tuple[np.ndarray, float]:
+def optimize_randomized_q(alphas, betas, probs, m: int) -> tuple[np.ndarray, float]:
     """Optimal per-sensor scheduling marginals of the randomized policy.
 
     Minimizes sum_i beta_i (alpha_i - 1) / (1 - alpha_i + alpha_i p_i q_i)
@@ -55,14 +57,14 @@ def optimize_randomized_q(
     alpha (1 - p q) < 1. Every term is convex and decreasing in its q, so
     the optimum saturates sum q = min(M, N) and KKT water-filling applies:
     q_i(lam) clamps the unconstrained stationarity point into
-    [q_i^min + eps, 1] and a bisection on lam matches the budget.
+    [q_i^min + _Q_EPS, 1] and a bisection on lam matches the budget.
     """
     alphas = np.asarray(alphas, dtype=float)
     betas = np.asarray(betas, dtype=float)
     probs = np.asarray(probs, dtype=float)
     n = alphas.shape[0]
     q_min = (1.0 - 1.0 / alphas) / probs
-    if np.any(q_min + eps >= 1.0):
+    if np.any(q_min + _Q_EPS >= 1.0):
         bad = int(np.argmax(q_min))
         raise FeasibilityError(
             f"sensor {bad}: alpha (1 - p) >= 1, no scheduling rate in (0, 1] "
@@ -73,7 +75,7 @@ def optimize_randomized_q(
             f"sum of minimum rates {np.sum(q_min):.6g} >= M={m}; no stabilizing "
             "randomized policy exists"
         )
-    lo_clip = q_min + eps
+    lo_clip = q_min + _Q_EPS
 
     def objective(q: np.ndarray) -> float:
         return float(np.sum(betas * (alphas - 1.0) / (1.0 - alphas + alphas * probs * q)))
@@ -99,7 +101,7 @@ def optimize_randomized_q(
             lam_lo = lam
         else:
             lam_hi = lam
-        if lam_hi - lam_lo <= tol * lam_hi:
+        if lam_hi - lam_lo <= _WATERFILL_TOL * lam_hi:
             break
     q = q_of(math.sqrt(lam_lo * lam_hi))
     # tiny residual from clamping: rescale the interior coordinates onto the budget
@@ -232,9 +234,7 @@ def _dual_threshold_search(
     return best_value, best_thr
 
 
-def lower_bound_J(
-    alphas, betas, probs, m: int, exact_n_limit: int = 6
-) -> tuple[float, list[int]]:
+def lower_bound_J(alphas, betas, probs, m: int) -> tuple[float, list[int]]:
     """Lower bound on the AoI-function cost of any feasible scheduler.
 
     The bound is the Lagrangian-dual value of the per-sensor threshold
@@ -245,7 +245,7 @@ def lower_bound_J(
     lower bound on scheduler performance (simulation exceeds it by up to a
     couple of percent on tight instances). The reported thresholds are the
     integer minimizers (the deterministic DMDP solution) when the ensemble
-    is small enough to search exactly.
+    is small enough to search exactly (N <= 6).
     """
     alphas = np.asarray(alphas, dtype=float)
     betas = np.asarray(betas, dtype=float)
@@ -256,7 +256,7 @@ def lower_bound_J(
             f"sensors {np.flatnonzero(unstable).tolist()} violate alpha (1-p) < 1"
         )
     dual_value, dual_thr = _dual_threshold_search(alphas, betas, probs, m)
-    if alphas.shape[0] <= exact_n_limit:
+    if alphas.shape[0] <= _EXACT_N_LIMIT:
         primal_value, thresholds = _exact_threshold_search(alphas, betas, probs, m)
         if dual_value > primal_value + 1e-9 * max(1.0, abs(primal_value)):
             raise RuntimeError("dual bound exceeded the integer primal")
@@ -271,7 +271,7 @@ def optimal_threshold_cap(p: float, g_min: float) -> float:
     return (1.0 / p) * (1.0 / g_min + 2.0 * p - 1.0)
 
 
-def min_budget_gap(probs, m: int, i: int, search_cap: int = 512) -> float:
+def min_budget_gap(probs, m: int, i: int) -> float:
     """Smallest positive budget gap left for sensor i by the other sensors.
 
     Exact when the other sensors at threshold 1 fit under the budget
@@ -295,7 +295,7 @@ def min_budget_gap(probs, m: int, i: int, search_cap: int = 512) -> float:
             return
         remaining = len(others) - idx
         j = others[idx]
-        for d in range(1, search_cap + 1):
+        for d in range(1, _GAP_SEARCH_CAP + 1):
             g = _rate(probs[j], d)
             if load + g + (remaining - 1) <= best:
                 break  # contributions only shrink with larger thresholds
@@ -311,7 +311,6 @@ def lower_bound_J_origin(
     plants: list[PlantModel],
     filters: list[SteadyStateFilter],
     m: int,
-    exact_n_limit: int = 6,
 ) -> tuple[float, list[int], list[float]]:
     """Lower bound on the true trace-of-covariance cost.
 
@@ -345,7 +344,7 @@ def lower_bound_J_origin(
         betas.append(zeta * min(lam_q, lam_p))
         zetas.append(zeta)
     probs = [pl.p for pl in plants]
-    value, thr = lower_bound_J(alphas, betas, probs, m, exact_n_limit=exact_n_limit)
+    value, thr = lower_bound_J(alphas, betas, probs, m)
     return value, thr, zetas
 
 

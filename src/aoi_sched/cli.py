@@ -86,13 +86,18 @@ def _add_plants_source(p: argparse.ArgumentParser) -> None:
 def _parse_sweep(text: str) -> tuple[str, list[float]]:
     kind, _, rest = text.partition(":")
     kind = kind.strip()
-    if ":" in rest:
-        lo, hi, steps = rest.split(":")
-        values = np.linspace(float(lo), float(hi), int(steps)).tolist()
-    else:
-        values = [float(x) for x in rest.split(",") if x]
+    try:
+        if ":" in rest:
+            lo, hi, steps = rest.split(":")
+            values = np.linspace(float(lo), float(hi), int(steps)).tolist()
+        else:
+            values = [float(x) for x in rest.split(",") if x]
+    except ValueError:
+        values = []
     if not values:
-        raise ValueError(f"sweep spec {text!r} has no values")
+        raise ValueError(
+            f"--sweep wants kind:lo:hi:steps or kind:v1,v2,..., got {text!r}"
+        )
     return kind, values
 
 

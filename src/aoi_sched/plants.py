@@ -30,6 +30,9 @@ SCHEMA_VERSION = 1
 
 # numeric rank: singular values above _RANK_RTOL * sigma_max count
 _RANK_RTOL = 1e-8
+# generated plants keep rho^2 (1 - p) at or below this unless p_range is given
+_STABILITY_MARGIN = 0.95
+_MAX_TRIES = 100  # draws per plant before generation gives up
 
 
 def spectral_radius(a: np.ndarray) -> float:
@@ -302,8 +305,6 @@ def generate_plant(
     rho_range: tuple[float, float],
     rng: np.random.Generator,
     p_range: tuple[float, float] | None = None,
-    stability_margin: float = 0.95,
-    max_tries: int = 100,
     dynamics: str = "dense",
 ) -> PlantModel:
     """Random plant satisfying all PlantModel invariants.
@@ -316,7 +317,7 @@ def generate_plant(
     overshoot those bounds transiently since their growth is governed by
     singular values. C is i.i.d. normal; Q and R are G G^T + 1e-3 I.
     Unless ``p_range`` is given, p is drawn uniformly above the smallest
-    value keeping rho^2 (1 - p) <= stability_margin, so every generated
+    value keeping rho^2 (1 - p) <= _STABILITY_MARGIN, so every generated
     plant passes the necessary stability condition with margin.
     """
     lo, hi = rho_range
@@ -326,7 +327,7 @@ def generate_plant(
         raise ValueError("n and m must be at least 1")
     if dynamics not in ("dense", "normal"):
         raise ValueError(f"unknown dynamics family {dynamics!r}")
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         target = rng.uniform(lo, hi)
         if dynamics == "dense":
             a = rng.standard_normal((n, n))
@@ -346,7 +347,7 @@ def generate_plant(
         r = gr @ gr.T + 1e-3 * np.eye(m)
         alpha = target * target
         if p_range is None:
-            p_lo = max(1e-3, 1.0 - stability_margin / alpha)
+            p_lo = max(1e-3, 1.0 - _STABILITY_MARGIN / alpha)
             p_hi = 1.0
         else:
             p_lo, p_hi = p_range
@@ -357,7 +358,7 @@ def generate_plant(
             return PlantModel(A=a, C=c, Q=q, R=r, p=p)
         except PlantInvariantError:
             continue
-    raise GenerationError(f"no valid plant found in {max_tries} tries")
+    raise GenerationError(f"no valid plant found in {_MAX_TRIES} tries")
 
 
 def generate_ensemble(
@@ -367,13 +368,11 @@ def generate_ensemble(
     rho_range: tuple[float, float],
     seed: int,
     p_range: tuple[float, float] | None = None,
-    stability_margin: float = 0.95,
     dynamics: str = "dense",
 ) -> list[PlantModel]:
     rng = np.random.default_rng(seed)
     return [
-        generate_plant(n, m, rho_range, rng, p_range=p_range,
-                       stability_margin=stability_margin, dynamics=dynamics)
+        generate_plant(n, m, rho_range, rng, p_range=p_range, dynamics=dynamics)
         for _ in range(count)
     ]
 

@@ -117,16 +117,20 @@ class _ScoreTablePolicy(Policy):
 
     def __init__(self, n: int, m: int):
         super().__init__(n, m)
-        self._tables: np.ndarray | None = None  # (n, cap+1)
+        # (n, cap+1) table in one slot all clones share, built once per run,
+        # not per block; threads growing it at once only repeat work, since
+        # the contents are deterministic
+        self._tables: list[np.ndarray | None] = [None]
 
     def _build_tables(self, max_delta: int) -> np.ndarray:
         raise NotImplementedError
 
     def _scores(self, deltas: np.ndarray) -> np.ndarray:
         dmax = int(deltas.max())
-        if self._tables is None or self._tables.shape[1] <= dmax:
-            self._tables = self._build_tables(max(64, 2 * dmax))
-        return self._tables.T[deltas, np.arange(self.n)[None, :]]
+        tables = self._tables[0]
+        if tables is None or tables.shape[1] <= dmax:
+            tables = self._tables[0] = self._build_tables(max(64, 2 * dmax))
+        return tables.T[deltas, np.arange(self.n)[None, :]]
 
     def decide_batch(self, deltas: np.ndarray) -> np.ndarray:
         return _top_m_mask(self._scores(deltas), self.m)
@@ -358,7 +362,15 @@ def _joint_cost_tensor(cost_tables: list[np.ndarray], cap: int) -> np.ndarray:
     return cost
 
 
-def _check_budget(cap: int, n: int, state_budget: int) -> None:
+_DP_TOL = 1e-9  # span of the value update at which the DP stops
+_DP_MAX_SWEEPS = 100_000
+
+
+def _check_size(n: int, m: int, cap: int, state_budget: int) -> None:
+    if not 1 <= m <= n:
+        raise ValueError(f"budget m={m} outside 1..{n}")
+    if cap < 1:
+        raise ValueError(f"delta_cap={cap} must be at least 1")
     if cap**n > state_budget:
         raise ResourceBudgetError(
             f"joint state space {cap}^{n} exceeds budget {state_budget}"
@@ -371,58 +383,51 @@ def joint_value_iteration(
     m: int,
     delta_cap: int,
     action_table: np.ndarray | None = None,
-    tol: float = 1e-9,
-    max_sweeps: int = 100_000,
     state_budget: int = 2_000_000,
 ) -> DpSolution:
     """Relative value iteration on the joint AoI chain.
 
-    With ``action_table`` given, evaluates that fixed policy; otherwise
-    optimizes over all schedule-exactly-M subsets. AoI saturates at
-    ``delta_cap``. Stops when the span seminorm of the value update falls
-    below ``tol``; the average cost is then bracketed within ``tol``.
+    One sweep computes ``cost + E[V(next)]`` once per schedule-exactly-M
+    subset in use: all of them, keeping the running minimum (ties keep the
+    earliest subset), or, to evaluate a fixed ``action_table``, only those it
+    picks, each state taking its own subset's value. AoI saturates at
+    ``delta_cap``. Damped updates stop once their span falls below
+    ``_DP_TOL``, which then brackets the average cost.
     """
     probs = np.asarray(probs, dtype=float)
     n = len(cost_tables)
-    if not 1 <= m <= n:
-        raise ValueError(f"budget m={m} outside 1..{n}")
     cap = delta_cap
-    _check_budget(cap, n, state_budget)
+    _check_size(n, m, cap, state_budget)
     subsets = list(itertools.combinations(range(n), m))
     cost = _joint_cost_tensor(cost_tables, cap)
     v = np.zeros((cap,) * n)
     tau = 0.9  # damped updates converge on (near-)periodic induced chains
-    if action_table is not None:
-        sel_masks = [
-            (action_table == ai).reshape(v.shape) for ai in range(len(subsets))
-        ]
-    for sweep in range(1, max_sweeps + 1):
-        if action_table is None:
-            best = None
-            best_arg = None
-            for ai, subset in enumerate(subsets):
-                q = cost + _expected_next(v, subset, probs, cap)
-                if best is None:
-                    best, best_arg = q, np.zeros(q.shape, dtype=np.int16)
-                else:
-                    better = q < best  # strict: ties keep the earliest subset
-                    np.copyto(best, q, where=better)
-                    best_arg[better] = ai
-            tv = best
-        else:
-            tv = np.empty_like(v)
-            for ai, subset in enumerate(subsets):
-                if not sel_masks[ai].any():
-                    continue
-                q = cost + _expected_next(v, subset, probs, cap)
-                tv[sel_masks[ai]] = q[sel_masks[ai]]
-            best_arg = action_table.reshape(v.shape)
+    if action_table is None:
+        used, fixed = range(len(subsets)), None
+    else:
+        best_arg = action_table.reshape(v.shape)
+        fixed = {ai: best_arg == ai for ai in range(len(subsets))}
+        used = [ai for ai, mask in fixed.items() if mask.any()]
+    for sweep in range(1, _DP_MAX_SWEEPS + 1):
+        if fixed is None:
+            best_arg = np.zeros(v.shape, dtype=np.int16)
+        tv = None
+        for ai in used:
+            q = cost + _expected_next(v, subsets[ai], probs, cap)
+            if tv is None:
+                tv = q
+            elif fixed is None:
+                better = q < tv  # strict: ties keep the earliest subset
+                np.copyto(tv, q, where=better)
+                best_arg[better] = ai
+            else:
+                np.copyto(tv, q, where=fixed[ai])
         gain = tv - v
         span = float(gain.max() - gain.min())
         theta = 0.5 * float(gain.max() + gain.min())
         v = (1.0 - tau) * v + tau * tv
         v -= v.flat[0]
-        if span < tol:
+        if span < _DP_TOL:
             return DpSolution(
                 action_table=np.ascontiguousarray(best_arg).ravel(),
                 subsets=subsets,
@@ -433,16 +438,19 @@ def joint_value_iteration(
                 sweeps=sweep,
             )
     raise ConvergenceError(
-        f"joint value iteration did not converge in {max_sweeps} sweeps"
+        f"joint value iteration did not converge in {_DP_MAX_SWEEPS} sweeps"
     )
 
 
-def _cost_tables_for(
-    plants: list[PlantModel],
-    filters: list[SteadyStateFilter],
-    delta_cap: int,
-    cost: str,
-) -> list[np.ndarray]:
+def _dp_inputs(
+    plants: list[PlantModel], m: int, delta_cap: int, cost: str,
+    filters: list[SteadyStateFilter] | None, state_budget: int,
+) -> tuple[list[np.ndarray], list[float]]:
+    """Size check, then the per-sensor cost tables and channel rates."""
+    _check_size(len(plants), m, delta_cap, state_budget)
+    if filters is None:
+        filters = [steady_state_filter(pl) for pl in plants]
+    probs = [pl.p for pl in plants]
     if cost == "aoi-function":
         tabs = []
         for pl, ss in zip(plants, filters):
@@ -451,9 +459,10 @@ def _cost_tables_for(
             tab = cp.beta * np.power(cp.alpha, d)
             tab[0] = 0.0
             tabs.append(tab)
-        return tabs
+        return tabs, probs
     if cost == "trace":
-        return [error_trace_table(pl, ss, delta_cap) for pl, ss in zip(plants, filters)]
+        return [error_trace_table(pl, ss, delta_cap)
+                for pl, ss in zip(plants, filters)], probs
     raise ValueError(f"unknown dp cost {cost!r}")
 
 
@@ -463,17 +472,11 @@ def dp_optimal_policy(
     delta_cap: int = 25,
     cost: str = "aoi-function",
     filters: list[SteadyStateFilter] | None = None,
-    tol: float = 1e-9,
     state_budget: int = 2_000_000,
 ) -> DpSolution:
     """Optimal scheduler of the truncated joint chain plus its average cost."""
-    if filters is None:
-        filters = [steady_state_filter(pl) for pl in plants]
-    tables = _cost_tables_for(plants, filters, delta_cap, cost)
-    probs = [pl.p for pl in plants]
-    return joint_value_iteration(
-        tables, probs, m, delta_cap, tol=tol, state_budget=state_budget
-    )
+    tables, probs = _dp_inputs(plants, m, delta_cap, cost, filters, state_budget)
+    return joint_value_iteration(tables, probs, m, delta_cap, state_budget=state_budget)
 
 
 def policy_action_table(
@@ -499,27 +502,22 @@ def evaluate_policy_average_cost(
     delta_cap: int = 25,
     cost: str = "aoi-function",
     filters: list[SteadyStateFilter] | None = None,
-    tol: float = 1e-9,
     state_budget: int = 2_000_000,
 ) -> float:
     """Exact long-run average cost of a policy on the same truncated chain.
 
     Shares the DP's state space and cost tables, so optimal-policy costs
     from :func:`dp_optimal_policy` are directly comparable (and provably no
-    larger, up to the value-iteration tolerance).
+    larger, up to the value-iteration tolerance). Sizes are checked before
+    the policy decides on every joint state.
     """
-    if filters is None:
-        filters = [steady_state_filter(pl) for pl in plants]
+    tables, probs = _dp_inputs(plants, m, delta_cap, cost, filters, state_budget)
     n = len(plants)
     subsets = list(itertools.combinations(range(n), m))
     table = policy_action_table(policy, n, delta_cap, subsets)
-    tables = _cost_tables_for(plants, filters, delta_cap, cost)
-    probs = [pl.p for pl in plants]
-    sol = joint_value_iteration(
-        tables, probs, m, delta_cap, action_table=table, tol=tol,
-        state_budget=state_budget,
-    )
-    return sol.average_cost
+    return joint_value_iteration(
+        tables, probs, m, delta_cap, action_table=table, state_budget=state_budget,
+    ).average_cost
 
 
 class DpTablePolicy(Policy):
@@ -560,6 +558,14 @@ class PolicySpec:
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
+        if self.delta_cap < 1:
+            raise ValueError(
+                f"policy option cap must be at least 1, got {self.delta_cap}"
+            )
+        if self.voi_delta_cap < 2:
+            raise ValueError(
+                f"policy option voi-cap must be at least 2, got {self.voi_delta_cap}"
+            )
 
     def make(
         self,
@@ -602,6 +608,16 @@ class PolicySpec:
         raise ValueError(f"unknown policy kind {self.kind!r}")
 
 
+# CLI policy option -> (PolicySpec field, parser of its value)
+_POLICY_OPTIONS = {
+    "cap": ("delta_cap", int),
+    "voi-cap": ("voi_delta_cap", int),
+    "cost": ("dp_cost", str.strip),
+    "q": ("q", lambda val: tuple(float(x) for x in val.split("+"))),
+    "cache": ("use_cache", lambda val: val.strip().lower() not in ("0", "false", "no")),
+}
+
+
 def parse_policy(text: str) -> PolicySpec:
     """Parse a CLI policy string, e.g. ``lightweight`` or ``dp:cap=20``."""
     kind, _, rest = text.partition(":")
@@ -611,16 +627,13 @@ def parse_policy(text: str) -> PolicySpec:
         for item in rest.split(","):
             key, _, val = item.partition("=")
             key = key.strip()
-            if key == "cap":
-                kwargs["delta_cap"] = int(val)
-            elif key == "voi-cap":
-                kwargs["voi_delta_cap"] = int(val)
-            elif key == "cost":
-                kwargs["dp_cost"] = val.strip()
-            elif key == "q":
-                kwargs["q"] = tuple(float(x) for x in val.split("+"))
-            elif key == "cache":
-                kwargs["use_cache"] = val.strip().lower() not in ("0", "false", "no")
-            else:
+            if key not in _POLICY_OPTIONS:
                 raise ValueError(f"unknown policy option {key!r}")
+            field, parse = _POLICY_OPTIONS[key]
+            try:
+                kwargs[field] = parse(val)
+            except ValueError:
+                raise ValueError(
+                    f"policy option {key} wants a number, got {val!r}"
+                ) from None
     return PolicySpec(kind=kind, **kwargs)

@@ -41,6 +41,7 @@ METRICS = ("aoi-function", "trace", "squared-error")
 
 DIVERGENCE_LIMIT = 1e12
 _HIST_BINS = 128  # AoI histogram bins; the last one absorbs everything older
+_SWEEP_N_PER_M = 2.0  # N/M of sweep points that are not given M
 
 
 @dataclass(frozen=True)
@@ -327,12 +328,11 @@ def measure_decision_time(
     plants: list[PlantModel],
     policy_specs: list[PolicySpec],
     n_list: list[int],
-    m_of_n=lambda n: max(1, n // 2),
     decisions: int = 10_000,
     time_budget_s: float = 2.0,
     seed: int = 0,
 ) -> list[dict]:
-    """Median per-decision wall time for each (policy, N).
+    """Median per-decision wall time for each (policy, N) at M = max(1, N // 2).
 
     Decisions are timed one at a time on a pool of warm AoI states (the
     deployed call pattern, not the vectorized batch path). Policies slower
@@ -344,7 +344,7 @@ def measure_decision_time(
         ens = _cycle(plants, n)
         filters, cps = _setup(ens)
         probs = np.array([pl.p for pl in ens])
-        m = m_of_n(n)
+        m = max(1, n // 2)
         # warm state pool from a short greedy-scheduled chain
         rng = _philox(seed, 7)
         deltas = np.ones((128, n), dtype=np.int64)
@@ -403,15 +403,14 @@ def run_sweep(
     policy_specs: list[PolicySpec],
     config: SimConfig,
     m: int | None = None,
-    ratio: float = 2.0,
 ) -> list[SweepRow]:
     """One SimReport per (sweep point, policy).
 
-    Kinds: ``scale`` grows N at fixed N/M ratio; ``heterogeneity`` varies
-    the fraction of distinct plants in the ensemble; ``channel`` forces a
-    common success probability p on every sensor. The ``squared-error``
-    metric runs the trajectory level, every other metric the covariance
-    level.
+    Kinds: ``scale`` grows N at N/M = 2; ``heterogeneity`` varies the
+    fraction of distinct plants in the ensemble; ``channel`` forces a common
+    success probability p on every sensor. The last two take M = ``m``, or
+    N/2 when ``m`` is None. The ``squared-error`` metric runs the trajectory
+    level, every other metric the covariance level.
     """
     rows: list[SweepRow] = []
     runner = (run_trajectory_sim if config.metric == "squared-error"
@@ -420,16 +419,16 @@ def run_sweep(
         if kind == "scale":
             n = int(value)
             ens = _cycle(plants, n)
-            mm = max(1, int(round(n / ratio)))
+            mm = max(1, int(round(n / _SWEEP_N_PER_M)))
         elif kind == "heterogeneity":
             n = len(plants)
             distinct = max(1, int(round(float(value) * n)))
             ens = [plants[i % distinct] for i in range(n)]
-            mm = m if m is not None else max(1, int(round(n / ratio)))
+            mm = m if m is not None else max(1, int(round(n / _SWEEP_N_PER_M)))
         elif kind == "channel":
             p = float(value)
             ens = [replace(pl, p=p) for pl in plants]
-            mm = m if m is not None else max(1, int(round(len(ens) / ratio)))
+            mm = m if m is not None else max(1, int(round(len(ens) / _SWEEP_N_PER_M)))
         else:
             raise ValueError(f"unknown sweep kind {kind!r}")
         for spec in policy_specs:

@@ -233,6 +233,18 @@ def test_dp_rejects_malformed_pairs(tmp_path, capsys, pairs, message):
     assert not (tmp_path / "dp.csv").exists()
 
 
+@pytest.mark.parametrize("sweep", ["scale:1:2", "scale:1:2:x", "scale:1:2:3:4",
+                                   "scale:1:2:0", "channel:a,b", "channel:"])
+def test_simulate_rejects_malformed_sweep(tmp_path, capsys, sweep):
+    rc = run_cli("simulate", "--generate", "2", "--m", "1", "--sweep", sweep,
+                 "--runs", "10", "--horizon", "10", "--out", str(tmp_path / "r"))
+    assert rc == 1
+    err = _one_line_error(capsys)
+    assert "--sweep wants kind:lo:hi:steps or kind:v1,v2,..." in err
+    assert repr(sweep) in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("command", [["gen", "--count", "1"],
                                      ["bounds", "--m", "1"], ["dp"]])
 def test_threads_only_on_simulation_commands(capsys, command):

@@ -264,6 +264,23 @@ class TestJointDp:
             dp_optimal_policy(plants, 2, delta_cap=50, filters=filters,
                               state_budget=100_000)
 
+        class MustNotDecide(AoiGreedyPolicy):
+            def decide_batch(self, deltas):
+                pytest.fail(f"decide_batch ran on {len(deltas)} joint states")
+
+        # sizes are checked before the policy sees the 20^3 joint grid
+        plants, filters = plants[:3], filters[:3]
+        with pytest.raises(ResourceBudgetError):
+            evaluate_policy_average_cost(MustNotDecide(3, 1), plants, 1,
+                                         delta_cap=20, filters=filters,
+                                         state_budget=1000)
+        with pytest.raises(ValueError, match="budget m=4 outside 1..3"):
+            evaluate_policy_average_cost(MustNotDecide(3, 1), plants, 4,
+                                         delta_cap=20, filters=filters)
+        with pytest.raises(ValueError, match="delta_cap=0"):
+            evaluate_policy_average_cost(MustNotDecide(3, 1), plants, 1,
+                                         delta_cap=0, filters=filters)
+
 
 def test_sensor_state_and_decision_types():
     s = SensorState(delta=3)
@@ -285,3 +302,17 @@ def test_parse_policy():
         parse_policy("lightweight:tie=random")
     with pytest.raises(ValueError):
         PolicySpec("nonsense")
+    # option values are checked when the spec is built, naming the option
+    for text, message in [
+        ("dp:cap=0", "policy option cap must be at least 1, got 0"),
+        ("dp:cap=x", "policy option cap wants a number, got 'x'"),
+        ("voi-whittle:voi-cap=1", "policy option voi-cap must be at least 2, got 1"),
+        ("voi-whittle:voi-cap=", "policy option voi-cap wants a number, got ''"),
+        ("randomized:q=0.4+y", "policy option q wants a number, got '0.4+y'"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            parse_policy(text)
+        assert str(err.value) == message
+    with pytest.raises(ValueError, match="cap"):
+        PolicySpec("dp", delta_cap=0)
+    assert parse_policy("voi-whittle:voi-cap=2").voi_delta_cap == 2

@@ -1,5 +1,6 @@
 """Monte Carlo engine: covariance and trajectory simulation, sweeps, timing."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -103,6 +104,39 @@ class TestCovarianceSim:
             a = runner(plants, PolicySpec("lightweight"), m, cfg)
             b = runner(plants, PolicySpec("lightweight"), m, replace(cfg, threads=4))
             assert a.stat_dict() == b.stat_dict()
+
+    def test_index_tables_built_once_per_simulation(self, monkeypatch):
+        import aoi_sched.policies as policies
+
+        built = []
+        real = policies.whittle_index_table
+
+        def counting(fn, max_delta):
+            built.append(max_delta)
+            return real(fn, max_delta)
+
+        monkeypatch.setattr(policies, "whittle_index_table", counting)
+        ens = generate_ensemble(3, 2, 2, (1.05, 1.2), seed=8, p_range=(0.85, 1.0))
+        # 5 blocks of at most 128 runs; AoI stays below the first table's 64
+        cfg = SimConfig(horizon=50, runs=600, seed=8, run_block=128)
+        run_covariance_sim(ens, PolicySpec("lightweight"), 1, cfg)
+        assert built == [64, 64, 64]
+
+    def test_shared_index_tables_under_thread_stress(self):
+        # slow channels push AoI past the first 64-entry table, so the
+        # shared tables grow in several blocks at once on 4 threads
+        ens = generate_ensemble(3, 2, 2, (1.01, 1.02), seed=8, p_range=(0.08, 0.12))
+        cfg = SimConfig(horizon=300, runs=512, seed=8, run_block=32)
+        a = run_covariance_sim(ens, PolicySpec("lightweight"), 1, cfg)
+        assert sum(a.aoi_histogram[65:]) > 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            b = run_covariance_sim(ens, PolicySpec("lightweight"), 1,
+                                   replace(cfg, threads=4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert a.stat_dict() == b.stat_dict()
 
     def test_budget_and_rates(self):
         plants = generate_ensemble(4, 3, 3, (1.05, 1.2), seed=9, p_range=(0.85, 1.0))
