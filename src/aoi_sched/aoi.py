@@ -23,9 +23,6 @@ import numpy as np
 from .errors import OracleError, StabilityError
 from .plants import write_atomic
 
-# switch scalar power evaluation to the log scale for very old states to
-# dodge intermediate overflow in diagnostics
-_LOG_SCALE_DELTA = 200
 # relative bracket width at which the index oracle's bisection stops
 _ORACLE_REL_TOL = 1e-8
 
@@ -70,12 +67,19 @@ def aoi_step(delta: int, gamma: int) -> int:
 
 
 def _pow(alpha: float, delta: float) -> float:
-    if delta > _LOG_SCALE_DELTA:
-        try:
-            return math.exp(delta * math.log(alpha))
-        except OverflowError:
-            return math.inf
-    return alpha**delta
+    """alpha^delta, or inf where it overflows float64."""
+    try:
+        return alpha**delta
+    except OverflowError:
+        return math.inf
+
+
+def aoi_cost_table(alpha: float, beta: float, max_delta: int) -> np.ndarray:
+    """beta * alpha^delta for delta = 0..max_delta: slot 0 zero, overflow inf."""
+    with np.errstate(over="ignore"):
+        tab = beta * np.power(alpha, np.arange(max_delta + 1, dtype=float))
+    tab[0] = 0.0
+    return tab
 
 
 def f_value(fn: AoiFunction, delta: int) -> float:
@@ -340,9 +344,6 @@ def numeric_whittle_index(
 def whittle_index_numeric(fn: AoiFunction, delta: int, delta_max: int = 400) -> float:
     """Policy-iteration oracle for ``whittle_index`` on the AoI-cost chain."""
     _require_stable(fn)
-    d = np.arange(1, delta_max + 1, dtype=float)
-    costs = fn.beta * np.power(fn.alpha, d)
-    if not np.all(np.isfinite(costs)):
-        raise OracleError("AoI cost table overflows float64; reduce delta_max")
+    costs = aoi_cost_table(fn.alpha, fn.beta, delta_max)[1:]
     hint = whittle_index(fn, delta)
     return numeric_whittle_index(costs, fn.p, delta, bracket_hint=hint)

@@ -1,8 +1,11 @@
 """Command-line front end: gen | simulate | bounds | dp | sweep.
 
-``sweep`` is an alias of ``simulate --sweep`` that takes the sweep as
-``--kind``/``--values``. Every package error ends the command with exit
-status 1 and a one-line ``error:`` message on stderr.
+``gen``, ``simulate --generate``, ``bounds --generate`` and ``dp`` draw
+their plants from the same flags (``--order``, ``--meas``, ``--rho-min``,
+``--rho-max``; ``dp`` defaults ``--rho-max`` to 1.2) through one checked
+generator. ``sweep`` is an alias of ``simulate --sweep`` that takes the
+sweep as ``--kind``/``--values``. Every package error ends the command with
+exit status 1 and a one-line ``error:`` message on stderr.
 """
 
 from __future__ import annotations
@@ -17,11 +20,10 @@ import numpy as np
 from .bounds import compute_bounds_report
 from .errors import AoiSchedError
 from .plants import (
-    characteristic_params,
+    filters_and_params,
     generate_ensemble,
     load_ensemble,
     save_ensemble,
-    steady_state_filter,
     write_atomic,
 )
 from .policies import (
@@ -35,9 +37,8 @@ from .sim import (
     METRICS,
     SimConfig,
     SweepRow,
-    run_covariance_sim,
+    run_sim,
     run_sweep,
-    run_trajectory_sim,
     write_sweep_csv,
     write_sweep_json,
 )
@@ -60,16 +61,28 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="machine-readable output only")
 
 
+def _add_generation(p: argparse.ArgumentParser, rho_max: float = 1.3) -> None:
+    p.add_argument("--order", type=int, default=3, help="state dimension n")
+    p.add_argument("--meas", type=int, default=3, help="measurement dimension")
+    p.add_argument("--rho-min", type=float, default=1.05)
+    p.add_argument("--rho-max", type=float, default=rho_max)
+
+
+def _generate(args, count: int, seed: int, p_range=None) -> list:
+    """The ensemble the generation flags describe, after checking them."""
+    if not (1.0 < args.rho_min <= args.rho_max):
+        raise ValueError("--rho-min must exceed 1 and not exceed --rho-max")
+    return generate_ensemble(count, args.order, args.meas,
+                             (args.rho_min, args.rho_max), seed, p_range=p_range)
+
+
 def _load_plants(args) -> list:
     if args.plants is not None:
         if not os.path.exists(args.plants):
             raise FileNotFoundError(f"plants file not found: {args.plants}")
         return load_ensemble(args.plants)
-    if getattr(args, "generate", None):
-        return generate_ensemble(
-            args.generate, args.order, args.meas, (args.rho_min, args.rho_max),
-            args.seed,
-        )
+    if args.generate:
+        return _generate(args, args.generate, args.seed)
     raise ValueError("give --plants FILE or --generate COUNT")
 
 
@@ -77,41 +90,39 @@ def _add_plants_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--plants", type=str, default=None, help="plant ensemble JSON")
     p.add_argument("--generate", type=int, default=None,
                    help="generate this many random plants instead")
-    p.add_argument("--order", type=int, default=3, help="state dimension n")
-    p.add_argument("--meas", type=int, default=3, help="measurement dimension")
-    p.add_argument("--rho-min", type=float, default=1.05)
-    p.add_argument("--rho-max", type=float, default=1.3)
+    _add_generation(p)
 
 
-def _parse_sweep(text: str) -> tuple[str, list[float]]:
-    kind, _, rest = text.partition(":")
-    kind = kind.strip()
+def _sweep_of(args) -> tuple[str, list[float]] | None:
+    """The sweep of ``--sweep``, or of the alias's ``--kind``/``--values``."""
+    if getattr(args, "kind", None):
+        kind, text, given = args.kind, args.values, args.values
+        usage = f"--values wants lo:hi:steps or v1,v2,... for --kind {kind}"
+    elif args.sweep:
+        kind, _, text = args.sweep.partition(":")
+        given = args.sweep
+        usage = "--sweep wants kind:lo:hi:steps or kind:v1,v2,..."
+    else:
+        return None
     try:
-        if ":" in rest:
-            lo, hi, steps = rest.split(":")
+        if ":" in text:
+            lo, hi, steps = text.split(":")
             values = np.linspace(float(lo), float(hi), int(steps)).tolist()
         else:
-            values = [float(x) for x in rest.split(",") if x]
+            values = [float(x) for x in text.split(",") if x]
     except ValueError:
         values = []
     if not values:
-        raise ValueError(
-            f"--sweep wants kind:lo:hi:steps or kind:v1,v2,..., got {text!r}"
-        )
-    return kind, values
+        raise ValueError(f"{usage}, got {given!r}")
+    return kind.strip(), values
 
 
 def cmd_gen(args) -> int:
-    if not (1.0 < args.rho_min <= args.rho_max):
-        raise ValueError("--rho-min must exceed 1 and not exceed --rho-max")
     p_range = None
     if args.p_min is not None or args.p_max is not None:
         p_range = (0.8 if args.p_min is None else args.p_min,
                    1.0 if args.p_max is None else args.p_max)
-    plants = generate_ensemble(
-        args.count, args.order, args.meas, (args.rho_min, args.rho_max),
-        args.seed, p_range=p_range,
-    )
+    plants = _generate(args, args.count, args.seed, p_range)
     out = args.out or "plants.json"
     save_ensemble(out, plants)
     if not args.json:
@@ -134,15 +145,13 @@ def cmd_simulate(args) -> int:
     plants = _load_plants(args)
     specs = [parse_policy(p) for p in (args.policy or ["lightweight"])]
     config = _sim_config(args)
-    if args.sweep:
-        kind, values = _parse_sweep(args.sweep)
-        rows = run_sweep(kind, values, plants, specs, config, m=args.m)
+    sweep = _sweep_of(args)
+    if sweep:
+        rows = run_sweep(*sweep, plants, specs, config, m=args.m)
     else:
-        runner = (run_trajectory_sim if config.metric == "squared-error"
-                  else run_covariance_sim)
         rows = [
             SweepRow(sweep="none", sweep_value=0.0,
-                     report=runner(plants, spec, args.m, config))
+                     report=run_sim(plants, spec, args.m, config))
             for spec in specs
         ]
     prefix = args.out or "results"
@@ -174,8 +183,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_bounds(args) -> int:
     plants = _load_plants(args)
-    filters = [steady_state_filter(pl) for pl in plants]
-    cps = [characteristic_params(pl, ss) for pl, ss in zip(plants, filters)]
+    filters, cps = filters_and_params(plants)
     report = compute_bounds_report(plants, filters, cps, args.m)
     doc = report.to_dict()
     if args.out:
@@ -226,13 +234,8 @@ def cmd_dp(args) -> int:
     ratios = []
     for m, n in pairs:
         for inst in range(args.instances):
-            plants = generate_ensemble(
-                n, args.order, args.meas, (args.rho_min, args.rho_max),
-                seed=rng_seed + 1000 * m + 10 * n + inst,
-                p_range=(0.8, 1.0),
-            )
-            filters = [steady_state_filter(pl) for pl in plants]
-            cps = [characteristic_params(pl, ss) for pl, ss in zip(plants, filters)]
+            plants = _generate(args, n, rng_seed + 1000 * m + 10 * n + inst, (0.8, 1.0))
+            filters, cps = filters_and_params(plants)
             sol = dp_optimal_policy(plants, m, delta_cap=args.cap, filters=filters)
             ours = evaluate_policy_average_cost(
                 LightweightPolicy(cps, [pl.p for pl in plants], m),
@@ -256,11 +259,6 @@ def cmd_dp(args) -> int:
         if not args.json:
             print(f"wrote {args.out}")
     return 0
-
-
-def cmd_sweep(args) -> int:
-    args.sweep = f"{args.kind}:{args.values}"
-    return cmd_simulate(args)
 
 
 def _add_simulate_args(p: argparse.ArgumentParser, alias: bool) -> None:
@@ -297,10 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate a random plant ensemble")
     _add_common(g)
     g.add_argument("--count", type=int, required=True)
-    g.add_argument("--order", "--n", dest="order", type=int, default=3)
-    g.add_argument("--meas", type=int, default=3)
-    g.add_argument("--rho-min", type=float, default=1.05)
-    g.add_argument("--rho-max", type=float, default=1.3)
+    _add_generation(g)
     g.add_argument("--p-min", type=float, default=None)
     g.add_argument("--p-max", type=float, default=None)
     g.set_defaults(func=cmd_gen)
@@ -321,15 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of M:N pairs")
     d.add_argument("--instances", type=int, default=5)
     d.add_argument("--cap", type=int, default=25)
-    d.add_argument("--order", type=int, default=3)
-    d.add_argument("--meas", type=int, default=3)
-    d.add_argument("--rho-min", type=float, default=1.05)
-    d.add_argument("--rho-max", type=float, default=1.2)
+    _add_generation(d, rho_max=1.2)
     d.set_defaults(func=cmd_dp)
 
     w = sub.add_parser("sweep", help="alias of simulate --sweep kind:values")
     _add_simulate_args(w, alias=True)
-    w.set_defaults(func=cmd_sweep)
+    w.set_defaults(func=cmd_simulate)
 
     return top
 

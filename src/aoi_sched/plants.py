@@ -216,6 +216,14 @@ def characteristic_params(plant: PlantModel, ss: SteadyStateFilter) -> CharParam
     return CharParams(alpha=alpha, beta=beta)
 
 
+def filters_and_params(
+    plants: list[PlantModel],
+) -> tuple[list[SteadyStateFilter], list[CharParams]]:
+    """Steady-state filter and characteristic parameters of every plant."""
+    filters = [steady_state_filter(pl) for pl in plants]
+    return filters, [characteristic_params(pl, ss) for pl, ss in zip(plants, filters)]
+
+
 def _aged_cov(p1: np.ndarray, a: np.ndarray, q: np.ndarray, delta: int) -> np.ndarray:
     cov = p1
     for _ in range(delta - 1):

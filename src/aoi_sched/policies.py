@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aoi import AoiFunction, numeric_whittle_index, whittle_index_table
+from .aoi import AoiFunction, aoi_cost_table, numeric_whittle_index, whittle_index_table
 from .errors import (
     ConvergenceError,
     FeasibilityError,
@@ -45,6 +45,7 @@ POLICY_KINDS = (
     "randomized",
     "dp",
 )
+_VOI_TAIL = 200  # AoI steps of trace cost past the voi-whittle cache cutoff
 
 
 @dataclass(frozen=True)
@@ -211,8 +212,9 @@ class VoiWhittlePolicy(Policy):
 
     No closed form exists for this cost, so each (sensor, AoI) index comes
     from the bisection / policy-iteration oracle. Indexes are cached up to
-    ``delta_cap`` and extrapolated geometrically beyond it, which preserves
-    the ordering because the index grows monotonically with AoI.
+    ``delta_cap`` (at least 2) and extrapolated geometrically beyond it from
+    the last two, which preserves the ordering because the index grows
+    monotonically with AoI.
     """
 
     name = "voi-whittle"
@@ -223,15 +225,16 @@ class VoiWhittlePolicy(Policy):
         filters: list[SteadyStateFilter],
         m: int,
         delta_cap: int = 40,
-        tail: int = 200,
         use_cache: bool = True,
     ):
         super().__init__(len(plants), m)
+        if delta_cap < 2:
+            raise ValueError(f"delta_cap={delta_cap} must be at least 2")
         self.delta_cap = delta_cap
         self.use_cache = use_cache
         self.probs = np.array([pl.p for pl in plants])
         self._costs = [
-            error_trace_table(pl, ss, delta_cap + tail)[1:]
+            error_trace_table(pl, ss, delta_cap + _VOI_TAIL)[1:]
             for pl, ss in zip(plants, filters)
         ]
         self._cache = np.full((self.n, delta_cap + 1), np.nan)
@@ -364,16 +367,17 @@ def _joint_cost_tensor(cost_tables: list[np.ndarray], cap: int) -> np.ndarray:
 
 _DP_TOL = 1e-9  # span of the value update at which the DP stops
 _DP_MAX_SWEEPS = 100_000
+_STATE_BUDGET = 2_000_000  # joint states (delta_cap^N) the DP may allocate
 
 
-def _check_size(n: int, m: int, cap: int, state_budget: int) -> None:
+def _check_size(n: int, m: int, cap: int) -> None:
     if not 1 <= m <= n:
         raise ValueError(f"budget m={m} outside 1..{n}")
     if cap < 1:
         raise ValueError(f"delta_cap={cap} must be at least 1")
-    if cap**n > state_budget:
+    if cap**n > _STATE_BUDGET:
         raise ResourceBudgetError(
-            f"joint state space {cap}^{n} exceeds budget {state_budget}"
+            f"joint state space {cap}^{n} exceeds budget {_STATE_BUDGET}"
         )
 
 
@@ -381,23 +385,22 @@ def joint_value_iteration(
     cost_tables: list[np.ndarray],
     probs,
     m: int,
-    delta_cap: int,
     action_table: np.ndarray | None = None,
-    state_budget: int = 2_000_000,
 ) -> DpSolution:
     """Relative value iteration on the joint AoI chain.
 
     One sweep computes ``cost + E[V(next)]`` once per schedule-exactly-M
     subset in use: all of them, keeping the running minimum (ties keep the
     earliest subset), or, to evaluate a fixed ``action_table``, only those it
-    picks, each state taking its own subset's value. AoI saturates at
-    ``delta_cap``. Damped updates stop once their span falls below
-    ``_DP_TOL``, which then brackets the average cost.
+    picks, each state taking its own subset's value. Each cost table holds
+    AoI 0..cap (slot 0 unused) and AoI saturates at that cap. Damped updates
+    stop once their span falls below ``_DP_TOL``, which then brackets the
+    average cost.
     """
     probs = np.asarray(probs, dtype=float)
     n = len(cost_tables)
-    cap = delta_cap
-    _check_size(n, m, cap, state_budget)
+    cap = len(cost_tables[0]) - 1
+    _check_size(n, m, cap)
     subsets = list(itertools.combinations(range(n), m))
     cost = _joint_cost_tensor(cost_tables, cap)
     v = np.zeros((cap,) * n)
@@ -444,22 +447,16 @@ def joint_value_iteration(
 
 def _dp_inputs(
     plants: list[PlantModel], m: int, delta_cap: int, cost: str,
-    filters: list[SteadyStateFilter] | None, state_budget: int,
+    filters: list[SteadyStateFilter] | None,
 ) -> tuple[list[np.ndarray], list[float]]:
     """Size check, then the per-sensor cost tables and channel rates."""
-    _check_size(len(plants), m, delta_cap, state_budget)
+    _check_size(len(plants), m, delta_cap)
     if filters is None:
         filters = [steady_state_filter(pl) for pl in plants]
     probs = [pl.p for pl in plants]
     if cost == "aoi-function":
-        tabs = []
-        for pl, ss in zip(plants, filters):
-            cp = characteristic_params(pl, ss)
-            d = np.arange(delta_cap + 1, dtype=float)
-            tab = cp.beta * np.power(cp.alpha, d)
-            tab[0] = 0.0
-            tabs.append(tab)
-        return tabs, probs
+        cps = [characteristic_params(pl, ss) for pl, ss in zip(plants, filters)]
+        return [aoi_cost_table(cp.alpha, cp.beta, delta_cap) for cp in cps], probs
     if cost == "trace":
         return [error_trace_table(pl, ss, delta_cap)
                 for pl, ss in zip(plants, filters)], probs
@@ -472,11 +469,10 @@ def dp_optimal_policy(
     delta_cap: int = 25,
     cost: str = "aoi-function",
     filters: list[SteadyStateFilter] | None = None,
-    state_budget: int = 2_000_000,
 ) -> DpSolution:
     """Optimal scheduler of the truncated joint chain plus its average cost."""
-    tables, probs = _dp_inputs(plants, m, delta_cap, cost, filters, state_budget)
-    return joint_value_iteration(tables, probs, m, delta_cap, state_budget=state_budget)
+    tables, probs = _dp_inputs(plants, m, delta_cap, cost, filters)
+    return joint_value_iteration(tables, probs, m)
 
 
 def policy_action_table(
@@ -502,7 +498,6 @@ def evaluate_policy_average_cost(
     delta_cap: int = 25,
     cost: str = "aoi-function",
     filters: list[SteadyStateFilter] | None = None,
-    state_budget: int = 2_000_000,
 ) -> float:
     """Exact long-run average cost of a policy on the same truncated chain.
 
@@ -511,13 +506,11 @@ def evaluate_policy_average_cost(
     larger, up to the value-iteration tolerance). Sizes are checked before
     the policy decides on every joint state.
     """
-    tables, probs = _dp_inputs(plants, m, delta_cap, cost, filters, state_budget)
+    tables, probs = _dp_inputs(plants, m, delta_cap, cost, filters)
     n = len(plants)
     subsets = list(itertools.combinations(range(n), m))
     table = policy_action_table(policy, n, delta_cap, subsets)
-    return joint_value_iteration(
-        tables, probs, m, delta_cap, action_table=table, state_budget=state_budget,
-    ).average_cost
+    return joint_value_iteration(tables, probs, m, action_table=table).average_cost
 
 
 class DpTablePolicy(Policy):

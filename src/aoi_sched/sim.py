@@ -27,12 +27,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .aoi import aoi_cost_table
 from .plants import (
     PlantModel,
     SteadyStateFilter,
-    characteristic_params,
+    filters_and_params,
     prediction_trace_table,
-    steady_state_filter,
     write_atomic,
 )
 from .policies import AoiGreedyPolicy, PolicySpec
@@ -107,12 +107,6 @@ def _philox(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _setup(plants: list[PlantModel]):
-    filters = [steady_state_filter(pl) for pl in plants]
-    cps = [characteristic_params(pl, ss) for pl, ss in zip(plants, filters)]
-    return filters, cps
-
-
 def _cycle(plants: list[PlantModel], n: int) -> list[PlantModel]:
     return [plants[i % len(plants)] for i in range(n)]
 
@@ -122,19 +116,15 @@ def _metric_tables(
     max_delta: int,
 ) -> np.ndarray:
     """Per-sensor cost lookup tables indexed by AoI, shape (max_delta+1, N)."""
-    tabs = np.zeros((max_delta + 1, len(plants)))
-    with np.errstate(over="ignore"):
-        if metric == "aoi-function":
-            d = np.arange(max_delta + 1, dtype=float)
-            for i, cp in enumerate(cps):
-                tabs[:, i] = cp.beta * np.power(cp.alpha, d)
-        elif metric == "trace":
-            for i, (pl, ss) in enumerate(zip(plants, filters)):
-                tabs[:, i] = prediction_trace_table(pl, ss, max_delta)
-        else:
-            raise ValueError(f"metric {metric!r} has no covariance-level table")
-    tabs[0, :] = 0.0
-    return tabs
+    if metric == "aoi-function":
+        cols = [aoi_cost_table(cp.alpha, cp.beta, max_delta) for cp in cps]
+    elif metric == "trace":
+        with np.errstate(over="ignore"):
+            cols = [prediction_trace_table(pl, ss, max_delta)
+                    for pl, ss in zip(plants, filters)]
+    else:
+        raise ValueError(f"metric {metric!r} has no covariance-level table")
+    return np.column_stack(cols)
 
 
 @dataclass
@@ -193,6 +183,8 @@ def _run_blocks(plants, proto, config: SimConfig, stride: int, make_step) -> Sim
     as diverged and excluded from the mean rather than poisoning it.
     """
     n = len(plants)
+    if proto.n != n:
+        raise ValueError(f"{proto.name} policy is sized for {proto.n} sensors, not {n}")
     probs = np.array([pl.p for pl in plants])
     warm = config.warmup_steps
     measured = config.horizon - warm
@@ -258,7 +250,7 @@ def run_covariance_sim(
     resets on delivery and ages otherwise, and the post-update cost is
     accumulated after warmup.
     """
-    filters, cps = _setup(plants)
+    filters, cps = filters_and_params(plants)
     tabs = _metric_tables(plants, filters, cps, config.metric, config.horizon + 1)
     proto = policy_spec.make(plants, filters, cps, m)
     sensor_cols = np.arange(len(plants))[None, :]
@@ -290,7 +282,7 @@ def run_trajectory_sim(
     noise from a third Philox stream.
     """
     cfg = replace(config, metric="squared-error")
-    filters, cps = _setup(plants)
+    filters, cps = filters_and_params(plants)
     proto = policy_spec.make(plants, filters, cps, m)
     chol_q = [np.linalg.cholesky(pl.Q) for pl in plants]
     chol_r = [np.linalg.cholesky(pl.R) for pl in plants]
@@ -319,6 +311,18 @@ def run_trajectory_sim(
     return _run_blocks(plants, proto, cfg, 3, make_step)
 
 
+def run_sim(
+    plants: list[PlantModel],
+    policy_spec: PolicySpec,
+    m: int,
+    config: SimConfig,
+) -> SimReport:
+    """Trajectory level for the ``squared-error`` metric, covariance otherwise."""
+    runner = (run_trajectory_sim if config.metric == "squared-error"
+              else run_covariance_sim)
+    return runner(plants, policy_spec, m, config)
+
+
 # ---------------------------------------------------------------------------
 # decision timing
 # ---------------------------------------------------------------------------
@@ -342,7 +346,7 @@ def measure_decision_time(
     rows: list[dict] = []
     for n in n_list:
         ens = _cycle(plants, n)
-        filters, cps = _setup(ens)
+        filters, cps = filters_and_params(ens)
         probs = np.array([pl.p for pl in ens])
         m = max(1, n // 2)
         # warm state pool from a short greedy-scheduled chain
@@ -409,12 +413,9 @@ def run_sweep(
     Kinds: ``scale`` grows N at N/M = 2; ``heterogeneity`` varies the
     fraction of distinct plants in the ensemble; ``channel`` forces a common
     success probability p on every sensor. The last two take M = ``m``, or
-    N/2 when ``m`` is None. The ``squared-error`` metric runs the trajectory
-    level, every other metric the covariance level.
+    N/2 when ``m`` is None. Each point runs the level of :func:`run_sim`.
     """
     rows: list[SweepRow] = []
-    runner = (run_trajectory_sim if config.metric == "squared-error"
-              else run_covariance_sim)
     for value in values:
         if kind == "scale":
             n = int(value)
@@ -432,7 +433,7 @@ def run_sweep(
         else:
             raise ValueError(f"unknown sweep kind {kind!r}")
         for spec in policy_specs:
-            rep = runner(ens, spec, mm, config)
+            rep = run_sim(ens, spec, mm, config)
             rows.append(SweepRow(sweep=kind, sweep_value=float(value), report=rep))
     return rows
 

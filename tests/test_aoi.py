@@ -1,5 +1,8 @@
 """AoI cost function, Whittle index (closed form and oracle), threshold forms."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from aoi_sched import (
     whittle_index_numeric,
     whittle_index_table,
 )
-from aoi_sched.aoi import _optimal_values
+from aoi_sched.aoi import _optimal_values, aoi_cost_table
 
 
 def test_aoi_step():
@@ -39,6 +42,29 @@ def test_f_geometric_growth():
     fn = AoiFunction(1.37, 2.1, 0.8)
     for d in (1, 5, 17, 300):
         assert f_value(fn, d + 1) / f_value(fn, d) == pytest.approx(fn.alpha, rel=1e-9)
+
+
+def test_cost_table():
+    fn = AoiFunction(1.37, 2.1, 0.8)
+    tab = aoi_cost_table(fn.alpha, fn.beta, 40)
+    assert tab[0] == 0.0  # AoI starts at 1
+    for d in (1, 7, 40):
+        assert tab[d] == pytest.approx(f_value(fn, d), rel=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = aoi_cost_table(50.0, 1.0, 190)
+    assert np.isfinite(big[181]) and big[182:].tolist() == [math.inf] * 9
+
+
+def test_overflow_gives_inf_at_any_aoi():
+    # 50^190 overflows float64 well below AoI 200: the scalar closed forms
+    # return inf there, as the index table does
+    fn = AoiFunction(50.0, 1.0, 0.99)
+    assert f_value(fn, 190) == math.inf
+    assert whittle_index(fn, 190) == math.inf
+    assert whittle_index_table(fn, 190)[190] == math.inf
+    assert threshold_average_cost(fn, ThresholdPolicy(190), 0.0) == math.inf
+    assert f_value(fn, 100) == pytest.approx(50.0**100, rel=1e-15)
 
 
 def test_aoi_function_validation():

@@ -13,6 +13,12 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
 def test_gen_roundtrip_and_determinism(tmp_path):
     out = tmp_path / "plants.json"
     assert run_cli("gen", "--count", "3", "--order", "3", "--seed", "7",
@@ -25,11 +31,20 @@ def test_gen_roundtrip_and_determinism(tmp_path):
     assert out.read_text() == first  # idempotent under the same seed
 
 
-def test_gen_rejects_rho_at_one(tmp_path, capsys):
-    rc = run_cli("gen", "--count", "1", "--rho-min", "1.0", "--rho-max", "1.0",
-                 "--out", str(tmp_path / "x.json"))
+@pytest.mark.parametrize("command", [
+    ["gen", "--count", "1"],
+    ["simulate", "--generate", "3", "--m", "1", "--runs", "10", "--horizon", "10"],
+    ["bounds", "--generate", "3", "--m", "1"],
+    ["dp", "--pairs", "1:2", "--instances", "1", "--cap", "6"],
+], ids=["gen", "simulate", "bounds", "dp"])
+def test_gen_rejects_rho_at_one(tmp_path, capsys, command):
+    # every command that generates plants checks the flags the same way
+    out = tmp_path / "x"
+    rc = run_cli(*command, "--rho-min", "1.0", "--out", str(out))
     assert rc == 1
-    assert "rho-min" in capsys.readouterr().err
+    err = _one_line_error(capsys)
+    assert "--rho-min must exceed 1 and not exceed --rho-max" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_simulate_writes_expected_columns(tmp_path):
@@ -178,12 +193,6 @@ def test_simulate_divergence_only_exit(tmp_path, capsys):
     assert (tmp_path / "div.csv").exists()
 
 
-def _one_line_error(capsys) -> str:
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    return err
-
-
 def test_package_error_exits_with_one_line(tmp_path, capsys):
     # the joint DP over 8 plants exceeds its state budget: ResourceBudgetError
     plants = tmp_path / "plants.json"
@@ -233,15 +242,33 @@ def test_dp_rejects_malformed_pairs(tmp_path, capsys, pairs, message):
     assert not (tmp_path / "dp.csv").exists()
 
 
-@pytest.mark.parametrize("sweep", ["scale:1:2", "scale:1:2:x", "scale:1:2:3:4",
-                                   "scale:1:2:0", "channel:a,b", "channel:"])
-def test_simulate_rejects_malformed_sweep(tmp_path, capsys, sweep):
-    rc = run_cli("simulate", "--generate", "2", "--m", "1", "--sweep", sweep,
+_SWEEP_WANTS = "--sweep wants kind:lo:hi:steps or kind:v1,v2,..., got "
+
+
+@pytest.mark.parametrize("argv,message", [
+    *(pytest.param(["simulate", "--sweep", sweep], _SWEEP_WANTS + repr(sweep), id=sweep)
+      for sweep in ["scale:1:2", "scale:1:2:x", "scale:1:2:3:4", "scale:1:2:0",
+                    "channel:a,b", "channel:"]),
+    # the `sweep` alias names its own flags
+    pytest.param(["sweep", "--kind", "scale", "--values", "1:2"],
+                 "--values wants lo:hi:steps or v1,v2,... for --kind scale, got '1:2'",
+                 id="sweep-alias"),
+])
+def test_simulate_rejects_malformed_sweep(tmp_path, capsys, argv, message):
+    rc = run_cli(argv[0], "--generate", "2", "--m", "1", *argv[1:],
                  "--runs", "10", "--horizon", "10", "--out", str(tmp_path / "r"))
     assert rc == 1
-    err = _one_line_error(capsys)
-    assert "--sweep wants kind:lo:hi:steps or kind:v1,v2,..." in err
-    assert repr(sweep) in err
+    assert message in _one_line_error(capsys)
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_simulate_rejects_policy_for_another_ensemble(tmp_path, capsys):
+    # q gives one marginal, the ensemble has three sensors
+    rc = run_cli("simulate", "--generate", "3", "--m", "1",
+                 "--policy", "randomized:q=0.4", "--runs", "20", "--horizon", "20",
+                 "--out", str(tmp_path / "r"))
+    assert rc == 1
+    assert "randomized policy is sized for 1 sensors, not 3" in _one_line_error(capsys)
     assert not (tmp_path / "r.csv").exists()
 
 

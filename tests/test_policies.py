@@ -129,7 +129,7 @@ class TestVoiWhittle:
         # q ~ 0 makes Tr P(d) = a^{2d} Pbar: exactly the geometric AoI cost
         pl = PlantModel(A=[[1.25]], C=[[1.0]], Q=[[1e-9]], R=[[1.0]], p=0.8)
         ss = steady_state_filter(pl)
-        pol = VoiWhittlePolicy([pl], [ss], 1, delta_cap=12, tail=300)
+        pol = VoiWhittlePolicy([pl], [ss], 1, delta_cap=12)
         fn = AoiFunction(1.25**2, ss.posterior_cov[0, 0], 0.8)
         for d in (1, 3, 7):
             got = pol._index(0, d)
@@ -151,6 +151,12 @@ class TestVoiWhittle:
         plants, filters, _ = _ensemble(1, 28)
         pol = VoiWhittlePolicy(plants, filters, 1, delta_cap=8)
         assert pol._index(0, 12) > pol._index(0, 9) > pol._index(0, 8)
+
+    def test_cap_below_two_rejected(self):
+        # extrapolation past the cap reads the indexes at cap - 1 and cap
+        plants, filters, _ = _ensemble(1, 28)
+        with pytest.raises(ValueError, match="delta_cap=1 must be at least 2"):
+            VoiWhittlePolicy(plants, filters, 1, delta_cap=1)
 
 
 class TestRandomized:
@@ -259,21 +265,20 @@ class TestJointDp:
         assert sol.average_cost <= ours + 1e-8
 
     def test_state_budget_guard(self):
+        # the DP allocates at most 2,000,000 joint states
         plants, filters, _ = _ensemble(4, 35)
-        with pytest.raises(ResourceBudgetError):
-            dp_optimal_policy(plants, 2, delta_cap=50, filters=filters,
-                              state_budget=100_000)
+        with pytest.raises(ResourceBudgetError, match="50\\^4 exceeds budget 2000000"):
+            dp_optimal_policy(plants, 2, delta_cap=50, filters=filters)
 
         class MustNotDecide(AoiGreedyPolicy):
             def decide_batch(self, deltas):
                 pytest.fail(f"decide_batch ran on {len(deltas)} joint states")
 
-        # sizes are checked before the policy sees the 20^3 joint grid
+        # sizes are checked before the policy sees the 127^3 joint grid
         plants, filters = plants[:3], filters[:3]
-        with pytest.raises(ResourceBudgetError):
+        with pytest.raises(ResourceBudgetError, match="127\\^3 exceeds budget"):
             evaluate_policy_average_cost(MustNotDecide(3, 1), plants, 1,
-                                         delta_cap=20, filters=filters,
-                                         state_budget=1000)
+                                         delta_cap=127, filters=filters)
         with pytest.raises(ValueError, match="budget m=4 outside 1..3"):
             evaluate_policy_average_cost(MustNotDecide(3, 1), plants, 4,
                                          delta_cap=20, filters=filters)

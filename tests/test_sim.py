@@ -24,6 +24,7 @@ from aoi_sched import (
     write_sweep_json,
 )
 from aoi_sched.policies import Policy
+from aoi_sched.sim import run_sim
 
 
 class _SingleSensorThreshold(Policy):
@@ -300,7 +301,8 @@ def test_sim_config_rejects_invalid_layout(bad):
 
 def test_sweep_level_follows_metric(scalar09):
     # squared-error selects the trajectory level, every other metric the
-    # covariance level, exactly as the direct runner calls
+    # covariance level, exactly as the direct runner calls; run_sweep and
+    # the CLI both take the level from run_sim
     for metric, runner in (("squared-error", run_trajectory_sim),
                            ("trace", run_covariance_sim)):
         cfg = SimConfig(horizon=60, runs=40, seed=28, metric=metric)
@@ -308,6 +310,25 @@ def test_sweep_level_follows_metric(scalar09):
                           [PolicySpec("lightweight")], cfg, m=1)
         direct = runner([scalar09], PolicySpec("lightweight"), 1, cfg)
         assert row.report.stat_dict() == direct.stat_dict()
+        chosen = run_sim([scalar09], PolicySpec("lightweight"), 1, cfg)
+        assert chosen.stat_dict() == direct.stat_dict()
+
+
+@pytest.mark.parametrize("runner", [run_covariance_sim, run_trajectory_sim])
+def test_policy_sized_for_another_ensemble_rejected(runner):
+    class MustNotDecide(Policy):
+        name = "two-sensor"
+
+        def decide_batch(self, deltas):
+            pytest.fail("a block ran before the sizes were checked")
+
+    plants = generate_ensemble(3, 3, 3, (1.05, 1.2), seed=9, p_range=(0.85, 1.0))
+    cfg = SimConfig(horizon=20, runs=20, seed=1)
+    with pytest.raises(ValueError, match="two-sensor policy is sized for 2 sensors, not 3"):
+        runner(plants, _FixedPolicySpec(MustNotDecide(2, 1)), 1, cfg)
+    # randomized marginals sized for one sensor, as `randomized:q=0.4` gives
+    with pytest.raises(ValueError, match="sized for 1 sensors, not 3"):
+        runner(plants, PolicySpec("randomized", q=(0.4,)), 1, cfg)
 
 
 def test_distribution_csv_export(tmp_path):
