@@ -151,7 +151,8 @@ def threshold_value_function(
 
     Piecewise: linear-plus-geometric below the threshold, geometric above;
     the two branches are stitched at the threshold so the policy-evaluation
-    Bellman equation holds at every state.
+    Bellman equation holds at every state. ``inf`` once the average cost
+    overflows, at any AoI.
     """
     if delta < 1:
         raise ValueError("delta must be a positive integer")
@@ -159,6 +160,8 @@ def threshold_value_function(
     a, b, p = fn.alpha, fn.beta, fn.p
     dth = tp.delta_th
     theta = threshold_average_cost(fn, tp, lagrange_w)
+    if math.isinf(theta):
+        return math.inf
 
     def v_active(d: int) -> float:
         return b * _pow(a, d) / (1.0 - a + p * a) + (lagrange_w - theta) / p

@@ -220,6 +220,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_dp(args) -> int:
+    if args.instances < 1:
+        raise ValueError(f"--instances must be at least 1, got {args.instances}")
     pairs = []
     for chunk in args.pairs.split(","):
         m_s, _, n_s = chunk.partition(":")

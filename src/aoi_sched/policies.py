@@ -339,20 +339,34 @@ class DpSolution:
     sweeps: int
 
 
-def _expected_next(
-    v: np.ndarray, subset: tuple[int, ...], probs: np.ndarray, cap: int
-) -> np.ndarray:
-    """E[V(next state)] for one action; per-sensor transitions factorize."""
-    inc_idx = np.minimum(np.arange(1, cap + 1), cap - 1)
-    zero_idx = np.zeros(cap, dtype=np.intp)
-    w = v
-    for i in range(v.ndim):
-        inc = np.take(w, inc_idx, axis=i)
-        if i in subset:
-            w = probs[i] * np.take(w, zero_idx, axis=i) + (1.0 - probs[i]) * inc
-        else:
-            w = inc
-    return w
+def _axis_step(w: np.ndarray, axis: int, p: float | None) -> np.ndarray:
+    """E over one sensor's next AoI: grow by one, saturating at the cap, or,
+    when scheduled (``p`` given), reset to AoI 1 with probability ``p``."""
+    lead = (slice(None),) * axis
+    grown, last = w[lead + (slice(1, None),)], w[lead + (slice(-1, None),)]
+    out = np.concatenate((grown, last), axis=axis)
+    if p is not None:
+        out *= 1.0 - p
+        out += p * w[lead + (slice(0, 1),)]
+    return out
+
+
+def _expected_next_each(w: np.ndarray, probs: np.ndarray, m: int, axis: int = 0):
+    """Yield E[V(next state)] for each schedule-m subset, in the order of
+    ``itertools.combinations``, each as a fresh array.
+
+    Per-sensor transitions factorize, so the axes are taken in order and the
+    partial expectation of each active/passive prefix is computed once and
+    shared by every subset that starts with it.
+    """
+    if axis == w.ndim:
+        yield w
+        return
+    if m > 0:  # scheduled here
+        yield from _expected_next_each(
+            _axis_step(w, axis, probs[axis]), probs, m - 1, axis + 1)
+    if w.ndim - axis > m:  # idle here
+        yield from _expected_next_each(_axis_step(w, axis, None), probs, m, axis + 1)
 
 
 def _joint_cost_tensor(cost_tables: list[np.ndarray], cap: int) -> np.ndarray:
@@ -381,6 +395,76 @@ def _check_size(n: int, m: int, cap: int) -> None:
         )
 
 
+def _optimal_sweep(cost: np.ndarray, probs: np.ndarray, m: int):
+    """Bellman sweep ``v -> (min over subsets of cost + E[V(next)], argmin)``."""
+
+    def sweep(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        best_arg = np.zeros(v.shape, dtype=np.int16)
+        better = np.empty(v.shape, dtype=bool)
+        tv = None
+        for ai, q in enumerate(_expected_next_each(v, probs, m)):
+            q += cost
+            if tv is None:
+                tv = q
+            else:
+                np.less(q, tv, out=better)  # strict: ties keep the earliest subset
+                np.copyto(tv, q, where=better)
+                best_arg[better] = ai
+        return tv, best_arg.ravel()
+
+    return sweep
+
+
+def _policy_sweep(
+    cost: np.ndarray, subsets: list[tuple[int, ...]], probs: np.ndarray,
+    action_table: np.ndarray,
+):
+    """Bellman sweep of a fixed policy, plus the position of AoI (1,...,1).
+
+    Values live on the states ordered by action (a stable sort), so each
+    subset's states form one slice. Per subset, one int32 row per
+    success/failure pattern holds every state's successor position, with the
+    pattern's probability as its one weight; a sweep is then ``cost + sum_k
+    w_k * v[rows_k]`` per slice.
+    """
+    shape, cap = cost.shape, cost.shape[0]
+    order = np.argsort(action_table, kind="stable")
+    pos = np.empty(order.size, dtype=np.int32)
+    pos[order] = np.arange(order.size, dtype=np.int32)
+    strides = cap ** np.arange(len(shape) - 1, -1, -1)
+    groups, lo = [], 0
+    for subset, count in zip(subsets, np.bincount(action_table, minlength=len(subsets))):
+        coords = np.unravel_index(order[lo : lo + count], shape)
+        grown = [np.minimum(c + 1, cap - 1) * st for c, st in zip(coords, strides)]
+        all_grown = sum(grown)
+        rows, weights = [], []
+        for hits in itertools.product((True, False), repeat=len(subset)):
+            succ, w = all_grown, 1.0  # reset the AoI of each sensor hit
+            for i, hit in zip(subset, hits):
+                succ = succ - grown[i] if hit else succ
+                w *= probs[i] if hit else 1.0 - probs[i]
+            rows.append(pos[succ])
+            weights.append(w)
+        if count:
+            groups.append((slice(lo, lo + count), rows, weights))
+        lo += count
+    cost = cost.ravel()[order]
+
+    def sweep(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        tv = np.empty_like(v)
+        for part, rows, weights in groups:
+            acc = v[rows[0]]
+            acc *= weights[0]
+            for row, w in zip(rows[1:], weights[1:]):
+                term = v[row]
+                term *= w
+                acc += term
+            np.add(cost[part], acc, out=tv[part])
+        return tv, action_table
+
+    return sweep, int(pos[0])
+
+
 def joint_value_iteration(
     cost_tables: list[np.ndarray],
     probs,
@@ -389,13 +473,16 @@ def joint_value_iteration(
 ) -> DpSolution:
     """Relative value iteration on the joint AoI chain.
 
-    One sweep computes ``cost + E[V(next)]`` once per schedule-exactly-M
-    subset in use: all of them, keeping the running minimum (ties keep the
-    earliest subset), or, to evaluate a fixed ``action_table``, only those it
-    picks, each state taking its own subset's value. Each cost table holds
-    AoI 0..cap (slot 0 unused) and AoI saturates at that cap. Damped updates
-    stop once their span falls below ``_DP_TOL``, which then brackets the
-    average cost.
+    Each cost table holds AoI 0..cap (slot 0 unused) and AoI saturates at
+    that cap. Without ``action_table`` a sweep computes ``cost +
+    E[V(next)]`` for every schedule-exactly-M subset, taking the axes in
+    order and sharing the partial expectation of each active/passive prefix
+    across subsets, and keeps the running minimum (ties keep the earliest
+    subset). To evaluate a fixed ``action_table`` it instead gathers each
+    state's 2^M successor values through precomputed index rows, one row
+    per success/failure pattern of its subset. Damped updates (tau = 0.9),
+    normalised at AoI (1,...,1), stop once their span falls below
+    ``_DP_TOL``, which then brackets the average cost.
     """
     probs = np.asarray(probs, dtype=float)
     n = len(cost_tables)
@@ -403,36 +490,24 @@ def joint_value_iteration(
     _check_size(n, m, cap)
     subsets = list(itertools.combinations(range(n), m))
     cost = _joint_cost_tensor(cost_tables, cap)
-    v = np.zeros((cap,) * n)
-    tau = 0.9  # damped updates converge on (near-)periodic induced chains
     if action_table is None:
-        used, fixed = range(len(subsets)), None
+        bellman, origin = _optimal_sweep(cost, probs, m), 0
+        v = np.zeros(cost.shape)
     else:
-        best_arg = action_table.reshape(v.shape)
-        fixed = {ai: best_arg == ai for ai in range(len(subsets))}
-        used = [ai for ai, mask in fixed.items() if mask.any()]
+        table = np.asarray(action_table).reshape(cost.size)
+        bellman, origin = _policy_sweep(cost, subsets, probs, table)
+        v = np.zeros(cost.size)
+    tau = 0.9  # damped updates converge on (near-)periodic induced chains
     for sweep in range(1, _DP_MAX_SWEEPS + 1):
-        if fixed is None:
-            best_arg = np.zeros(v.shape, dtype=np.int16)
-        tv = None
-        for ai in used:
-            q = cost + _expected_next(v, subsets[ai], probs, cap)
-            if tv is None:
-                tv = q
-            elif fixed is None:
-                better = q < tv  # strict: ties keep the earliest subset
-                np.copyto(tv, q, where=better)
-                best_arg[better] = ai
-            else:
-                np.copyto(tv, q, where=fixed[ai])
+        tv, best_arg = bellman(v)
         gain = tv - v
         span = float(gain.max() - gain.min())
         theta = 0.5 * float(gain.max() + gain.min())
         v = (1.0 - tau) * v + tau * tv
-        v -= v.flat[0]
+        v -= v.flat[origin]
         if span < _DP_TOL:
             return DpSolution(
-                action_table=np.ascontiguousarray(best_arg).ravel(),
+                action_table=best_arg,
                 subsets=subsets,
                 average_cost=theta,
                 delta_cap=cap,

@@ -67,6 +67,16 @@ def test_overflow_gives_inf_at_any_aoi():
     assert f_value(fn, 100) == pytest.approx(50.0**100, rel=1e-15)
 
 
+@pytest.mark.parametrize("delta", [5, 185])
+def test_threshold_value_function_overflow_gives_inf(delta):
+    # below the threshold the value is a difference of two overflowing
+    # powers, which must not come out as inf - inf = nan
+    fn = AoiFunction(50.0, 1.0, 0.99)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert threshold_value_function(fn, ThresholdPolicy(190), 0.0, delta) == math.inf
+
+
 def test_aoi_function_validation():
     with pytest.raises(ValueError):
         AoiFunction(1.0, 1.0, 0.5)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from aoi_sched import load_ensemble
+from aoi_sched import cli, load_ensemble
 from aoi_sched.cli import main
 
 
@@ -239,6 +239,19 @@ def test_dp_rejects_malformed_pairs(tmp_path, capsys, pairs, message):
                  "--out", str(tmp_path / "dp.csv"))
     assert rc == 1
     assert message in _one_line_error(capsys)
+    assert not (tmp_path / "dp.csv").exists()
+
+
+@pytest.mark.parametrize("instances", ["0", "-2"])
+def test_dp_rejects_no_instances(tmp_path, capsys, monkeypatch, instances):
+    def must_not_generate(*args, **kwargs):
+        pytest.fail("generated plants for an empty comparison")
+
+    monkeypatch.setattr(cli, "generate_ensemble", must_not_generate)
+    rc = run_cli("dp", "--pairs", "1:2", "--instances", instances, "--cap", "6",
+                 "--out", str(tmp_path / "dp.csv"))
+    assert rc == 1
+    assert f"--instances must be at least 1, got {instances}" in _one_line_error(capsys)
     assert not (tmp_path / "dp.csv").exists()
 
 

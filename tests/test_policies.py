@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoi_sched import (
     AoiFunction,
     AoiGreedyPolicy,
     AoiWhittlePolicy,
     CharParams,
+    DpTablePolicy,
     FeasibilityError,
     LightweightPolicy,
     PlantModel,
@@ -244,16 +247,45 @@ class TestJointDp:
         # and the untruncated closed form beta alpha p / (1 - alpha (1-p))
         assert sol.average_cost == pytest.approx(1.5140186915887852, rel=1e-6)
 
+    @staticmethod
+    def _product_of_chains(plants, cps, cap):
+        # scheduling every sensor decouples the chains: a sum of truncated
+        # geometric AoI costs, mass beyond the cap lumped at the cap
+        oracle = 0.0
+        for pl, cp in zip(plants, cps):
+            k = np.arange(1, cap)
+            mass = pl.p * (1 - pl.p) ** (k - 1)
+            oracle += float(np.sum(mass * cp.beta * cp.alpha**k.astype(float)))
+            oracle += (1 - pl.p) ** (cap - 1) * cp.beta * cp.alpha**cap
+        return oracle
+
     def test_schedule_all_is_product_of_chains(self):
         plants, filters, cps = _ensemble(2, 33, p_range=(0.85, 1.0))
         sol = dp_optimal_policy(plants, 2, delta_cap=20, filters=filters)
-        oracle = 0.0
-        for pl, cp in zip(plants, cps):
-            k = np.arange(1, 20)
-            mass = pl.p * (1 - pl.p) ** (k - 1)
-            oracle += float(np.sum(mass * cp.beta * cp.alpha**k.astype(float)))
-            oracle += (1 - pl.p) ** 19 * cp.beta * cp.alpha**20
+        oracle = self._product_of_chains(plants, cps, 20)
         assert sol.average_cost == pytest.approx(oracle, rel=1e-7)
+
+    def test_schedule_all_evaluation_is_product_of_chains(self):
+        # policy evaluation with 2^N successors per state, saturating at the cap
+        plants, filters, cps = _ensemble(2, 33, p_range=(0.85, 1.0))
+        ours = evaluate_policy_average_cost(AoiGreedyPolicy(2, 2), plants, 2,
+                                            delta_cap=20, filters=filters)
+        oracle = self._product_of_chains(plants, cps, 20)
+        assert ours == pytest.approx(oracle, rel=1e-7)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(mn=st.sampled_from([(m, n) for n in (1, 2, 3) for m in range(1, n + 1)]),
+           cap=st.integers(2, 10), seed=st.integers(0, 10_000))
+    def test_optimal_table_evaluates_to_its_solve(self, mn, cap, seed):
+        # policy evaluation of the solved table, through the decide surface,
+        # recovers the solve's average cost: two independent sweep kernels.
+        # Plants come from the DP instance range of C6 and the dp command.
+        m, n = mn
+        plants, filters, _ = _ensemble(n, seed, rho=(1.05, 1.2))
+        sol = dp_optimal_policy(plants, m, delta_cap=cap, filters=filters)
+        cost = evaluate_policy_average_cost(DpTablePolicy(sol), plants, m,
+                                            delta_cap=cap, filters=filters)
+        assert abs(cost - sol.average_cost) <= 1e-8
 
     def test_dp_no_worse_than_lightweight(self):
         plants, filters, cps = _ensemble(3, 34)
