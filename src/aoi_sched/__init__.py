@@ -3,7 +3,6 @@
 from .aoi import (
     AoiFunction,
     ThresholdPolicy,
-    aoi_step,
     f_value,
     numeric_whittle_index,
     stationary_aoi_distribution,
@@ -13,12 +12,10 @@ from .aoi import (
     whittle_index,
     whittle_index_numeric,
     whittle_index_table,
-    write_distribution_csv,
 )
 from .bounds import (
     BoundsReport,
     compute_bounds_report,
-    optimal_threshold_cap,
     lower_bound_J,
     lower_bound_J_origin,
     necessary_stability,
@@ -63,7 +60,6 @@ from .policies import (
     PolicySpec,
     RandomizedStationaryPolicy,
     RoundRobinPolicy,
-    SensorState,
     VoiGreedyPolicy,
     VoiWhittlePolicy,
     dp_optimal_policy,

@@ -1,12 +1,12 @@
-"""AoI dynamics, the geometric AoI cost, and the closed-form Whittle index.
+"""The geometric AoI cost, its threshold-policy closed forms, the Whittle index.
 
 The decoupled single-sensor problem charges f(delta) = beta * alpha^delta
 per step plus a Lagrangian price W per transmission attempt; its optimal
 policy transmits exactly when the AoI reaches a threshold. This module
 carries the closed forms derived from that structure (threshold value
-function, average cost, Whittle index, stationary AoI distribution) plus an
-independent numerical oracle for the index: bisection over exact policy
-iteration on the truncated AoI chain.
+function, average cost, attempt rate, Whittle index, stationary AoI
+distribution) plus an independent numerical oracle for the index:
+bisection over exact policy iteration on the truncated AoI chain.
 
 All operations require alpha * (1 - p) < 1: with a faster divergence rate
 than the channel can offset, the geometric series behind every closed form
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OracleError, StabilityError
-from .plants import write_atomic
 
 # relative bracket width at which the index oracle's bisection stops
 _ORACLE_REL_TOL = 1e-8
@@ -57,13 +56,6 @@ class ThresholdPolicy:
     def __post_init__(self) -> None:
         if self.delta_th < 1:
             raise ValueError("delta_th must be a positive integer")
-
-
-def aoi_step(delta: int, gamma: int) -> int:
-    """One AoI transition: reset to 1 on a delivery, otherwise age by one."""
-    if delta < 1:
-        raise ValueError("delta must be a positive integer")
-    return 1 if gamma else delta + 1
 
 
 def _pow(alpha: float, delta: float) -> float:
@@ -201,12 +193,6 @@ def stationary_aoi_distribution(
     psi[1:][~below] = p * (1.0 - p) ** (d[~below] - dth) / denom
     tail = (1.0 - p) ** (delta_cap + 1 - dth) / denom
     return psi, tail
-
-
-def write_distribution_csv(path: str, psi: np.ndarray) -> None:
-    """Dump a (delta, mass) table for plotting."""
-    rows = "".join(f"{d},{float(psi[d])!r}\n" for d in range(1, len(psi)))
-    write_atomic(path, "delta,mass\n" + rows)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aoi import (AoiFunction, ThresholdPolicy, threshold_average_cost,
+                  threshold_transmission_rate)
 from .errors import FeasibilityError, StabilityError, UnsupportedPlantError
 from .plants import PlantModel, SteadyStateFilter, spectral_radius, write_atomic
 
@@ -29,7 +31,6 @@ _DELTA_TILDE_CAP = 10**6
 _Q_EPS = 1e-9  # smallest margin of a randomized rate above its stabilizing minimum
 _WATERFILL_TOL = 1e-13  # relative width at which the multiplier bisection stops
 _EXACT_N_LIMIT = 6  # largest ensemble whose integer thresholds are searched exactly
-_GAP_SEARCH_CAP = 512  # largest threshold tried per sensor by min_budget_gap
 
 
 def necessary_stability(plant: PlantModel) -> bool:
@@ -118,51 +119,36 @@ def optimize_randomized_q(alphas, betas, probs, m: int) -> tuple[np.ndarray, flo
 # ---------------------------------------------------------------------------
 
 
-def _term_factory(alpha: float, beta: float, p: float):
-    k = p * alpha * beta / ((alpha - 1.0) * (1.0 - alpha + alpha * p))
+def _relaxed_terms(alphas, betas, probs):
+    """Sensor i's average cost (at zero price) and attempt rate at threshold d."""
+    fns = [AoiFunction(float(a), float(b), float(p))
+           for a, b, p in zip(alphas, betas, probs)]
 
-    def term(d: int) -> float:
-        with np.errstate(over="ignore"):
-            num = p * alpha**d - alpha * p + alpha - 1.0
-        return k * num / (d * p + 1.0 - p)
+    def cost(i: int, d: int) -> float:
+        return threshold_average_cost(fns[i], ThresholdPolicy(d), 0.0)
 
-    return term
+    def rate(i: int, d: int) -> float:
+        return threshold_transmission_rate(fns[i].p, ThresholdPolicy(d))
 
-
-def _rate(p: float, d: int) -> float:
-    return 1.0 / (d * p + 1.0 - p)
+    return cost, rate
 
 
 def _exact_threshold_search(
-    alphas: np.ndarray, betas: np.ndarray, probs: np.ndarray, m: int
+    alphas: np.ndarray, betas: np.ndarray, probs: np.ndarray, m: int,
+    incumbent: list[int],
 ) -> tuple[float, list[int]]:
     """Exact integer minimization of the relaxed objective under the budget.
 
-    Valid because each per-sensor term strictly increases with its integer
-    threshold while its budget usage strictly decreases, so a depth-first
-    search with a running-incumbent prune is exhaustive.
+    Starts from the feasible threshold vector ``incumbent``. Valid because
+    each per-sensor term strictly increases with its integer threshold while
+    its budget usage strictly decreases, so a depth-first search with a
+    running-incumbent prune is exhaustive.
     """
     n = alphas.shape[0]
-    terms = [_term_factory(a, b, p) for a, b, p in zip(alphas, betas, probs)]
-    base = [t(1) for t in terms]
-
-    # incumbent: lift thresholds greedily (cheapest cost per unit of relief)
-    thr = [1] * n
-    for _ in range(1_000_000):
-        load = sum(_rate(probs[i], thr[i]) for i in range(n))
-        if load <= m:
-            break
-        ratios = [
-            (terms[i](thr[i] + 1) - terms[i](thr[i]))
-            / (_rate(probs[i], thr[i]) - _rate(probs[i], thr[i] + 1))
-            for i in range(n)
-        ]
-        thr[int(np.argmin(ratios))] += 1
-    else:
-        raise FeasibilityError("could not find a feasible threshold vector")
-    best_val = sum(terms[i](thr[i]) for i in range(n))
-    best_thr = list(thr)
-
+    cost, rate = _relaxed_terms(alphas, betas, probs)
+    best_thr = list(incumbent)
+    best_val = sum(cost(i, best_thr[i]) for i in range(n))
+    base = [cost(i, 1) for i in range(n)]
     suffix_min = np.concatenate([np.cumsum(base[::-1])[::-1], [0.0]])
 
     def dfs(i: int, partial: float, load: float, chosen: list[int]) -> None:
@@ -174,11 +160,11 @@ def _exact_threshold_search(
             return
         d = 1
         while True:
-            val = partial + terms[i](d)
+            val = partial + cost(i, d)
             if val + suffix_min[i + 1] >= best_val:
                 break  # terms increase with d: no larger threshold can win
             chosen.append(d)
-            dfs(i + 1, val, load + _rate(probs[i], d), chosen)
+            dfs(i + 1, val, load + rate(i, d), chosen)
             chosen.pop()
             d += 1
 
@@ -193,17 +179,19 @@ def _dual_threshold_search(
 
     Bisects the budget multiplier; each inner problem is a one-dimensional
     integer minimization per sensor. The returned value is the dual optimum,
-    a (possibly slightly loose) valid lower bound on the relaxed problem.
+    a (possibly slightly loose) valid lower bound on the relaxed problem; the
+    thresholds are the minimizers at the smallest multiplier seen whose load
+    fits the budget, so they are always feasible.
     """
     n = alphas.shape[0]
-    terms = [_term_factory(a, b, p) for a, b, p in zip(alphas, betas, probs)]
+    cost, rate = _relaxed_terms(alphas, betas, probs)
 
     def per_sensor(i: int, lam: float) -> tuple[float, int]:
         best, best_d = math.inf, 1
         d = 1
         while True:
-            t = terms[i](d)
-            val = t + lam * _rate(probs[i], d)
+            t = cost(i, d)
+            val = t + lam * rate(i, d)
             if val < best:
                 best, best_d = val, d
             if t >= best:  # the lam-free part alone already exceeds the incumbent
@@ -212,7 +200,7 @@ def _dual_threshold_search(
 
     def dual(lam: float) -> tuple[float, float, list[int]]:
         vals, ds = zip(*(per_sensor(i, lam) for i in range(n)))
-        load = sum(_rate(probs[i], ds[i]) for i in range(n))
+        load = sum(rate(i, ds[i]) for i in range(n))
         return sum(vals) - lam * m, load, list(ds)
 
     lam_lo, lam_hi = 0.0, 1.0
@@ -257,54 +245,12 @@ def lower_bound_J(alphas, betas, probs, m: int) -> tuple[float, list[int]]:
         )
     dual_value, dual_thr = _dual_threshold_search(alphas, betas, probs, m)
     if alphas.shape[0] <= _EXACT_N_LIMIT:
-        primal_value, thresholds = _exact_threshold_search(alphas, betas, probs, m)
+        primal_value, thresholds = _exact_threshold_search(
+            alphas, betas, probs, m, dual_thr)
         if dual_value > primal_value + 1e-9 * max(1.0, abs(primal_value)):
             raise RuntimeError("dual bound exceeded the integer primal")
         return min(dual_value, primal_value), thresholds
     return dual_value, dual_thr
-
-
-def optimal_threshold_cap(p: float, g_min: float) -> float:
-    """Upper bound on an optimal threshold given the smallest budget gap."""
-    if g_min <= 0.0:
-        raise ValueError("g_min must be positive")
-    return (1.0 / p) * (1.0 / g_min + 2.0 * p - 1.0)
-
-
-def min_budget_gap(probs, m: int, i: int) -> float:
-    """Smallest positive budget gap left for sensor i by the other sensors.
-
-    Exact when the other sensors at threshold 1 fit under the budget
-    (their load is then maximal at N-1); otherwise a bounded search over
-    the remaining threshold vectors, reported as a best-effort estimate.
-    """
-    probs = np.asarray(probs, dtype=float)
-    others = [j for j in range(probs.shape[0]) if j != i]
-    if len(others) < m:
-        return float(m - len(others))
-    best = 0.0
-    budget = [200_000]  # node cap: beyond it the estimate is best-effort
-
-    def dfs(idx: int, load: float) -> None:
-        nonlocal best
-        if load >= m or budget[0] <= 0:
-            return
-        budget[0] -= 1
-        if idx == len(others):
-            best = max(best, load)
-            return
-        remaining = len(others) - idx
-        j = others[idx]
-        for d in range(1, _GAP_SEARCH_CAP + 1):
-            g = _rate(probs[j], d)
-            if load + g + (remaining - 1) <= best:
-                break  # contributions only shrink with larger thresholds
-            dfs(idx + 1, load + g)
-
-    dfs(0, 0.0)
-    if best <= 0.0:
-        return float(m)
-    return float(m - best)
 
 
 def lower_bound_J_origin(

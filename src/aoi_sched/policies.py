@@ -49,13 +49,6 @@ _VOI_TAIL = 200  # AoI steps of trace cost past the voi-whittle cache cutoff
 
 
 @dataclass(frozen=True)
-class SensorState:
-    """Per-sensor scheduling state: the sensor's AoI."""
-
-    delta: int
-
-
-@dataclass(frozen=True)
 class Decision:
     """Indices scheduled this step; cardinality never exceeds the budget."""
 
@@ -63,16 +56,6 @@ class Decision:
 
     def __contains__(self, i: int) -> bool:
         return i in self.scheduled
-
-
-def _as_deltas(states) -> np.ndarray:
-    out = np.asarray(
-        [s.delta if isinstance(s, SensorState) else int(s) for s in states],
-        dtype=np.int64,
-    )
-    if np.any(out < 1):
-        raise ValueError("AoI values must be positive integers")
-    return out
 
 
 def _top_m_mask(scores: np.ndarray, m: int) -> np.ndarray:
@@ -98,8 +81,11 @@ class Policy:
     def decide_batch(self, deltas: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def decide(self, states) -> Decision:
-        deltas = _as_deltas(states)
+    def decide(self, deltas) -> Decision:
+        """Schedule one step from the per-sensor AoI values (positive ints)."""
+        deltas = np.asarray(deltas, dtype=np.int64)
+        if np.any(deltas < 1):
+            raise ValueError("AoI values must be positive integers")
         mask = self.decide_batch(deltas[None, :])[0]
         return Decision(scheduled=tuple(int(i) for i in np.flatnonzero(mask)))
 
@@ -142,6 +128,9 @@ class LightweightPolicy(_ScoreTablePolicy):
 
     Only the scalar characteristic parameters and channel rates enter the
     score, so one decision costs a table lookup plus an O(N log N) sort.
+    Past delta ~ 709 / log alpha the index saturates to ``inf``; saturated
+    sensors tie, and ``_top_m_mask`` then takes the lowest index, not the
+    oldest sensor.
     """
 
     name = "lightweight"
@@ -483,6 +472,9 @@ def joint_value_iteration(
     per success/failure pattern of its subset. Damped updates (tau = 0.9),
     normalised at AoI (1,...,1), stop once their span falls below
     ``_DP_TOL``, which then brackets the average cost.
+
+    Nearly decomposable optimal chains can use up ``_DP_MAX_SWEEPS`` with the
+    span above ``_DP_TOL`` (README, numerical notes); the error names both.
     """
     probs = np.asarray(probs, dtype=float)
     n = len(cost_tables)
@@ -516,7 +508,8 @@ def joint_value_iteration(
                 sweeps=sweep,
             )
     raise ConvergenceError(
-        f"joint value iteration did not converge in {_DP_MAX_SWEEPS} sweeps"
+        f"joint value iteration used its budget of {_DP_MAX_SWEEPS} sweeps: "
+        f"last span {span:.3g} is still above the tolerance {_DP_TOL:g}"
     )
 
 

@@ -11,7 +11,6 @@ from aoi_sched import (
     OracleError,
     StabilityError,
     ThresholdPolicy,
-    aoi_step,
     f_value,
     numeric_whittle_index,
     stationary_aoi_distribution,
@@ -23,14 +22,6 @@ from aoi_sched import (
     whittle_index_table,
 )
 from aoi_sched.aoi import _optimal_values, aoi_cost_table
-
-
-def test_aoi_step():
-    assert aoi_step(5, 1) == 1
-    assert aoi_step(5, 0) == 6
-    assert aoi_step(1, 1) == 1
-    with pytest.raises(ValueError):
-        aoi_step(0, 1)
 
 
 def test_f_value():

@@ -4,23 +4,25 @@ import numpy as np
 import pytest
 
 from aoi_sched import (
+    AoiFunction,
     FeasibilityError,
     PlantModel,
     StabilityError,
+    ThresholdPolicy,
     UnsupportedPlantError,
     characteristic_params,
     compute_bounds_report,
     generate_ensemble,
-    optimal_threshold_cap,
     lower_bound_J,
     lower_bound_J_origin,
     necessary_stability,
     optimize_randomized_q,
     steady_state_filter,
     sufficient_stability,
+    threshold_average_cost,
     upper_bound_J,
 )
-from aoi_sched.bounds import _exact_threshold_search, _dual_threshold_search, min_budget_gap
+from aoi_sched.bounds import _dual_threshold_search, _exact_threshold_search
 
 
 class TestOptimizeRandomizedQ:
@@ -80,23 +82,17 @@ class TestLowerBound:
         assert thr == [1]
         assert value == pytest.approx(2.0)
 
-    def test_lemma3_cap_single_sensor(self):
-        for p in (0.3, 0.7, 1.0):
-            assert optimal_threshold_cap(p, 1.0) == pytest.approx(2.0)
-        assert min_budget_gap([0.9], 1, 0) == 1.0
-
     def test_objective_increasing_beyond_station(self):
         # per-sensor relaxed cost is increasing over integer thresholds
-        from aoi_sched.bounds import _term_factory
-
         rng = np.random.default_rng(40)
         for _ in range(20):
             alpha = rng.uniform(1.05, 2.0)
             p = rng.uniform(0.4, 1.0)
             if alpha * (1 - p) >= 0.95:
                 continue
-            term = _term_factory(alpha, rng.uniform(0.1, 4.0), p)
-            vals = [term(d) for d in range(1, 30)]
+            fn = AoiFunction(alpha, rng.uniform(0.1, 4.0), p)
+            vals = [threshold_average_cost(fn, ThresholdPolicy(d), 0.0)
+                    for d in range(1, 30)]
             assert all(vals[i + 1] > vals[i] for i in range(len(vals) - 1))
 
     def test_requires_stability(self):
@@ -117,14 +113,28 @@ class TestLowerBound:
         alphas = rng.uniform(1.1, 1.5, 7).tolist()
         betas = rng.uniform(0.3, 3.0, 7).tolist()
         probs = rng.uniform(0.85, 1.0, 7).tolist()
-        exact, _ = _exact_threshold_search(
-            np.array(alphas), np.array(betas), np.array(probs), 3
-        )
-        dual, _ = _dual_threshold_search(
-            np.array(alphas), np.array(betas), np.array(probs), 3
-        )
+        params = (np.array(alphas), np.array(betas), np.array(probs), 3)
+        dual, dual_thr = _dual_threshold_search(*params)
+        exact, _ = _exact_threshold_search(*params, dual_thr)
         assert dual <= exact + 1e-9
         assert dual >= 0.5 * exact  # sane, not vacuous
+
+    def test_exact_search_independent_of_incumbent(self):
+        # the dual's thresholds are feasible, and the pruned search reaches
+        # the same optimum from them as from a far feasible start (the search
+        # time grows steeply with that distance, hence the smaller far start
+        # at N = 6)
+        rng = np.random.default_rng(43)
+        for n, m, far in ((2, 1, 200), (4, 2, 200), (6, 3, 20)):
+            alphas = rng.uniform(1.1, 1.6, n)
+            betas = rng.uniform(0.3, 3.0, n)
+            probs = rng.uniform(0.8, 1.0, n)
+            _, dual_thr = _dual_threshold_search(alphas, betas, probs, m)
+            load = sum(1.0 / (d * p + 1 - p) for d, p in zip(dual_thr, probs))
+            assert load <= m
+            from_dual = _exact_threshold_search(alphas, betas, probs, m, dual_thr)
+            from_far = _exact_threshold_search(alphas, betas, probs, m, [far] * n)
+            assert from_dual == from_far
 
 
 class TestLowerBoundOrigin:

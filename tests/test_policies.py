@@ -10,6 +10,7 @@ from aoi_sched import (
     AoiGreedyPolicy,
     AoiWhittlePolicy,
     CharParams,
+    ConvergenceError,
     DpTablePolicy,
     FeasibilityError,
     LightweightPolicy,
@@ -18,7 +19,6 @@ from aoi_sched import (
     RandomizedStationaryPolicy,
     ResourceBudgetError,
     RoundRobinPolicy,
-    SensorState,
     VoiGreedyPolicy,
     VoiWhittlePolicy,
     characteristic_params,
@@ -29,6 +29,7 @@ from aoi_sched import (
     steady_state_filter,
     whittle_index,
 )
+from aoi_sched.policies import POLICY_KINDS
 
 
 def _ensemble(count, seed, rho=(1.05, 1.3), p_range=(0.8, 1.0)):
@@ -55,6 +56,17 @@ class TestLightweight:
         cps = [CharParams(1.44, 1.0)] * 3
         dec = LightweightPolicy(cps, [0.9] * 3, 1).decide([5, 5, 5])
         assert dec.scheduled == (0,)
+
+    def test_saturated_indexes_tie_to_lowest_index(self):
+        # past delta ~ 709 / log alpha the index overflows to inf; saturated
+        # sensors tie, so the lowest index wins even against an older sensor
+        for alphas in ((1.44, 1.3), (1.3, 1.44)):
+            cps = [CharParams(a, 1.0) for a in alphas]
+            pol = LightweightPolicy(cps, [0.9, 0.9], 1)
+            deltas = [[2800, 4000], [4000, 2800], [3000, 3500]]
+            assert np.all(np.isinf(pol._scores(np.array(deltas))))
+            for row in deltas:
+                assert pol.decide(row).scheduled == (0,)
 
     def test_selection_invariant_to_uniform_beta_scale(self):
         rng = np.random.default_rng(20)
@@ -287,6 +299,15 @@ class TestJointDp:
                                             delta_cap=cap, filters=filters)
         assert abs(cost - sol.average_cost) <= 1e-8
 
+    def test_sweep_budget_error_names_its_limits(self, monkeypatch):
+        import aoi_sched.policies as policies
+
+        plants, filters, _ = _ensemble(2, 36)
+        monkeypatch.setattr(policies, "_DP_MAX_SWEEPS", 3)
+        with pytest.raises(ConvergenceError, match=r"budget of 3 sweeps: last span "
+                           r"\S+ is still above the tolerance 1e-09"):
+            dp_optimal_policy(plants, 1, delta_cap=6, filters=filters)
+
     def test_dp_no_worse_than_lightweight(self):
         plants, filters, cps = _ensemble(3, 34)
         sol = dp_optimal_policy(plants, 1, delta_cap=15, filters=filters)
@@ -320,12 +341,35 @@ class TestJointDp:
 
 
 def test_sensor_state_and_decision_types():
-    s = SensorState(delta=3)
-    assert s.delta == 3
-    dec = AoiGreedyPolicy(2, 1).decide([SensorState(4), SensorState(2)])
+    # a sensor's scheduling state is its AoI, a positive int
+    dec = AoiGreedyPolicy(2, 1).decide([4, 2])
+    assert dec.scheduled == (0,)
     assert 0 in dec and 1 not in dec
-    with pytest.raises(ValueError):
-        AoiGreedyPolicy(2, 1).decide([SensorState(0), SensorState(2)])
+    assert AoiGreedyPolicy(2, 1).decide(np.array([2, 4])).scheduled == (1,)
+    with pytest.raises(ValueError, match="positive integers"):
+        AoiGreedyPolicy(2, 1).decide([0, 2])
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(mn=st.sampled_from([(m, n) for n in (1, 2, 3) for m in range(1, n + 1)]),
+       seed=st.integers(0, 10_000), data=st.data())
+def test_every_policy_keeps_the_budget(mn, seed, data):
+    # every scheduler picks exactly M sensors per row, the randomized one at
+    # most M; AoI values repeat often enough to exercise the tie rules. rho up
+    # to 1.15 keeps the sum of the randomized policy's minimum rates below M.
+    m, n = mn
+    plants, filters, cps = _ensemble(n, seed, rho=(1.05, 1.15))
+    rows = data.draw(st.lists(st.lists(st.integers(1, 60), min_size=n, max_size=n),
+                              min_size=1, max_size=8))
+    deltas = np.array(rows, dtype=np.int64)
+    for kind in POLICY_KINDS:
+        pol = PolicySpec(kind, delta_cap=6, voi_delta_cap=6).make(plants, filters, cps, m)
+        pol.rng = np.random.default_rng(seed)
+        counts = pol.decide_batch(deltas).sum(axis=1)
+        if kind == "randomized":
+            assert np.all(counts <= m), kind
+        else:
+            assert np.all(counts == m), kind
 
 
 def test_parse_policy():

@@ -329,16 +329,3 @@ def test_policy_sized_for_another_ensemble_rejected(runner):
     # randomized marginals sized for one sensor, as `randomized:q=0.4` gives
     with pytest.raises(ValueError, match="sized for 1 sensors, not 3"):
         runner(plants, PolicySpec("randomized", q=(0.4,)), 1, cfg)
-
-
-def test_distribution_csv_export(tmp_path):
-    from aoi_sched import write_distribution_csv
-
-    psi, _ = stationary_aoi_distribution(0.5, ThresholdPolicy(2), 6)
-    path = tmp_path / "dist.csv"
-    write_distribution_csv(str(path), psi)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "delta,mass"
-    assert len(lines) == 7
-    assert float(lines[1].split(",")[1]) == pytest.approx(1 / 3)
-    assert [p.name for p in tmp_path.iterdir()] == ["dist.csv"]  # no temp left
