@@ -180,18 +180,16 @@ def stationary_aoi_distribution(
     (psi[0] unused) and ``tail`` is the analytic mass beyond the cap, so
     psi.sum() + tail == 1 exactly.
     """
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"p={p} outside (0, 1]")
+    rate = threshold_transmission_rate(p, tp)
     dth = tp.delta_th
     if delta_cap < dth:
         raise ValueError("delta_cap must be at least the threshold")
-    denom = dth * p + 1.0 - p
     psi = np.zeros(delta_cap + 1)
     d = np.arange(1, delta_cap + 1)
     below = d < dth
-    psi[1:][below] = p / denom
-    psi[1:][~below] = p * (1.0 - p) ** (d[~below] - dth) / denom
-    tail = (1.0 - p) ** (delta_cap + 1 - dth) / denom
+    psi[1:][below] = p * rate
+    psi[1:][~below] = p * (1.0 - p) ** (d[~below] - dth) * rate
+    tail = (1.0 - p) ** (delta_cap + 1 - dth) * rate
     return psi, tail
 
 

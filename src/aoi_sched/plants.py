@@ -219,9 +219,16 @@ def characteristic_params(plant: PlantModel, ss: SteadyStateFilter) -> CharParam
 def filters_and_params(
     plants: list[PlantModel],
 ) -> tuple[list[SteadyStateFilter], list[CharParams]]:
-    """Steady-state filter and characteristic parameters of every plant."""
-    filters = [steady_state_filter(pl) for pl in plants]
-    return filters, [characteristic_params(pl, ss) for pl, ss in zip(plants, filters)]
+    """Steady-state filter and characteristic parameters of every plant.
+
+    Solved once per distinct plant object and shared by every position that
+    holds it (a frozen ``PlantModel`` with read-only arrays always gives one
+    answer); equal but distinct objects are solved separately.
+    """
+    distinct = {id(pl): pl for pl in plants}
+    filters = {k: steady_state_filter(pl) for k, pl in distinct.items()}
+    cps = {k: characteristic_params(distinct[k], ss) for k, ss in filters.items()}
+    return [filters[id(pl)] for pl in plants], [cps[id(pl)] for pl in plants]
 
 
 def _aged_cov(p1: np.ndarray, a: np.ndarray, q: np.ndarray, delta: int) -> np.ndarray:

@@ -377,7 +377,7 @@ def test_c09_comparative_trends():
 
 
 def test_c10_timing_soft():
-    """(soft) Lightweight decision cost: 5x under uncached VoI-Whittle, ~N log N."""
+    """(soft) Lightweight decision cost: 5x under uncached VoI-Whittle, ~N (partition)."""
     plants = generate_ensemble(20, 3, 3, (1.05, 1.25), seed=110,
                                p_range=(0.85, 1.0))
     rows = measure_decision_time(

@@ -300,6 +300,23 @@ class TestStationaryDistribution:
             psi, tail = stationary_aoi_distribution(p, ThresholdPolicy(dth), cap)
             assert psi[1:].sum() + tail == pytest.approx(1.0, abs=1e-10)
 
+    def test_matches_quotient_form_to_one_rounding(self):
+        # the law is built as p * rate with rate from the transmission-rate
+        # closed form; the direct quotient p / (dth p + 1 - p) differs from it
+        # by at most one double-precision epsilon, relative
+        eps = np.finfo(float).eps
+        for p in np.linspace(0.01, 1.0, 100):
+            for dth in range(1, 31):
+                cap = dth + 40
+                psi, tail = stationary_aoi_distribution(p, ThresholdPolicy(dth), cap)
+                denom = dth * p + 1.0 - p
+                d = np.arange(1, cap + 1)
+                old = np.where(d < dth, p / denom,
+                               p * (1.0 - p) ** np.maximum(d - dth, 0) / denom)
+                old_tail = (1.0 - p) ** (cap + 1 - dth) / denom
+                assert np.all(np.abs(psi[1:] - old) <= eps * np.abs(old))
+                assert abs(tail - old_tail) <= eps * abs(old_tail)
+
 
 class TestTransmissionRate:
     def test_always(self):

@@ -29,7 +29,7 @@ from aoi_sched import (
     steady_state_filter,
     whittle_index,
 )
-from aoi_sched.policies import POLICY_KINDS
+from aoi_sched.policies import POLICY_KINDS, _top_m_mask
 
 
 def _ensemble(count, seed, rho=(1.05, 1.3), p_range=(0.8, 1.0)):
@@ -370,6 +370,53 @@ def test_every_policy_keeps_the_budget(mn, seed, data):
             assert np.all(counts <= m), kind
         else:
             assert np.all(counts == m), kind
+
+
+def _argsort_reference(scores, m):
+    """Top-m mask by a full stable descending sort (NaN sorts last)."""
+    order = np.argsort(-scores, axis=1, kind="stable")
+    mask = np.zeros(scores.shape, dtype=bool)
+    np.put_along_axis(mask, order[:, :m], True, axis=1)
+    return mask
+
+
+# integer-valued floats tie often; inf is a saturated index, NaN an
+# overflowed voi-greedy trace difference (inf - inf)
+_SCORE = st.one_of(st.integers(0, 3).map(float),
+                   st.sampled_from([np.inf, -np.inf, np.nan, -0.0]),
+                   st.floats(-1e3, 1e3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(rows=st.integers(1, 6), period=st.integers(1, 12), n=st.integers(1, 24),
+       data=st.data())
+def test_top_m_mask_matches_stable_argsort(rows, period, n, data):
+    # a row repeats its first `period` scores, as an ensemble cycled from
+    # `period` plants does; period >= n gives rows with no forced repeats
+    base = np.array(data.draw(st.lists(st.lists(_SCORE, min_size=period,
+                                                 max_size=period),
+                                        min_size=rows, max_size=rows)))
+    scores = base[:, np.arange(n) % period]
+    for m in range(1, n + 1):
+        assert np.array_equal(_top_m_mask(scores, m), _argsort_reference(scores, m)), m
+
+
+def test_top_m_mask_ranks_nan_last():
+    scores = np.array([[np.nan, 1.0, np.nan, -np.inf],
+                       [np.nan, np.nan, np.nan, np.nan]])
+    assert _top_m_mask(scores, 1).tolist() == [[False, True, False, False],
+                                               [True, False, False, False]]
+    assert _top_m_mask(scores, 3).tolist() == [[True, True, False, True],
+                                               [True, True, True, False]]
+    # a voi-greedy trace table that overflowed (inf - inf in the matrix
+    # products) scores NaN at the oldest sensor, which then loses to every
+    # finite score
+    plants, filters, _ = _ensemble(2, 3)
+    pol = VoiGreedyPolicy(plants, filters, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert pol.decide([9000, 2]).scheduled == (1,)
+    scores = pol._scores(np.array([[9000, 2]]))
+    assert np.isnan(scores[0, 0]) and np.isfinite(scores[0, 1])
 
 
 def test_parse_policy():

@@ -1,10 +1,13 @@
 """Monte Carlo engine: covariance and trajectory simulation, sweeps, timing."""
 
+import copy
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoi_sched import (
     PlantModel,
@@ -24,7 +27,7 @@ from aoi_sched import (
     write_sweep_json,
 )
 from aoi_sched.policies import Policy
-from aoi_sched.sim import run_sim
+from aoi_sched.sim import _cycle, run_sim
 
 
 class _SingleSensorThreshold(Policy):
@@ -122,6 +125,28 @@ class TestCovarianceSim:
         cfg = SimConfig(horizon=50, runs=600, seed=8, run_block=128)
         run_covariance_sim(ens, PolicySpec("lightweight"), 1, cfg)
         assert built == [64, 64, 64]
+
+    def test_riccati_solved_once_per_distinct_plant(self, monkeypatch):
+        import aoi_sched.plants as plants_mod
+
+        solved = []
+        real = plants_mod.steady_state_filter
+
+        def counting(plant, *args, **kwargs):
+            solved.append(plant)
+            return real(plant, *args, **kwargs)
+
+        monkeypatch.setattr(plants_mod, "steady_state_filter", counting)
+        base = generate_ensemble(3, 2, 2, (1.05, 1.2), seed=8, p_range=(0.85, 1.0))
+        cfg = SimConfig(horizon=40, runs=50, seed=8, run_block=32)
+        cycled = run_covariance_sim(_cycle(base, 60), PolicySpec("lightweight"), 30, cfg)
+        assert len(solved) == 3
+        # equal but distinct plant objects are each solved, to the same result
+        solved.clear()
+        copies = [copy.deepcopy(pl) for pl in _cycle(base, 60)]
+        distinct = run_covariance_sim(copies, PolicySpec("lightweight"), 30, cfg)
+        assert len(solved) == 60
+        assert distinct.stat_dict() == cycled.stat_dict()
 
     def test_shared_index_tables_under_thread_stress(self):
         # slow channels push AoI past the first 64-entry table, so the
@@ -288,6 +313,28 @@ def test_origin_lower_bound_below_trace_sim():
     for kind in ("lightweight", "round-robin"):
         rep = run_covariance_sim(plants, PolicySpec(kind), 1, cfg)
         assert value <= rep.mean_J + 2 * rep.ci95
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(n=st.integers(1, 4), runs=st.integers(2, 12), seed=st.integers(0, 10_000),
+       data=st.data())
+def test_stat_dict_invariant_to_threads_at_every_block_size(n, runs, seed, data):
+    # each block draws from streams keyed on (seed, block index), so the
+    # block size is part of what a seed means; at each block size tried,
+    # one run per block, uneven last blocks and a single block, the thread
+    # count must not change a single statistic
+    m = data.draw(st.integers(1, n))
+    plants = generate_ensemble(n, 2, 2, (1.05, 1.2), seed=seed, p_range=(0.85, 1.0))
+    for runner, metric in ((run_covariance_sim, "aoi-function"),
+                           (run_covariance_sim, "trace"),
+                           (run_trajectory_sim, "squared-error")):
+        for kind in ("lightweight", "aoi-greedy", "voi-greedy"):
+            for block in (1, 7, runs):
+                cfg = SimConfig(horizon=12, runs=runs, seed=seed, metric=metric,
+                                run_block=block)
+                one = runner(plants, PolicySpec(kind), m, cfg)
+                two = runner(plants, PolicySpec(kind), m, replace(cfg, threads=2))
+                assert one.stat_dict() == two.stat_dict(), (metric, kind, block)
 
 
 @pytest.mark.parametrize("bad", [
