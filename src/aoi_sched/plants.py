@@ -270,13 +270,16 @@ def prediction_error_cov(
 
 
 def _trace_table(p1: np.ndarray, a: np.ndarray, q: np.ndarray, max_delta: int) -> np.ndarray:
-    """Traces for delta = 1..max_delta; index 0 is unused (set to 0)."""
+    """Traces for delta = 1..max_delta; index 0 is unused (set to 0). The
+    first trace to overflow float64 and every later one read ``inf``."""
     out = np.zeros(max_delta + 1)
     cov = p1
     out[1] = np.trace(cov)
-    for d in range(2, max_delta + 1):
-        cov = a @ cov @ a.T + q
-        out[d] = np.trace(cov)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(2, max_delta + 1):
+            cov = a @ cov @ a.T + q
+            out[d] = np.trace(cov)
+    out[np.logical_or.accumulate(~np.isfinite(out))] = np.inf
     return out
 
 

@@ -96,8 +96,10 @@ class Policy:
         raise NotImplementedError
 
     def decide(self, deltas) -> Decision:
-        """Schedule one step from the per-sensor AoI values (positive ints)."""
+        """Schedule one step from the AoI vector: one positive int per sensor."""
         deltas = np.asarray(deltas, dtype=np.int64)
+        if deltas.shape != (self.n,):
+            raise ValueError(f"AoI vector must have shape ({self.n},), got {deltas.shape}")
         if np.any(deltas < 1):
             raise ValueError("AoI values must be positive integers")
         mask = self.decide_batch(deltas[None, :])[0]
@@ -210,14 +212,16 @@ class AoiWhittlePolicy(Policy):
         return _top_m_mask(0.5 * p * d * (d + 2.0 / p - 1.0), self.m)
 
 
-class VoiWhittlePolicy(Policy):
+class VoiWhittlePolicy(_ScoreTablePolicy):
     """Numeric Whittle index on the trace-of-covariance cost.
 
     No closed form exists for this cost, so each (sensor, AoI) index comes
-    from the bisection / policy-iteration oracle. Indexes are cached up to
-    ``delta_cap`` (at least 2) and extrapolated geometrically beyond it from
-    the last two, which preserves the ordering because the index grows
-    monotonically with AoI.
+    from the bisection / policy-iteration oracle, filled into a table over
+    AoI 1..``delta_cap`` (cap at least 2) the first time a batch needs it.
+    Past the cap the index is extrapolated geometrically from the last two
+    entries, which preserves the ordering because the index grows with AoI.
+    Every block and thread shares the table; ``use_cache=False`` starts each
+    decision from an empty one, the online computation that C10 times.
     """
 
     name = "voi-whittle"
@@ -240,30 +244,26 @@ class VoiWhittlePolicy(Policy):
             error_trace_table(pl, ss, delta_cap + _VOI_TAIL)[1:]
             for pl, ss in zip(plants, filters)
         ]
-        self._cache = np.full((self.n, delta_cap + 1), np.nan)
+        self._tables[0] = np.full((self.n, delta_cap + 1), np.nan)
 
-    def _index(self, i: int, delta: int) -> float:
-        cap = self.delta_cap
-        if delta <= cap:
-            if self.use_cache and np.isfinite(self._cache[i, delta]):
-                return float(self._cache[i, delta])
-            costs = self._costs[i]
-            hint = self.probs[i] * costs[min(delta, len(costs) - 1)]
-            w = numeric_whittle_index(costs, self.probs[i], delta, bracket_hint=hint)
-            if self.use_cache:
-                self._cache[i, delta] = w
-            return w
-        w_hi = self._index(i, cap)
-        w_lo = self._index(i, cap - 1)
-        ratio = w_hi / w_lo if w_lo > 0 and w_hi > w_lo else 2.0
-        return w_hi * ratio ** (delta - cap)
-
-    def decide_batch(self, deltas: np.ndarray) -> np.ndarray:
-        scores = np.empty(deltas.shape)
-        for i in range(self.n):
-            for d in np.unique(deltas[:, i]):
-                scores[deltas[:, i] == d, i] = self._index(i, int(d))
-        return _top_m_mask(scores, self.m)
+    def _scores(self, deltas: np.ndarray) -> np.ndarray:
+        cap, table = self.delta_cap, self._tables[0]
+        if not self.use_cache:
+            table = np.full_like(table, np.nan)
+        sensors = np.broadcast_to(np.arange(self.n), deltas.shape)
+        clipped = np.minimum(deltas, cap)
+        past = np.nonzero(deltas > cap)
+        need = np.zeros(table.shape, dtype=bool)
+        need[sensors, clipped] = need[past[1], cap - 1] = True
+        for i, d in zip(*np.nonzero(need & np.isnan(table))):
+            costs, p = self._costs[i], self.probs[i]
+            table[i, d] = numeric_whittle_index(costs, p, int(d), bracket_hint=p * costs[d])
+        scores = table[sensors, clipped]
+        for r, i in zip(*past):  # Python floats: numpy's power can differ in the last bit
+            w_hi, w_lo = float(table[i, cap]), float(table[i, cap - 1])
+            ratio = w_hi / w_lo if w_lo > 0 and w_hi > w_lo else 2.0
+            scores[r, i] = w_hi * ratio ** int(deltas[r, i] - cap)
+        return scores
 
 
 class RoundRobinPolicy(Policy):

@@ -119,9 +119,8 @@ def _metric_tables(
     if metric == "aoi-function":
         cols = [aoi_cost_table(cp.alpha, cp.beta, max_delta) for cp in cps]
     elif metric == "trace":
-        with np.errstate(over="ignore"):
-            cols = [prediction_trace_table(pl, ss, max_delta)
-                    for pl, ss in zip(plants, filters)]
+        cols = [prediction_trace_table(pl, ss, max_delta)
+                for pl, ss in zip(plants, filters)]
     else:
         raise ValueError(f"metric {metric!r} has no covariance-level table")
     return np.column_stack(cols)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from aoi_sched import PlantModel, steady_state_filter
+
+# every property test draws the same examples on every run (no example
+# database carried between runs) and has no deadline, since solver times
+# vary with the host; a test's own @settings sets only max_examples
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -315,7 +315,7 @@ def test_origin_lower_bound_below_trace_sim():
         assert value <= rep.mean_J + 2 * rep.ci95
 
 
-@settings(derandomize=True, deadline=None, max_examples=12)
+@settings(max_examples=12)
 @given(n=st.integers(1, 4), runs=st.integers(2, 12), seed=st.integers(0, 10_000),
        data=st.data())
 def test_stat_dict_invariant_to_threads_at_every_block_size(n, runs, seed, data):
