@@ -24,6 +24,7 @@ from .errors import OracleError, StabilityError
 
 # relative bracket width at which the index oracle's bisection stops
 _ORACLE_REL_TOL = 1e-8
+_ORACLE_DELTA_MAX = 400  # AoI at which whittle_index_numeric truncates its chain
 
 
 @dataclass(frozen=True)
@@ -285,7 +286,7 @@ def numeric_whittle_index(
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p={p} outside (0, 1]")
     if not np.all(np.isfinite(costs)):
-        raise OracleError("cost table overflows float64; reduce delta_max")
+        raise OracleError("cost table overflows float64; truncate it at a smaller AoI")
     scale = float(np.max(np.abs(costs)))
     if scale <= 0.0:
         raise OracleError("cost table is identically zero")
@@ -328,9 +329,9 @@ def numeric_whittle_index(
     return 0.5 * (lo + hi) * scale
 
 
-def whittle_index_numeric(fn: AoiFunction, delta: int, delta_max: int = 400) -> float:
-    """Policy-iteration oracle for ``whittle_index`` on the AoI-cost chain."""
+def whittle_index_numeric(fn: AoiFunction, delta: int) -> float:
+    """Policy-iteration oracle for ``whittle_index`` on AoI 1..``_ORACLE_DELTA_MAX``."""
     _require_stable(fn)
-    costs = aoi_cost_table(fn.alpha, fn.beta, delta_max)[1:]
+    costs = aoi_cost_table(fn.alpha, fn.beta, _ORACLE_DELTA_MAX)[1:]
     hint = whittle_index(fn, delta)
     return numeric_whittle_index(costs, fn.p, delta, bracket_hint=hint)

@@ -29,6 +29,7 @@ from .plants import (
 from .policies import (
     POLICY_KINDS,
     LightweightPolicy,
+    PolicySpec,
     dp_optimal_policy,
     evaluate_policy_average_cost,
     parse_policy,
@@ -273,9 +274,9 @@ def _add_simulate_args(p: argparse.ArgumentParser, alias: bool) -> None:
                    help="channel budget M")
     p.add_argument("--policy", action="append",
                    help=f"policy, one of {', '.join(POLICY_KINDS)} (repeatable)")
-    p.add_argument("--metric", type=str, default="aoi-function", choices=METRICS)
-    p.add_argument("--horizon", type=int, default=1000)
-    p.add_argument("--runs", type=int, default=10_000)
+    p.add_argument("--metric", type=str, default=SimConfig.metric, choices=METRICS)
+    p.add_argument("--horizon", type=int, default=SimConfig.horizon)
+    p.add_argument("--runs", type=int, default=SimConfig.runs)
     p.add_argument("--warmup", type=int, default=None)
     if alias:
         p.add_argument("--kind", type=str, required=True,
@@ -317,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--pairs", type=str, default="1:2,1:3,2:3,2:4,3:4",
                    help="comma list of M:N pairs")
     d.add_argument("--instances", type=int, default=5)
-    d.add_argument("--cap", type=int, default=25)
+    d.add_argument("--cap", type=int, default=PolicySpec.delta_cap)
     _add_generation(d, rho_max=1.2)
     d.set_defaults(func=cmd_dp)
 

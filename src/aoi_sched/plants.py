@@ -33,6 +33,8 @@ _RANK_RTOL = 1e-8
 # generated plants keep rho^2 (1 - p) at or below this unless p_range is given
 _STABILITY_MARGIN = 0.95
 _MAX_TRIES = 100  # draws per plant before generation gives up
+_RICCATI_TOL = 1e-10  # max-abs posterior change at which the Riccati iteration stops
+_RICCATI_MAX_ITERS = 100_000
 
 
 def spectral_radius(a: np.ndarray) -> float:
@@ -153,36 +155,33 @@ class SteadyStateFilter:
     posterior_cov: np.ndarray
     prior_cov: np.ndarray
     gain: np.ndarray
-    iterations: int = 0
+    iterations: int
 
 
-def steady_state_filter(
-    plant: PlantModel, tol: float = 1e-10, max_iters: int = 100_000
-) -> SteadyStateFilter:
+def steady_state_filter(plant: PlantModel) -> SteadyStateFilter:
     """Fixed point of the Riccati recursion by plain iteration from P = Q.
 
     Each sweep runs predict / gain / update and re-symmetrizes the result;
-    iteration stops once successive posteriors differ by less than ``tol``
-    in max-abs norm. Non-convergence signals a plant whose detectability or
-    stabilizability is numerically broken.
+    iteration stops once successive posteriors differ by less than
+    ``_RICCATI_TOL`` in max-abs norm, or fails after ``_RICCATI_MAX_ITERS``.
+    Non-convergence signals a plant whose detectability or stabilizability
+    is numerically broken.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     a, c, q, r = plant.A, plant.C, plant.Q, plant.R
     post = q.copy()
-    for it in range(1, max_iters + 1):
+    for it in range(1, _RICCATI_MAX_ITERS + 1):
         prior = a @ post @ a.T + q
         gain = np.linalg.solve((c @ prior @ c.T + r).T, (prior @ c.T).T).T
         new_post = prior - gain @ c @ prior
         new_post = 0.5 * (new_post + new_post.T)
-        if float(np.max(np.abs(new_post - post))) < tol:
+        if float(np.max(np.abs(new_post - post))) < _RICCATI_TOL:
             prior = a @ new_post @ a.T + q
             prior = 0.5 * (prior + prior.T)
             gain = np.linalg.solve((c @ prior @ c.T + r).T, (prior @ c.T).T).T
             return SteadyStateFilter(new_post, prior, gain, it)
         post = new_post
     raise ConvergenceError(
-        f"Riccati iteration did not converge within {max_iters} iterations"
+        f"Riccati iteration did not converge within {_RICCATI_MAX_ITERS} iterations"
     )
 
 

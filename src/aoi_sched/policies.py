@@ -32,7 +32,6 @@ from .plants import (
     SteadyStateFilter,
     characteristic_params,
     error_trace_table,
-    steady_state_filter,
 )
 
 POLICY_KINDS = (
@@ -97,11 +96,11 @@ class Policy:
 
     def decide(self, deltas) -> Decision:
         """Schedule one step from the AoI vector: one positive int per sensor."""
-        deltas = np.asarray(deltas, dtype=np.int64)
+        deltas = np.asarray(deltas)
         if deltas.shape != (self.n,):
             raise ValueError(f"AoI vector must have shape ({self.n},), got {deltas.shape}")
-        if np.any(deltas < 1):
-            raise ValueError("AoI values must be positive integers")
+        if deltas.dtype.kind not in "iu" or np.any(deltas < 1):
+            raise ValueError(f"AoI values must be positive integers, got {deltas.tolist()}")
         mask = self.decide_batch(deltas[None, :])[0]
         return Decision(scheduled=tuple(int(i) for i in np.flatnonzero(mask)))
 
@@ -164,7 +163,9 @@ class LightweightPolicy(_ScoreTablePolicy):
                 )
 
     def _build_tables(self, max_delta: int) -> np.ndarray:
-        return np.vstack([whittle_index_table(fn, max_delta) for fn in self.fns])
+        # one row per distinct sensor model: AoiFunction hashes by value
+        rows = {fn: whittle_index_table(fn, max_delta) for fn in dict.fromkeys(self.fns)}
+        return np.vstack([rows[fn] for fn in self.fns])
 
 
 class AoiGreedyPolicy(Policy):
@@ -187,13 +188,14 @@ class VoiGreedyPolicy(_ScoreTablePolicy):
         self.filters = filters
 
     def _build_tables(self, max_delta: int) -> np.ndarray:
-        rows = []
+        # one row per distinct (plant, filter) object pair; column d holds
+        # the score at AoI d (column 0, never read, holds 0)
+        rows = {}
         for pl, ss in zip(self.plants, self.filters):
-            tr = error_trace_table(pl, ss, max_delta + 1)
-            rows.append(pl.p * (tr[2 : max_delta + 2] - tr[1]))
-        # row index d-1 holds the score at AoI d; prepend unused slot 0
-        tabs = np.vstack(rows)
-        return np.hstack([np.zeros((self.n, 1)), tabs])
+            if (id(pl), id(ss)) not in rows:
+                tr = error_trace_table(pl, ss, max_delta + 1)
+                rows[id(pl), id(ss)] = pl.p * (tr[1:] - tr[1])
+        return np.vstack([rows[id(pl), id(ss)] for pl, ss in zip(self.plants, self.filters)])
 
 
 class AoiWhittlePolicy(Policy):
@@ -222,6 +224,7 @@ class VoiWhittlePolicy(_ScoreTablePolicy):
     entries, which preserves the ordering because the index grows with AoI.
     Every block and thread shares the table; ``use_cache=False`` starts each
     decision from an empty one, the online computation that C10 times.
+    ``PolicySpec`` holds the defaults of both knobs: cap 40, cache on.
     """
 
     name = "voi-whittle"
@@ -231,8 +234,8 @@ class VoiWhittlePolicy(_ScoreTablePolicy):
         plants: list[PlantModel],
         filters: list[SteadyStateFilter],
         m: int,
-        delta_cap: int = 40,
-        use_cache: bool = True,
+        delta_cap: int,
+        use_cache: bool,
     ):
         super().__init__(len(plants), m)
         if delta_cap < 2:
@@ -297,7 +300,7 @@ class RandomizedStationaryPolicy(Policy):
 
     name = "randomized"
 
-    def __init__(self, q, m: int, rng: np.random.Generator | None = None):
+    def __init__(self, q, m: int):
         q = np.asarray(q, dtype=float)
         super().__init__(q.shape[0], m)
         if np.any(q <= 0.0) or np.any(q > 1.0):
@@ -307,7 +310,6 @@ class RandomizedStationaryPolicy(Policy):
         self.q = q
         self.cum = np.cumsum(q)
         self.total = float(self.cum[-1])
-        self.rng = rng
 
     def decide_batch(self, deltas: np.ndarray) -> np.ndarray:
         if self.rng is None:
@@ -529,12 +531,10 @@ def joint_value_iteration(
 
 def _dp_inputs(
     plants: list[PlantModel], m: int, delta_cap: int, cost: str,
-    filters: list[SteadyStateFilter] | None,
+    filters: list[SteadyStateFilter],
 ) -> tuple[list[np.ndarray], list[float]]:
     """Size check, then the per-sensor cost tables and channel rates."""
     _check_size(len(plants), m, delta_cap)
-    if filters is None:
-        filters = [steady_state_filter(pl) for pl in plants]
     probs = [pl.p for pl in plants]
     if cost == "aoi-function":
         cps = [characteristic_params(pl, ss) for pl, ss in zip(plants, filters)]
@@ -548,11 +548,14 @@ def _dp_inputs(
 def dp_optimal_policy(
     plants: list[PlantModel],
     m: int,
-    delta_cap: int = 25,
+    delta_cap: int,
+    filters: list[SteadyStateFilter],
     cost: str = "aoi-function",
-    filters: list[SteadyStateFilter] | None = None,
 ) -> DpSolution:
-    """Optimal scheduler of the truncated joint chain plus its average cost."""
+    """Optimal scheduler of the truncated joint chain plus its average cost.
+
+    At most ``_STATE_BUDGET`` states, solved to ``_DP_TOL`` in ``_DP_MAX_SWEEPS``.
+    """
     tables, probs = _dp_inputs(plants, m, delta_cap, cost, filters)
     return joint_value_iteration(tables, probs, m)
 
@@ -577,9 +580,9 @@ def evaluate_policy_average_cost(
     policy: Policy,
     plants: list[PlantModel],
     m: int,
-    delta_cap: int = 25,
+    delta_cap: int,
+    filters: list[SteadyStateFilter],
     cost: str = "aoi-function",
-    filters: list[SteadyStateFilter] | None = None,
 ) -> float:
     """Exact long-run average cost of a policy on the same truncated chain.
 
@@ -659,10 +662,7 @@ class PolicySpec:
         if self.kind == "aoi-whittle":
             return AoiWhittlePolicy(probs, m)
         if self.kind == "voi-whittle":
-            return VoiWhittlePolicy(
-                plants, filters, m, delta_cap=self.voi_delta_cap,
-                use_cache=self.use_cache,
-            )
+            return VoiWhittlePolicy(plants, filters, m, self.voi_delta_cap, self.use_cache)
         if self.kind == "round-robin":
             return RoundRobinPolicy(len(plants), m)
         if self.kind == "randomized":
@@ -675,10 +675,7 @@ class PolicySpec:
                 q, _ = optimize_randomized_q(alphas, betas, probs, m)
             return RandomizedStationaryPolicy(np.asarray(q), m)
         if self.kind == "dp":
-            sol = dp_optimal_policy(
-                plants, m, delta_cap=self.delta_cap, cost=self.dp_cost,
-                filters=filters,
-            )
+            sol = dp_optimal_policy(plants, m, self.delta_cap, filters, cost=self.dp_cost)
             return DpTablePolicy(sol)
         raise ValueError(f"unknown policy kind {self.kind!r}")
 

@@ -42,11 +42,16 @@ METRICS = ("aoi-function", "trace", "squared-error")
 DIVERGENCE_LIMIT = 1e12
 _HIST_BINS = 128  # AoI histogram bins; the last one absorbs everything older
 _SWEEP_N_PER_M = 2.0  # N/M of sweep points that are not given M
+_RUN_BLOCK = 2048  # runs per block (see SimConfig)
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Replication layout and metric of one Monte Carlo experiment."""
+    """Replication layout and metric of one Monte Carlo experiment.
+
+    Runs go in fixed blocks of ``_RUN_BLOCK`` (2048), whose streams are keyed
+    on (seed, block index): the block size is part of what a seed means.
+    """
 
     horizon: int = 1000
     runs: int = 10_000
@@ -54,17 +59,15 @@ class SimConfig:
     metric: str = "aoi-function"
     warmup: int | None = None  # None -> 10% of the horizon
     threads: int = 1
-    run_block: int = 2048
 
     def __post_init__(self) -> None:
         if self.horizon < 1 or self.runs < 1:
             raise ValueError("horizon and runs must be at least 1")
-        if self.threads < 1 or self.run_block < 1:
-            raise ValueError("threads and run_block must be at least 1")
+        if self.threads < 1:
+            raise ValueError("threads must be at least 1")
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
-        w = self.warmup if self.warmup is not None else self.horizon // 10
-        if not (0 <= w < self.horizon):
+        if not (0 <= self.warmup_steps < self.horizon):
             raise ValueError("warmup must leave at least one measured step")
 
     @property
@@ -179,7 +182,7 @@ def _run_blocks(plants, proto, config: SimConfig, stride: int, make_step) -> Sim
     per-step cost kernel ``step(gamma, deltas, measured)``, called after
     every AoI update and read only on measured (post-warmup) steps. Runs
     whose instantaneous cost ever exceeds 1e12 (or overflows) are reported
-    as diverged and excluded from the mean rather than poisoning it.
+    as diverged: they stop accumulating and are left out of the mean.
     """
     n = len(plants)
     if proto.n != n:
@@ -212,7 +215,7 @@ def _run_blocks(plants, proto, config: SimConfig, stride: int, make_step) -> Sim
                 attempts += mask.sum(axis=0)
                 successes += gamma.sum(axis=0)
                 diverged |= ~np.isfinite(step_cost) | (step_cost > DIVERGENCE_LIMIT)
-                cost_acc += np.where(np.isfinite(step_cost), step_cost, 0.0)
+                cost_acc += np.where(diverged, 0.0, step_cost)
                 hist += np.bincount(
                     np.minimum(deltas, _HIST_BINS).ravel(), minlength=_HIST_BINS + 1
                 )
@@ -225,8 +228,7 @@ def _run_blocks(plants, proto, config: SimConfig, stride: int, make_step) -> Sim
             decision_time=t_policy,
         )
 
-    sizes = [min(config.run_block, config.runs - s)
-             for s in range(0, config.runs, config.run_block)]
+    sizes = [min(_RUN_BLOCK, config.runs - s) for s in range(0, config.runs, _RUN_BLOCK)]
     jobs = list(enumerate(sizes))
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:

@@ -61,7 +61,7 @@ def test_c01_whittle_oracle_equivalence():
         fn = _stable_fn(rng)
         d = int(rng.integers(1, 11))
         cf = whittle_index(fn, d)
-        num = whittle_index_numeric(fn, d, delta_max=400)
+        num = whittle_index_numeric(fn, d)
         worst = max(worst, abs(cf - num) / abs(cf))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-5 and elapsed < 60.0

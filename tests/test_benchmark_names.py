@@ -4,10 +4,12 @@
 simulation runners by name), and ``perfbench/tracer.py`` wraps the functions
 listed in its ``FUNCTIONS`` table. Both files are read as source, never
 imported or changed, so renaming one of those names fails here instead of
-when the benchmark runs.
+when the benchmark runs. The workloads' ``lib.<name>(...)`` calls must also
+still bind to the signatures they call.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import aoi_sched
@@ -58,3 +60,21 @@ def test_workload_names_exist():
     assert "generate_ensemble" in names and "run_trajectory_sim" in names
     missing = _missing(names)
     assert not missing, f"perfbench/workloads.py binds names aoi_sched lacks: {missing}"
+
+
+def test_workload_calls_bind():
+    calls, unbound = 0, []
+    for node in ast.walk(_tree("workloads.py")):
+        func = node.func if isinstance(node, ast.Call) else None
+        if not (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id == "lib"):
+            continue
+        calls += 1
+        positional = [None] * len(node.args)
+        keywords = {kw.arg: None for kw in node.keywords}
+        try:
+            inspect.signature(getattr(aoi_sched, func.attr)).bind(*positional, **keywords)
+        except (AttributeError, TypeError) as exc:
+            unbound.append(f"line {node.lineno}: lib.{func.attr}: {exc}")
+    assert calls >= 10  # the calls were read
+    assert not unbound, f"perfbench/workloads.py calls that no longer bind: {unbound}"

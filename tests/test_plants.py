@@ -1,10 +1,12 @@
 """Plant model, filter fixed point, characteristic parameters, generation."""
 
 import json
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
+import aoi_sched.plants as plants_mod
 from aoi_sched import (
     CharParams,
     ConvergenceError,
@@ -59,8 +61,10 @@ class TestSteadyStateFilter:
     def test_longer_iteration_agrees(self):
         rng = np.random.default_rng(0)
         pl = generate_plant(3, 3, (1.05, 1.3), rng)
-        fast = steady_state_filter(pl, tol=1e-10, max_iters=100_000)
-        slow = steady_state_filter(pl, tol=1e-14, max_iters=1_000_000)
+        fast = steady_state_filter(pl)
+        with (patch.object(plants_mod, "_RICCATI_TOL", 1e-14),
+              patch.object(plants_mod, "_RICCATI_MAX_ITERS", 1_000_000)):
+            slow = steady_state_filter(pl)
         np.testing.assert_allclose(fast.posterior_cov, slow.posterior_cov, atol=1e-8)
 
     def test_fixed_point_property(self, scalar_plant, scalar_filter):
@@ -75,9 +79,10 @@ class TestSteadyStateFilter:
         gap = scalar_filter.prior_cov - scalar_filter.posterior_cov
         assert np.min(np.linalg.eigvalsh(gap)) >= -1e-12
 
+    @patch.object(plants_mod, "_RICCATI_MAX_ITERS", 3)
     def test_nonconvergence_raises(self, scalar_plant):
         with pytest.raises(ConvergenceError):
-            steady_state_filter(scalar_plant, tol=1e-10, max_iters=3)
+            steady_state_filter(scalar_plant)
 
 
 class TestCharacteristicParams:

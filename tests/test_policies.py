@@ -30,6 +30,7 @@ from aoi_sched import (
     parse_policy,
     steady_state_filter,
     whittle_index,
+    whittle_index_table,
 )
 from aoi_sched.policies import _VOI_TAIL, POLICY_KINDS, _top_m_mask
 
@@ -156,7 +157,7 @@ class TestVoiWhittle:
         # q ~ 0 makes Tr P(d) = a^{2d} Pbar: exactly the geometric AoI cost
         pl = PlantModel(A=[[1.25]], C=[[1.0]], Q=[[1e-9]], R=[[1.0]], p=0.8)
         ss = steady_state_filter(pl)
-        pol = VoiWhittlePolicy([pl], [ss], 1, delta_cap=12)
+        pol = VoiWhittlePolicy([pl], [ss], 1, delta_cap=12, use_cache=True)
         fn = AoiFunction(1.25**2, ss.posterior_cov[0, 0], 0.8)
         got = pol._scores(np.array([[1], [3], [7]]))[:, 0]
         for d, w in zip((1, 3, 7), got):
@@ -164,19 +165,19 @@ class TestVoiWhittle:
 
     def test_index_monotone(self):
         plants, filters, _ = _ensemble(1, 26)
-        pol = VoiWhittlePolicy(plants, filters, 1, delta_cap=20)
+        pol = VoiWhittlePolicy(plants, filters, 1, delta_cap=20, use_cache=True)
         idx = pol._scores(np.arange(1, 21)[:, None])[:, 0]
         assert all(idx[i + 1] > idx[i] for i in range(len(idx) - 1))
 
     def test_cache_hit_bit_identical(self):
         plants, filters, _ = _ensemble(1, 27)
-        pol = VoiWhittlePolicy(plants, filters, 1, delta_cap=10)
+        pol = VoiWhittlePolicy(plants, filters, 1, delta_cap=10, use_cache=True)
         first = pol._scores(np.array([[4]]))[0, 0]
         assert pol._scores(np.array([[4]]))[0, 0] == first
 
     def test_extrapolation_preserves_order(self):
         plants, filters, _ = _ensemble(1, 28)
-        pol = VoiWhittlePolicy(plants, filters, 1, delta_cap=8)
+        pol = VoiWhittlePolicy(plants, filters, 1, delta_cap=8, use_cache=True)
         w12, w9, w8 = pol._scores(np.array([[12], [9], [8]]))[:, 0]
         assert w12 > w9 > w8
 
@@ -190,7 +191,7 @@ class TestVoiWhittle:
         rows = data.draw(st.lists(st.lists(st.integers(1, 3 * cap), min_size=2,
                                            max_size=2), min_size=1, max_size=4))
         deltas = np.array(rows, dtype=np.int64)
-        cached = VoiWhittlePolicy(plants, filters, 1, delta_cap=cap)
+        cached = VoiWhittlePolicy(plants, filters, 1, delta_cap=cap, use_cache=True)
         got = cached._scores(deltas)
         uncached = VoiWhittlePolicy(plants, filters, 1, delta_cap=cap, use_cache=False)
         assert got.tobytes() == uncached._scores(deltas).tobytes()
@@ -216,7 +217,7 @@ class TestVoiWhittle:
         # extrapolation past the cap reads the indexes at cap - 1 and cap
         plants, filters, _ = _ensemble(1, 28)
         with pytest.raises(ValueError, match="delta_cap=1 must be at least 2"):
-            VoiWhittlePolicy(plants, filters, 1, delta_cap=1)
+            VoiWhittlePolicy(plants, filters, 1, delta_cap=1, use_cache=True)
 
 
 class TestRandomized:
@@ -229,7 +230,8 @@ class TestRandomized:
         assert np.all(mask.sum(axis=1) <= 1)
 
     def test_single_sensor_always(self):
-        pol = RandomizedStationaryPolicy([1.0], 1, rng=np.random.default_rng(0))
+        pol = RandomizedStationaryPolicy([1.0], 1)
+        pol.rng = np.random.default_rng(0)
         dec = pol.decide([1])
         assert dec.scheduled == (0,)
 
@@ -269,6 +271,32 @@ class TestRoundRobin:
         assert pol.clone().cursor == 0  # a clone starts a fresh cycle
 
 
+def test_score_rows_built_once_per_distinct_sensor_model(monkeypatch):
+    # 3 plants cycled to N=60 are 3 sensor models: the table policies build
+    # 3 score rows, not 60, and score each sensor as its own row would
+    import aoi_sched.policies as policies
+
+    plants, filters, cps = (x * 20 for x in _ensemble(3, 38))
+    probs = [pl.p for pl in plants]
+    deltas = np.random.default_rng(38).integers(1, 30, size=(4, 60))
+    sensors = np.arange(60)
+    light_ref = np.vstack([whittle_index_table(AoiFunction(cp.alpha, cp.beta, p), 64)
+                           for cp, p in zip(cps, probs)])[sensors, deltas]
+    traces = [error_trace_table(pl, ss, 65) for pl, ss in zip(plants, filters)]
+    greedy_ref = np.vstack([pl.p * (tr[1:] - tr[1])
+                            for pl, tr in zip(plants, traces)])[sensors, deltas]
+    calls = []
+    for name in ("whittle_index_table", "error_trace_table"):
+        real = getattr(policies, name)
+        monkeypatch.setattr(policies, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    light = LightweightPolicy(cps, probs, 30)._scores(deltas)
+    greedy = VoiGreedyPolicy(plants, filters, 30)._scores(deltas)
+    assert calls == ["whittle_index_table"] * 3 + ["error_trace_table"] * 3
+    assert light.tobytes() == light_ref.tobytes()
+    assert greedy.tobytes() == greedy_ref.tobytes()
+
+
 def test_homogeneous_staggered_policies_agree():
     # identical plants, distinct AoIs: every index policy picks the oldest
     plants, filters, cps = _ensemble(1, 31)
@@ -278,7 +306,7 @@ def test_homogeneous_staggered_policies_agree():
         LightweightPolicy(cps, probs, 1),
         AoiGreedyPolicy(4, 1),
         AoiWhittlePolicy(probs, 1),
-        VoiWhittlePolicy(plants, filters, 1, delta_cap=30),
+        VoiWhittlePolicy(plants, filters, 1, delta_cap=30, use_cache=True),
     ]
     rng = np.random.default_rng(32)
     deltas = np.array([[4, 3, 2, 1]])
@@ -293,7 +321,7 @@ def test_homogeneous_staggered_policies_agree():
 class TestJointDp:
     def test_single_sensor_geometric_cost(self):
         pl = PlantModel(A=[[1.2]], C=[[1.0]], Q=[[1.0]], R=[[1.0]], p=0.9)
-        sol = dp_optimal_policy([pl], 1, delta_cap=25)
+        sol = dp_optimal_policy([pl], 1, delta_cap=25, filters=[steady_state_filter(pl)])
         # truncated-chain oracle: geometric AoI with mass lumped at the cap
         fn = AoiFunction(1.44, 1.0, 0.9)
         k = np.arange(1, 25)
@@ -397,13 +425,18 @@ def test_sensor_state_and_decision_types():
 
 @pytest.mark.parametrize("kind", POLICY_KINDS)
 def test_decide_rejects_aoi_not_shaped_n(kind):
-    # one AoI per sensor, as a flat vector: a short vector, a (1, n) batch
-    # and a scalar are refused before any scoring, naming n and the shape
+    # one integer AoI per sensor, as a flat vector: a short vector, a (1, n)
+    # batch and a scalar are refused before any scoring, naming n and the
+    # shape; float and bool AoI are refused, not truncated
     plants, filters, cps = _ensemble(3, 37, rho=(1.05, 1.15))
     pol = PolicySpec(kind, delta_cap=6, voi_delta_cap=6).make(plants, filters, cps, 1)
     pol.rng = np.random.default_rng(37)
-    for bad, shape in (([5, 2], r"\(2,\)"), ([[5, 2, 1]], r"\(1, 3\)"), (5, r"\(\)")):
-        with pytest.raises(ValueError, match=rf"shape \(3,\), got {shape}$"):
+    for bad, message in (([5, 2], r"shape \(3,\), got \(2,\)$"),
+                         ([[5, 2, 1]], r"shape \(3,\), got \(1, 3\)$"),
+                         (5, r"shape \(3,\), got \(\)$"),
+                         ([5, 2.5, 1], r"positive integers, got \[5\.0, 2\.5, 1\.0\]$"),
+                         ([True, True, True], r"positive integers, got \[True, True, True\]$")):
+        with pytest.raises(ValueError, match=message):
             pol.decide(bad)
     assert len(pol.decide([5, 2, 1]).scheduled) <= 1
 

@@ -2,7 +2,9 @@
 
 import copy
 import sys
+import warnings
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from aoi_sched import (
     write_sweep_csv,
     write_sweep_json,
 )
+from aoi_sched import sim
 from aoi_sched.policies import Policy
 from aoi_sched.sim import _cycle, run_sim
 
@@ -93,6 +96,7 @@ class TestCovarianceSim:
         b = run_covariance_sim([scalar09], PolicySpec("aoi-greedy"), 1, cfg)
         assert a.stat_dict() == b.stat_dict()
 
+    @patch.object(sim, "_RUN_BLOCK", 128)
     def test_threads_do_not_change_results(self, scalar09):
         ens = generate_ensemble(3, 2, 2, (1.05, 1.2), seed=8, p_range=(0.85, 1.0))
         cases = [
@@ -104,11 +108,12 @@ class TestCovarianceSim:
             (run_trajectory_sim, ens, 1, 300, "squared-error"),
         ]
         for runner, plants, m, runs, metric in cases:
-            cfg = SimConfig(horizon=300, runs=runs, seed=8, run_block=128, metric=metric)
+            cfg = SimConfig(horizon=300, runs=runs, seed=8, metric=metric)
             a = runner(plants, PolicySpec("lightweight"), m, cfg)
             b = runner(plants, PolicySpec("lightweight"), m, replace(cfg, threads=4))
             assert a.stat_dict() == b.stat_dict()
 
+    @patch.object(sim, "_RUN_BLOCK", 128)
     def test_index_tables_built_once_per_simulation(self, monkeypatch):
         import aoi_sched.policies as policies
 
@@ -122,10 +127,11 @@ class TestCovarianceSim:
         monkeypatch.setattr(policies, "whittle_index_table", counting)
         ens = generate_ensemble(3, 2, 2, (1.05, 1.2), seed=8, p_range=(0.85, 1.0))
         # 5 blocks of at most 128 runs; AoI stays below the first table's 64
-        cfg = SimConfig(horizon=50, runs=600, seed=8, run_block=128)
+        cfg = SimConfig(horizon=50, runs=600, seed=8)
         run_covariance_sim(ens, PolicySpec("lightweight"), 1, cfg)
         assert built == [64, 64, 64]
 
+    @patch.object(sim, "_RUN_BLOCK", 32)
     def test_riccati_solved_once_per_distinct_plant(self, monkeypatch):
         import aoi_sched.plants as plants_mod
 
@@ -138,7 +144,7 @@ class TestCovarianceSim:
 
         monkeypatch.setattr(plants_mod, "steady_state_filter", counting)
         base = generate_ensemble(3, 2, 2, (1.05, 1.2), seed=8, p_range=(0.85, 1.0))
-        cfg = SimConfig(horizon=40, runs=50, seed=8, run_block=32)
+        cfg = SimConfig(horizon=40, runs=50, seed=8)
         cycled = run_covariance_sim(_cycle(base, 60), PolicySpec("lightweight"), 30, cfg)
         assert len(solved) == 3
         # equal but distinct plant objects are each solved, to the same result
@@ -148,11 +154,12 @@ class TestCovarianceSim:
         assert len(solved) == 60
         assert distinct.stat_dict() == cycled.stat_dict()
 
+    @patch.object(sim, "_RUN_BLOCK", 32)
     def test_shared_index_tables_under_thread_stress(self):
         # slow channels push AoI past the first 64-entry table, so the
         # shared tables grow in several blocks at once on 4 threads
         ens = generate_ensemble(3, 2, 2, (1.01, 1.02), seed=8, p_range=(0.08, 0.12))
-        cfg = SimConfig(horizon=300, runs=512, seed=8, run_block=32)
+        cfg = SimConfig(horizon=300, runs=512, seed=8)
         a = run_covariance_sim(ens, PolicySpec("lightweight"), 1, cfg)
         assert sum(a.aoi_histogram[65:]) > 0
         interval = sys.getswitchinterval()
@@ -186,6 +193,17 @@ class TestCovarianceSim:
         cfg = SimConfig(horizon=2000, runs=50, seed=5, metric="trace", warmup=0)
         rep = run_covariance_sim([pl], PolicySpec("aoi-greedy"), 1, cfg)
         assert rep.diverged_runs == 50
+
+    @pytest.mark.parametrize("metric", ["trace", "aoi-function"])
+    def test_diverged_runs_stop_accumulating_cost(self, metric):
+        # a starved sensor's cost grows without bound; once a run is marked
+        # diverged its cost must not be summed on into an overflow
+        plants = generate_ensemble(2, 3, 3, (1.25, 1.3), seed=1, p_range=(0.8, 1.0))
+        cfg = SimConfig(horizon=3000, runs=4, seed=0, metric=metric)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = run_covariance_sim(plants, PolicySpec("randomized", q=(0.0005, 0.5)), 1, cfg)
+        assert rep.diverged_runs == 4 and rep.mean_J == float("inf")
 
     def test_stationary_histogram_matches_threshold_law(self, scalar09):
         dth = 3
@@ -289,7 +307,8 @@ def test_dp_dominates_simulated_policies():
     plants = generate_ensemble(3, 3, 3, (1.05, 1.2), seed=23, p_range=(0.9, 1.0))
     from aoi_sched import dp_optimal_policy
 
-    sol = dp_optimal_policy(plants, 1, delta_cap=15)
+    filters = [steady_state_filter(pl) for pl in plants]
+    sol = dp_optimal_policy(plants, 1, delta_cap=15, filters=filters)
     cfg = SimConfig(horizon=600, runs=800, seed=24)
     for kind in ("lightweight", "aoi-greedy", "voi-greedy", "aoi-whittle",
                  "round-robin", "dp"):
@@ -330,15 +349,15 @@ def test_stat_dict_invariant_to_threads_at_every_block_size(n, runs, seed, data)
                            (run_trajectory_sim, "squared-error")):
         for kind in ("lightweight", "aoi-greedy", "voi-greedy"):
             for block in (1, 7, runs):
-                cfg = SimConfig(horizon=12, runs=runs, seed=seed, metric=metric,
-                                run_block=block)
-                one = runner(plants, PolicySpec(kind), m, cfg)
-                two = runner(plants, PolicySpec(kind), m, replace(cfg, threads=2))
+                cfg = SimConfig(horizon=12, runs=runs, seed=seed, metric=metric)
+                with patch.object(sim, "_RUN_BLOCK", block):
+                    one = runner(plants, PolicySpec(kind), m, cfg)
+                    two = runner(plants, PolicySpec(kind), m, replace(cfg, threads=2))
                 assert one.stat_dict() == two.stat_dict(), (metric, kind, block)
 
 
 @pytest.mark.parametrize("bad", [
-    dict(threads=0), dict(threads=-1), dict(run_block=0), dict(run_block=-5),
+    dict(threads=0), dict(threads=-1),
     dict(runs=0), dict(horizon=0), dict(metric="mse"), dict(horizon=10, warmup=10),
 ])
 def test_sim_config_rejects_invalid_layout(bad):
