@@ -285,7 +285,8 @@ def _trace_table(p1: np.ndarray, a: np.ndarray, q: np.ndarray, max_delta: int) -
 def error_trace_table(
     plant: PlantModel, ss: SteadyStateFilter, max_delta: int
 ) -> np.ndarray:
-    """Tr(error_cov_from_aoi) for delta = 1..max_delta as a lookup table."""
+    """Tr(error_cov_from_aoi) for delta = 1..max_delta as a lookup table: the
+    cost behind the VoI-greedy and VoI-Whittle scores."""
     p1 = plant.A @ ss.posterior_cov @ plant.A.T
     return _trace_table(p1, plant.A, plant.Q, max_delta)
 
@@ -293,7 +294,8 @@ def error_trace_table(
 def prediction_trace_table(
     plant: PlantModel, ss: SteadyStateFilter, max_delta: int
 ) -> np.ndarray:
-    """Tr(prediction_error_cov) for delta = 1..max_delta as a lookup table."""
+    """Tr(prediction_error_cov) for delta = 1..max_delta as a lookup table:
+    the ``trace`` cost of the covariance simulation and of the joint-chain DP."""
     p1 = plant.A @ ss.posterior_cov @ plant.A.T + plant.Q
     return _trace_table(p1, plant.A, plant.Q, max_delta)
 

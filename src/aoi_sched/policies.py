@@ -32,6 +32,7 @@ from .plants import (
     SteadyStateFilter,
     characteristic_params,
     error_trace_table,
+    prediction_trace_table,
 )
 
 POLICY_KINDS = (
@@ -45,6 +46,26 @@ POLICY_KINDS = (
     "dp",
 )
 _VOI_TAIL = 200  # AoI steps of trace cost past the voi-whittle cache cutoff
+COST_METRICS = ("aoi-function", "trace")  # metrics with an AoI cost table
+
+
+def metric_cost_tables(
+    metric: str,
+    plants: list[PlantModel],
+    filters: list[SteadyStateFilter],
+    char_params: list[CharParams],
+    max_delta: int,
+) -> list[np.ndarray]:
+    """Per-sensor cost of ``metric`` at AoI 0..max_delta (slot 0 unused): the
+    AoI cost function, or the prediction-error trace. The covariance
+    simulation and the joint-chain DP both read it, so they share one cost.
+    """
+    if metric == "aoi-function":
+        return [aoi_cost_table(cp.alpha, cp.beta, max_delta) for cp in char_params]
+    if metric == "trace":
+        return [prediction_trace_table(pl, ss, max_delta)
+                for pl, ss in zip(plants, filters)]
+    raise ValueError(f"metric must be one of {', '.join(COST_METRICS)}, got {metric!r}")
 
 
 @dataclass(frozen=True)
@@ -529,22 +550,6 @@ def joint_value_iteration(
     )
 
 
-def _dp_inputs(
-    plants: list[PlantModel], m: int, delta_cap: int, cost: str,
-    filters: list[SteadyStateFilter],
-) -> tuple[list[np.ndarray], list[float]]:
-    """Size check, then the per-sensor cost tables and channel rates."""
-    _check_size(len(plants), m, delta_cap)
-    probs = [pl.p for pl in plants]
-    if cost == "aoi-function":
-        cps = [characteristic_params(pl, ss) for pl, ss in zip(plants, filters)]
-        return [aoi_cost_table(cp.alpha, cp.beta, delta_cap) for cp in cps], probs
-    if cost == "trace":
-        return [error_trace_table(pl, ss, delta_cap)
-                for pl, ss in zip(plants, filters)], probs
-    raise ValueError(f"unknown dp cost {cost!r}")
-
-
 def dp_optimal_policy(
     plants: list[PlantModel],
     m: int,
@@ -554,10 +559,13 @@ def dp_optimal_policy(
 ) -> DpSolution:
     """Optimal scheduler of the truncated joint chain plus its average cost.
 
-    At most ``_STATE_BUDGET`` states, solved to ``_DP_TOL`` in ``_DP_MAX_SWEEPS``.
+    ``cost`` is a metric of :func:`metric_cost_tables`, as simulations report
+    it. At most ``_STATE_BUDGET`` states, solved to ``_DP_TOL`` in ``_DP_MAX_SWEEPS``.
     """
-    tables, probs = _dp_inputs(plants, m, delta_cap, cost, filters)
-    return joint_value_iteration(tables, probs, m)
+    _check_size(len(plants), m, delta_cap)
+    cps = [characteristic_params(pl, ss) for pl, ss in zip(plants, filters)]
+    tables = metric_cost_tables(cost, plants, filters, cps, delta_cap)
+    return joint_value_iteration(tables, [pl.p for pl in plants], m)
 
 
 def policy_action_table(
@@ -591,10 +599,13 @@ def evaluate_policy_average_cost(
     larger, up to the value-iteration tolerance). Sizes are checked before
     the policy decides on every joint state.
     """
-    tables, probs = _dp_inputs(plants, m, delta_cap, cost, filters)
+    _check_size(len(plants), m, delta_cap)
+    cps = [characteristic_params(pl, ss) for pl, ss in zip(plants, filters)]
+    tables = metric_cost_tables(cost, plants, filters, cps, delta_cap)
     n = len(plants)
     subsets = list(itertools.combinations(range(n), m))
     table = policy_action_table(policy, n, delta_cap, subsets)
+    probs = [pl.p for pl in plants]
     return joint_value_iteration(tables, probs, m, action_table=table).average_cost
 
 
@@ -644,6 +655,9 @@ class PolicySpec:
             raise ValueError(
                 f"policy option voi-cap must be at least 2, got {self.voi_delta_cap}"
             )
+        if self.dp_cost not in COST_METRICS:
+            raise ValueError(f"policy option cost must be one of "
+                             f"{', '.join(COST_METRICS)}, got {self.dp_cost!r}")
 
     def make(
         self,

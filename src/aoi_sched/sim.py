@@ -27,17 +27,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .aoi import aoi_cost_table
-from .plants import (
-    PlantModel,
-    SteadyStateFilter,
-    filters_and_params,
-    prediction_trace_table,
-    write_atomic,
-)
-from .policies import AoiGreedyPolicy, PolicySpec
+from .plants import PlantModel, filters_and_params, write_atomic
+from .policies import COST_METRICS, AoiGreedyPolicy, PolicySpec, metric_cost_tables
 
-METRICS = ("aoi-function", "trace", "squared-error")
+METRICS = COST_METRICS + ("squared-error",)
 
 DIVERGENCE_LIMIT = 1e12
 _HIST_BINS = 128  # AoI histogram bins; the last one absorbs everything older
@@ -114,21 +107,6 @@ def _cycle(plants: list[PlantModel], n: int) -> list[PlantModel]:
     return [plants[i % len(plants)] for i in range(n)]
 
 
-def _metric_tables(
-    plants: list[PlantModel], filters: list[SteadyStateFilter], cps, metric: str,
-    max_delta: int,
-) -> np.ndarray:
-    """Per-sensor cost lookup tables indexed by AoI, shape (max_delta+1, N)."""
-    if metric == "aoi-function":
-        cols = [aoi_cost_table(cp.alpha, cp.beta, max_delta) for cp in cps]
-    elif metric == "trace":
-        cols = [prediction_trace_table(pl, ss, max_delta)
-                for pl, ss in zip(plants, filters)]
-    else:
-        raise ValueError(f"metric {metric!r} has no covariance-level table")
-    return np.column_stack(cols)
-
-
 @dataclass
 class _BlockStats:
     run_means: np.ndarray
@@ -178,11 +156,11 @@ def _run_blocks(plants, proto, config: SimConfig, stride: int, make_step) -> Sim
 
     Block ``bi`` draws its channel from Philox tag ``stride * bi`` and hands
     tag ``stride * bi + 1`` to its policy clone; a level may key further
-    streams of its own above those. ``make_step(bi, b)`` builds the block's
-    per-step cost kernel ``step(gamma, deltas, measured)``, called after
-    every AoI update and read only on measured (post-warmup) steps. Runs
-    whose instantaneous cost ever exceeds 1e12 (or overflows) are reported
-    as diverged: they stop accumulating and are left out of the mean.
+    streams of its own above those. ``make_step(bi, b, diverged)`` builds the
+    block's per-step cost kernel ``step(gamma, deltas, measured)``, called
+    after every AoI update and read only on measured (post-warmup) steps.
+    Runs whose instantaneous cost ever exceeds 1e12 (or overflows) are set in
+    ``diverged``: they stop accumulating and are left out of the mean.
     """
     n = len(plants)
     if proto.n != n:
@@ -196,10 +174,10 @@ def _run_blocks(plants, proto, config: SimConfig, stride: int, make_step) -> Sim
         policy = proto.clone()
         policy.rng = _philox(config.seed, stride * bi + 1)
         ch = _philox(config.seed, stride * bi)
-        step = make_step(bi, b)
         deltas = np.ones((b, n), dtype=np.int64)
         cost_acc = np.zeros(b)
         diverged = np.zeros(b, dtype=bool)
+        step = make_step(bi, b, diverged)
         attempts = np.zeros(n, dtype=np.int64)
         successes = np.zeros(n, dtype=np.int64)
         hist = np.zeros(_HIST_BINS + 1, dtype=np.int64)
@@ -252,14 +230,15 @@ def run_covariance_sim(
     accumulated after warmup.
     """
     filters, cps = filters_and_params(plants)
-    tabs = _metric_tables(plants, filters, cps, config.metric, config.horizon + 1)
+    tabs = np.column_stack(
+        metric_cost_tables(config.metric, plants, filters, cps, config.horizon + 1))
     proto = policy_spec.make(plants, filters, cps, m)
     sensor_cols = np.arange(len(plants))[None, :]
 
     def step(gamma, deltas, measured):
         return tabs[deltas, sensor_cols].sum(axis=1) if measured else None
 
-    return _run_blocks(plants, proto, config, 2, lambda bi, b: step)
+    return _run_blocks(plants, proto, config, 2, lambda bi, b, diverged: step)
 
 
 def run_trajectory_sim(
@@ -280,7 +259,8 @@ def run_trajectory_sim(
     and reports the empirical squared error ||d||^2 summed over sensors.
     The local filter runs at its converged gain throughout, matching the
     steady-state assumption of the covariance model. Each block draws its
-    noise from a third Philox stream.
+    noise from a third Philox stream. The remote error of a diverged run
+    stays frozen (its noise is still drawn), so it cannot overflow.
     """
     cfg = replace(config, metric="squared-error")
     filters, cps = filters_and_params(plants)
@@ -289,7 +269,7 @@ def run_trajectory_sim(
     chol_r = [np.linalg.cholesky(pl.R) for pl in plants]
     chol_p = [np.linalg.cholesky(ss.posterior_cov) for ss in filters]
 
-    def make_step(bi, b):
+    def make_step(bi, b, diverged):
         noise = _philox(cfg.seed, 3 * bi + 2)
         e_loc = [noise.standard_normal((b, pl.n)) @ chol_p[i].T
                  for i, pl in enumerate(plants)]
@@ -297,12 +277,14 @@ def run_trajectory_sim(
                  for i, pl in enumerate(plants)]
 
         def step(gamma, deltas, measured):
+            live = np.flatnonzero(~diverged) if diverged.any() else slice(None)
             step_cost = np.zeros(b)
             for i, pl in enumerate(plants):
                 w = noise.standard_normal((b, pl.n)) @ chol_q[i].T
                 v = noise.standard_normal((b, pl.m)) @ chol_r[i].T
                 pred = e_loc[i] @ pl.A.T + w
-                d_rem[i] = np.where(gamma[:, i : i + 1], pred, d_rem[i] @ pl.A.T + w)
+                d_rem[i][live] = np.where(gamma[live, i : i + 1], pred[live],
+                                          d_rem[i][live] @ pl.A.T + w[live])
                 e_loc[i] = pred - (pred @ pl.C.T + v) @ filters[i].gain.T
                 step_cost += np.einsum("ij,ij->i", d_rem[i], d_rem[i])
             return step_cost

@@ -519,6 +519,9 @@ def test_parse_policy():
         ("voi-whittle:voi-cap=1", "policy option voi-cap must be at least 2, got 1"),
         ("voi-whittle:voi-cap=", "policy option voi-cap wants a number, got ''"),
         ("randomized:q=0.4+y", "policy option q wants a number, got '0.4+y'"),
+        ("dp:cost=foo", "policy option cost must be one of aoi-function, trace, got 'foo'"),
+        ("dp:cost=squared-error",
+         "policy option cost must be one of aoi-function, trace, got 'squared-error'"),
     ]:
         with pytest.raises(ValueError) as err:
             parse_policy(text)

@@ -194,15 +194,16 @@ class TestCovarianceSim:
         rep = run_covariance_sim([pl], PolicySpec("aoi-greedy"), 1, cfg)
         assert rep.diverged_runs == 50
 
-    @pytest.mark.parametrize("metric", ["trace", "aoi-function"])
+    @pytest.mark.parametrize("metric", ["trace", "aoi-function", "squared-error"])
     def test_diverged_runs_stop_accumulating_cost(self, metric):
         # a starved sensor's cost grows without bound; once a run is marked
-        # diverged its cost must not be summed on into an overflow
+        # diverged its cost must not be summed on, nor (at the trajectory
+        # level) its remote error propagated, into an overflow
         plants = generate_ensemble(2, 3, 3, (1.25, 1.3), seed=1, p_range=(0.8, 1.0))
         cfg = SimConfig(horizon=3000, runs=4, seed=0, metric=metric)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            rep = run_covariance_sim(plants, PolicySpec("randomized", q=(0.0005, 0.5)), 1, cfg)
+            warnings.simplefilter("error")
+            rep = run_sim(plants, PolicySpec("randomized", q=(0.0005, 0.5)), 1, cfg)
         assert rep.diverged_runs == 4 and rep.mean_J == float("inf")
 
     def test_stationary_histogram_matches_threshold_law(self, scalar09):
@@ -302,21 +303,23 @@ def test_measure_decision_time_smoke():
     assert all(r["median_s"] > 0 for r in rows)
 
 
-def test_dp_dominates_simulated_policies():
-    # DP optimal average cost is below every policy's simulated cost
+@pytest.mark.parametrize("metric", ["aoi-function", "trace"])
+def test_dp_dominates_simulated_policies(metric):
+    # DP optimal average cost is below every policy's simulated cost, when
+    # the DP optimizes the cost the simulation reports
     plants = generate_ensemble(3, 3, 3, (1.05, 1.2), seed=23, p_range=(0.9, 1.0))
     from aoi_sched import dp_optimal_policy
 
     filters = [steady_state_filter(pl) for pl in plants]
-    sol = dp_optimal_policy(plants, 1, delta_cap=15, filters=filters)
-    cfg = SimConfig(horizon=600, runs=800, seed=24)
+    sol = dp_optimal_policy(plants, 1, delta_cap=15, filters=filters, cost=metric)
+    cfg = SimConfig(horizon=600, runs=800, seed=24, metric=metric)
     for kind in ("lightweight", "aoi-greedy", "voi-greedy", "aoi-whittle",
                  "round-robin", "dp"):
-        spec = PolicySpec(kind, delta_cap=15)
+        spec = PolicySpec(kind, delta_cap=15, dp_cost=metric)
         rep = run_covariance_sim(plants, spec, 1, cfg)
         assert sol.average_cost <= rep.mean_J + 2 * rep.ci95 + 1e-9
     # and the dp policy itself simulates at its own average cost
-    rep_dp = run_covariance_sim(plants, PolicySpec("dp", delta_cap=15), 1, cfg)
+    rep_dp = run_covariance_sim(plants, PolicySpec("dp", delta_cap=15, dp_cost=metric), 1, cfg)
     assert rep_dp.mean_J == pytest.approx(sol.average_cost, rel=0.02)
 
 
