@@ -361,8 +361,8 @@ class DpSolution:
     average_cost: float
     delta_cap: int
     n: int
-    span: float
-    sweeps: int
+    span: float  # of the bracket min/max(T h - h); of the residual when evaluating
+    sweeps: int  # kernel applications: gather products plus Bellman sweeps
 
 
 def _axis_step(w: np.ndarray, axis: int, p: float | None) -> np.ndarray:
@@ -405,8 +405,9 @@ def _joint_cost_tensor(cost_tables: list[np.ndarray], cap: int) -> np.ndarray:
     return cost
 
 
-_DP_TOL = 1e-9  # span of the value update at which the DP stops
-_DP_MAX_SWEEPS = 100_000
+_DP_TOL = 1e-9  # span of the Bellman bracket at which the DP stops
+_DP_LOOSE_TOL = 1e-2  # residual span of evaluations between improvements
+_DP_MAX_KERNELS = 10_000  # gather products plus Bellman sweeps per solve
 _STATE_BUDGET = 2_000_000  # joint states (delta_cap^N) the DP may allocate
 
 
@@ -441,22 +442,23 @@ def _optimal_sweep(cost: np.ndarray, probs: np.ndarray, m: int):
     return sweep
 
 
-def _policy_sweep(
-    cost: np.ndarray, subsets: list[tuple[int, ...]], probs: np.ndarray,
+def _policy_product(
+    shape: tuple[int, ...], subsets: list[tuple[int, ...]], probs: np.ndarray,
     action_table: np.ndarray,
 ):
-    """Bellman sweep of a fixed policy, plus the position of AoI (1,...,1).
+    """Product ``v -> P v`` with a fixed policy's transition matrix, plus the
+    state order it works in (position -> flat state).
 
     Values live on the states ordered by action (a stable sort), so each
-    subset's states form one slice. Per subset, one int32 row per
+    subset's states form one slice. Per subset, one index row per
     success/failure pattern holds every state's successor position, with the
-    pattern's probability as its one weight; a sweep is then ``cost + sum_k
-    w_k * v[rows_k]`` per slice.
+    pattern's probability as its one weight; a product is then ``sum_k w_k *
+    v[rows_k]`` per slice.
     """
-    shape, cap = cost.shape, cost.shape[0]
+    cap = shape[0]
     order = np.argsort(action_table, kind="stable")
-    pos = np.empty(order.size, dtype=np.int32)
-    pos[order] = np.arange(order.size, dtype=np.int32)
+    pos = np.empty(order.size, dtype=np.intp)  # intp rows gather without a cast
+    pos[order] = np.arange(order.size)
     strides = cap ** np.arange(len(shape) - 1, -1, -1)
     groups, lo = [], 0
     for subset, count in zip(subsets, np.bincount(action_table, minlength=len(subsets))):
@@ -474,21 +476,74 @@ def _policy_sweep(
         if count:
             groups.append((slice(lo, lo + count), rows, weights))
         lo += count
-    cost = cost.ravel()[order]
 
-    def sweep(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        tv = np.empty_like(v)
+    def product(v: np.ndarray) -> np.ndarray:
+        pv = np.empty_like(v)
         for part, rows, weights in groups:
-            acc = v[rows[0]]
-            acc *= weights[0]
+            acc = pv[part]
+            np.multiply(v[rows[0]], weights[0], out=acc)
             for row, w in zip(rows[1:], weights[1:]):
                 term = v[row]
                 term *= w
                 acc += term
-            np.add(cost[part], acc, out=tv[part])
-        return tv, action_table
+        return pv
 
-    return sweep, int(pos[0])
+    return product, order
+
+
+def _bicgstab(apply, b: np.ndarray, x: np.ndarray, tol: float, left) -> tuple:
+    """Solve ``apply(x) = b`` by BiCGSTAB (van der Vorst 1992) until the span
+    of the true residual ``b - apply(x)`` is below ``tol``.
+
+    The recursive residual only triggers a check: the true residual is then
+    recomputed, and the iteration restarts from the current ``x`` if it
+    misses the tolerance, as it also does on breakdown or on a non-finite
+    iterate. A restart whose true residual is no better than the last one's
+    would repeat itself, so it raises, as does running out of ``left()``,
+    the kernel applications still allowed (one is kept for the last
+    residual). Returns ``x`` and its true residual.
+    """
+    best = np.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite -> restart
+        while True:
+            r = b - apply(x)
+            span = float(np.ptp(r))
+            if span < tol:
+                return x, r
+            if not span < best or left() < 3:
+                shown = span if span < best else best  # best when span is NaN
+                raise ConvergenceError(
+                    f"joint-chain DP stopped after {_DP_MAX_KERNELS - left()} of "
+                    f"at most {_DP_MAX_KERNELS} kernel applications: true residual "
+                    f"span {shown:.3g} is still above the tolerance {tol:g}"
+                )
+            best = span
+            r0, p = r.copy(), r.copy()
+            rho = float(np.dot(r0, r))
+            while left() >= 3 and rho != 0.0:
+                v = apply(p)
+                r0v = float(np.dot(r0, v))
+                if r0v == 0.0:
+                    break
+                alpha = rho / r0v
+                x += alpha * p
+                r -= alpha * v
+                if not np.ptp(r) >= tol:
+                    break
+                t = apply(r)
+                tt = float(np.dot(t, t))
+                omega = float(np.dot(t, r)) / tt if tt else 0.0
+                if omega == 0.0:
+                    break
+                x += omega * r
+                r -= omega * t
+                if not np.ptp(r) >= tol:
+                    break
+                rho_next = float(np.dot(r0, r))
+                p -= omega * v
+                p *= (rho_next / rho) * (alpha / omega)
+                p += r
+                rho = rho_next
 
 
 def joint_value_iteration(
@@ -497,21 +552,34 @@ def joint_value_iteration(
     m: int,
     action_table: np.ndarray | None = None,
 ) -> DpSolution:
-    """Relative value iteration on the joint AoI chain.
+    """Average-cost policy iteration on the joint AoI chain (Puterman 1994,
+    section 8.6).
 
     Each cost table holds AoI 0..cap (slot 0 unused) and AoI saturates at
-    that cap. Without ``action_table`` a sweep computes ``cost +
-    E[V(next)]`` for every schedule-exactly-M subset, taking the axes in
-    order and sharing the partial expectation of each active/passive prefix
-    across subsets, and keeps the running minimum (ties keep the earliest
-    subset). To evaluate a fixed ``action_table`` it instead gathers each
-    state's 2^M successor values through precomputed index rows, one row
-    per success/failure pattern of its subset. Damped updates (tau = 0.9),
-    normalised at AoI (1,...,1), stop once their span falls below
-    ``_DP_TOL``, which then brackets the average cost.
+    that cap. A policy is evaluated by solving the unichain equations ``h +
+    g - P h = c`` with ``h(1,...,1) = 0`` by BiCGSTAB, whose product ``P h``
+    gathers each state's 2^M successor values through precomputed index
+    rows. The solve stops once the span of its true residual, ``T_pi h - h
+    - g``, is below the tolerance, and ``g`` plus the residual's midpoint is
+    the policy's average cost. Evaluating a fixed ``action_table`` is that
+    one solve, to ``_DP_TOL``.
 
-    Nearly decomposable optimal chains can use up ``_DP_MAX_SWEEPS`` with the
-    span above ``_DP_TOL`` (README, numerical notes); the error names both.
+    Without ``action_table``, policy iteration starts from the myopic table
+    and improves it by one Bellman sweep on ``h``: the sweep computes ``cost
+    + E[V(next)]`` for every schedule-exactly-M subset, sharing the partial
+    expectation of each active/passive prefix across subsets. A state
+    switches only if its best subset beats its current one by more than
+    ``0.1 * _DP_TOL``. Policies are evaluated to a residual span of
+    ``_DP_LOOSE_TOL`` until no state switches, then to ``_DP_TOL``. The
+    result comes from the last sweep: its argmin (ties keep the earliest
+    subset), and the midpoint and span of the bracket ``min/max(T h - h)``
+    of the optimal average cost, which must be below ``_DP_TOL``.
+
+    ``sweeps`` counts kernel applications (gather products plus Bellman
+    sweeps), at most ``_DP_MAX_KERNELS``. A policy whose chain has more
+    than one closed class makes the equations singular: its solve raises
+    ``ConvergenceError``, naming the residual span, once a restart no
+    longer lowers that span or the budget is spent.
     """
     probs = np.asarray(probs, dtype=float)
     n = len(cost_tables)
@@ -519,35 +587,65 @@ def joint_value_iteration(
     _check_size(n, m, cap)
     subsets = list(itertools.combinations(range(n), m))
     cost = _joint_cost_tensor(cost_tables, cap)
-    if action_table is None:
-        bellman, origin = _optimal_sweep(cost, probs, m), 0
-        v = np.zeros(cost.shape)
-    else:
+    used = 0
+
+    def left() -> int:
+        return _DP_MAX_KERNELS - used
+
+    def evaluate(table: np.ndarray, x: np.ndarray, tol: float):
+        # x holds h on the flat states, except at AoI (1,...,1), flat
+        # state 0, where h is 0 and x carries the gain g
+        product, order = _policy_product(cost.shape, subsets, probs, table)
+        origin = int(np.flatnonzero(order == 0)[0])
+
+        def apply(y: np.ndarray) -> np.ndarray:
+            nonlocal used
+            used += 1
+            h = y.copy()
+            h[origin] = 0.0
+            out = h - product(h)
+            out += y[origin]
+            return out
+
+        x, r = _bicgstab(apply, cost.ravel()[order], x[order], tol, left)
+        out_x, out_r = np.empty_like(x), np.empty_like(r)
+        out_x[order], out_r[order] = x, r
+        return out_x, out_r
+
+    if action_table is not None:
         table = np.asarray(action_table).reshape(cost.size)
-        bellman, origin = _policy_sweep(cost, subsets, probs, table)
-        v = np.zeros(cost.size)
-    tau = 0.9  # damped updates converge on (near-)periodic induced chains
-    for sweep in range(1, _DP_MAX_SWEEPS + 1):
-        tv, best_arg = bellman(v)
-        gain = tv - v
-        span = float(gain.max() - gain.min())
-        theta = 0.5 * float(gain.max() + gain.min())
-        v = (1.0 - tau) * v + tau * tv
-        v -= v.flat[origin]
-        if span < _DP_TOL:
-            return DpSolution(
-                action_table=best_arg,
-                subsets=subsets,
-                average_cost=theta,
-                delta_cap=cap,
-                n=n,
-                span=span,
-                sweeps=sweep,
+        x, r = evaluate(table, np.zeros(cost.size), _DP_TOL)
+        lo, hi = float(r.min()), float(r.max())
+        return DpSolution(action_table=table, subsets=subsets,
+                          average_cost=float(x[0]) + 0.5 * (lo + hi), delta_cap=cap,
+                          n=n, span=hi - lo, sweeps=used)
+    bellman = _optimal_sweep(cost, probs, m)
+    table = bellman(cost)[1]
+    used = 1
+    x, tol = np.zeros(cost.size), _DP_LOOSE_TOL
+    while True:
+        x, r = evaluate(table, x, tol)
+        h = x.copy()
+        h[0] = 0.0
+        tv, best = bellman(h.reshape(cost.shape))
+        used += 1
+        tv = tv.ravel()
+        switch = tv < r + h + x[0] - 0.1 * _DP_TOL  # r + h + g = cost + P h
+        if switch.any():
+            table = np.where(switch, best, table)
+            continue
+        gap = tv - h
+        lo, hi = float(gap.min()), float(gap.max())
+        if hi - lo < _DP_TOL:
+            return DpSolution(action_table=best, subsets=subsets,
+                              average_cost=0.5 * (lo + hi), delta_cap=cap, n=n,
+                              span=hi - lo, sweeps=used)
+        if tol < _DP_TOL:
+            raise ConvergenceError(
+                f"joint-chain DP: Bellman bracket span {hi - lo:.3g} is above "
+                f"the tolerance {_DP_TOL:g} after an evaluation to {tol:g}"
             )
-    raise ConvergenceError(
-        f"joint value iteration used its budget of {_DP_MAX_SWEEPS} sweeps: "
-        f"last span {span:.3g} is still above the tolerance {_DP_TOL:g}"
-    )
+        tol = _DP_TOL if tol > _DP_TOL else 0.1 * _DP_TOL
 
 
 def dp_optimal_policy(
@@ -560,7 +658,9 @@ def dp_optimal_policy(
     """Optimal scheduler of the truncated joint chain plus its average cost.
 
     ``cost`` is a metric of :func:`metric_cost_tables`, as simulations report
-    it. At most ``_STATE_BUDGET`` states, solved to ``_DP_TOL`` in ``_DP_MAX_SWEEPS``.
+    it. At most ``_STATE_BUDGET`` states, solved by policy iteration to a
+    Bellman bracket below ``_DP_TOL`` in at most ``_DP_MAX_KERNELS`` kernel
+    applications.
     """
     _check_size(len(plants), m, delta_cap)
     cps = [characteristic_params(pl, ss) for pl, ss in zip(plants, filters)]
@@ -596,8 +696,10 @@ def evaluate_policy_average_cost(
 
     Shares the DP's state space and cost tables, so optimal-policy costs
     from :func:`dp_optimal_policy` are directly comparable (and provably no
-    larger, up to the value-iteration tolerance). Sizes are checked before
-    the policy decides on every joint state.
+    larger, up to the DP tolerance ``_DP_TOL``). Sizes are checked before
+    the policy decides on every joint state. A policy whose chain has more
+    than one closed class has no single average cost: the evaluation then
+    raises ``ConvergenceError`` with its residual span.
     """
     _check_size(len(plants), m, delta_cap)
     cps = [characteristic_params(pl, ss) for pl, ss in zip(plants, filters)]

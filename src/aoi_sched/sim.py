@@ -157,10 +157,11 @@ def _run_blocks(plants, proto, config: SimConfig, stride: int, make_step) -> Sim
     Block ``bi`` draws its channel from Philox tag ``stride * bi`` and hands
     tag ``stride * bi + 1`` to its policy clone; a level may key further
     streams of its own above those. ``make_step(bi, b, diverged)`` builds the
-    block's per-step cost kernel ``step(gamma, deltas, measured)``, called
-    after every AoI update and read only on measured (post-warmup) steps.
-    Runs whose instantaneous cost ever exceeds 1e12 (or overflows) are set in
-    ``diverged``: they stop accumulating and are left out of the mean.
+    block's per-step cost kernel ``step(gamma, deltas)``, called after every
+    AoI update and accumulated only on measured (post-warmup) steps. Runs
+    whose instantaneous cost ever exceeds 1e12 (or overflows), warm-up
+    included, are set in ``diverged``: they stop accumulating and are left
+    out of the mean.
     """
     n = len(plants)
     if proto.n != n:
@@ -188,11 +189,11 @@ def _run_blocks(plants, proto, config: SimConfig, stride: int, make_step) -> Sim
             t_policy += time.perf_counter() - t0
             gamma = mask & (ch.random((b, n)) < probs[None, :])
             deltas = np.where(gamma, 1, deltas + 1)
-            step_cost = step(gamma, deltas, t > warm)
+            step_cost = step(gamma, deltas)
+            diverged |= ~(step_cost <= DIVERGENCE_LIMIT)  # NaN and inf fail it too
             if t > warm:
                 attempts += mask.sum(axis=0)
                 successes += gamma.sum(axis=0)
-                diverged |= ~np.isfinite(step_cost) | (step_cost > DIVERGENCE_LIMIT)
                 cost_acc += np.where(diverged, 0.0, step_cost)
                 hist += np.bincount(
                     np.minimum(deltas, _HIST_BINS).ravel(), minlength=_HIST_BINS + 1
@@ -235,8 +236,8 @@ def run_covariance_sim(
     proto = policy_spec.make(plants, filters, cps, m)
     sensor_cols = np.arange(len(plants))[None, :]
 
-    def step(gamma, deltas, measured):
-        return tabs[deltas, sensor_cols].sum(axis=1) if measured else None
+    def step(gamma, deltas):
+        return tabs[deltas, sensor_cols].sum(axis=1)
 
     return _run_blocks(plants, proto, config, 2, lambda bi, b, diverged: step)
 
@@ -276,7 +277,7 @@ def run_trajectory_sim(
         d_rem = [noise.standard_normal((b, pl.n)) @ chol_p[i].T
                  for i, pl in enumerate(plants)]
 
-        def step(gamma, deltas, measured):
+        def step(gamma, deltas):
             live = np.flatnonzero(~diverged) if diverged.any() else slice(None)
             step_cost = np.zeros(b)
             for i, pl in enumerate(plants):

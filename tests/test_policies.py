@@ -1,5 +1,7 @@
 """Scheduling policies, the randomized stationary sampler, and the joint DP."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,7 +34,7 @@ from aoi_sched import (
     whittle_index,
     whittle_index_table,
 )
-from aoi_sched.policies import _VOI_TAIL, POLICY_KINDS, _top_m_mask
+from aoi_sched.policies import _VOI_TAIL, POLICY_KINDS, Policy, _top_m_mask
 
 
 def _ensemble(count, seed, rho=(1.05, 1.3), p_range=(0.8, 1.0)):
@@ -375,11 +377,48 @@ class TestJointDp:
     def test_sweep_budget_error_names_its_limits(self, monkeypatch):
         import aoi_sched.policies as policies
 
+        # the myopic table's sweep and the first residual use 2 of the 3
+        # kernel applications, too few for a BiCGSTAB step of the loose solve
         plants, filters, _ = _ensemble(2, 36)
-        monkeypatch.setattr(policies, "_DP_MAX_SWEEPS", 3)
-        with pytest.raises(ConvergenceError, match=r"budget of 3 sweeps: last span "
-                           r"\S+ is still above the tolerance 1e-09"):
+        monkeypatch.setattr(policies, "_DP_MAX_KERNELS", 3)
+        with pytest.raises(ConvergenceError, match=r"stopped after 2 of at most 3 kernel "
+                           r"applications: true residual span \S+ is still above the "
+                           r"tolerance 0\.01$"):
             dp_optimal_policy(plants, 1, delta_cap=6, filters=filters)
+
+    def test_multichain_evaluation_fails_fast_with_its_residual(self):
+        # with p = 1, scheduling the freshest sensor keeps it at AoI 1 while
+        # the other ages to the cap: two closed classes, (1, cap) and (cap, 1),
+        # with different costs, so the evaluation equations have no solution
+        class Freshest(Policy):
+            def decide_batch(self, deltas):
+                mask = np.zeros(deltas.shape, dtype=bool)
+                mask[np.arange(len(deltas)), np.argmin(deltas, axis=1)] = True
+                return mask
+
+        plants = [PlantModel(A=[[a]], C=[[1.0]], Q=[[1.0]], R=[[1.0]], p=1.0)
+                  for a in (1.2, 1.1)]
+        filters = [steady_state_filter(pl) for pl in plants]
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match=r"of at most \d+ kernel applications: "
+                           r"true residual span [0-9.]+ is still above the tolerance 1e-09$"):
+            evaluate_policy_average_cost(Freshest(2, 1), plants, 1, delta_cap=6,
+                                         filters=filters)
+        assert time.perf_counter() - start < 1.0
+
+    def test_nearly_decomposable_chain_solves(self):
+        # the greedy chain of this instance has a second eigenvalue of
+        # 0.99994, which stalled value iteration for 100,000 sweeps
+        plants, filters, cps = _ensemble(3, 192)
+        start = time.perf_counter()
+        sol = dp_optimal_policy(plants, 1, delta_cap=8, filters=filters)
+        ours = evaluate_policy_average_cost(
+            LightweightPolicy(cps, [pl.p for pl in plants], 1),
+            plants, 1, delta_cap=8, filters=filters,
+        )
+        assert sol.average_cost == pytest.approx(64.52734338325706, rel=1e-9)
+        assert ours == pytest.approx(64.52965500984962, rel=1e-9)
+        assert time.perf_counter() - start < 5.0
 
     def test_dp_no_worse_than_lightweight(self):
         plants, filters, cps = _ensemble(3, 34)

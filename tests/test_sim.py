@@ -206,6 +206,23 @@ class TestCovarianceSim:
             rep = run_sim(plants, PolicySpec("randomized", q=(0.0005, 0.5)), 1, cfg)
         assert rep.diverged_runs == 4 and rep.mean_J == float("inf")
 
+    def test_runs_diverging_in_warmup_stop_there(self):
+        # the starved sensor's remote error crosses 1e12 long before the
+        # warm-up ends; its run is marked diverged then, so the error is
+        # frozen instead of propagated into an overflow
+        plants = generate_ensemble(2, 3, 3, (1.25, 1.3), seed=1, p_range=(0.8, 1.0))
+        cfg = SimConfig(horizon=3300, runs=4, seed=0, metric="squared-error", warmup=3000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = run_sim(plants, PolicySpec("randomized", q=(0.0005, 0.5)), 1, cfg)
+        assert rep.diverged_runs == 4 and rep.mean_J == float("inf")
+        # at the covariance level too: each run's AoI cost beta * 4^delta
+        # crosses 1e12 somewhere in the 1999 warm-up steps, though on the one
+        # measured step most runs are below it again
+        pl = PlantModel(A=[[2.0]], C=[[1.0]], Q=[[1.0]], R=[[1.0]], p=0.05)
+        cfg = SimConfig(horizon=2000, runs=50, seed=5, metric="aoi-function", warmup=1999)
+        assert run_covariance_sim([pl], PolicySpec("aoi-greedy"), 1, cfg).diverged_runs == 50
+
     def test_stationary_histogram_matches_threshold_law(self, scalar09):
         dth = 3
         spec = _FixedPolicySpec(_SingleSensorThreshold(dth))
