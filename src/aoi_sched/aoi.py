@@ -5,8 +5,9 @@ per step plus a Lagrangian price W per transmission attempt; its optimal
 policy transmits exactly when the AoI reaches a threshold. This module
 carries the closed forms derived from that structure (threshold value
 function, average cost, attempt rate, Whittle index, stationary AoI
-distribution) plus an independent numerical oracle for the index:
-bisection over exact policy iteration on the truncated AoI chain.
+distribution) plus an independent numerical oracle for the index: Newton
+steps over exact policy iteration on the truncated AoI chain, with the root
+certified by exact solves on both sides.
 
 All operations require alpha * (1 - p) < 1: with a faster divergence rate
 than the channel can offset, the geometric series behind every closed form
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import OracleError, StabilityError
 
-# relative bracket width at which the index oracle's bisection stops
+# relative width of the sign-change bracket the index oracle certifies
 _ORACLE_REL_TOL = 1e-8
 _ORACLE_DELTA_MAX = 400  # AoI at which whittle_index_numeric truncates its chain
 
@@ -195,7 +196,7 @@ def stationary_aoi_distribution(
 
 
 # ---------------------------------------------------------------------------
-# numeric Whittle index oracle (bisection over exact policy iteration)
+# numeric Whittle index oracle (Newton steps over exact policy iteration)
 # ---------------------------------------------------------------------------
 
 
@@ -246,18 +247,20 @@ def _optimal_values(
     """Optimal relative values (and policy) at price ``w``, by policy iteration.
 
     Starts from the boolean transmit policy ``act`` and alternates exact
-    evaluation with improvement until the policy repeats; on a tie between
-    the actions a state keeps its current one, which rules out cycling
-    between equally good policies.
+    evaluation with improvement until the policy repeats. A state switches
+    only when the other action beats its current one by more than
+    1e-12 (|c(s)| + |w|): at a tie price, rounding can rank two equally good
+    policies each above the other, and a bare comparison then cycles.
     """
     k = costs.shape[0]
     nxt = np.minimum(np.arange(1, k + 1), k - 1)
+    margin = 1e-12 * (np.abs(costs) + abs(w))
     cost_list = costs.tolist()
     for _ in range(k + 1):
         h = _policy_values(cost_list, p, w, act.tolist())
         # active minus passive Q-value at every state (the cost cancels)
         gap = w + p * (h[0] - h[nxt])
-        new = (gap < 0.0) | ((gap == 0.0) & act)
+        new = np.where(act, gap <= margin, gap < -margin)
         if np.array_equal(new, act):
             return h, act
         act = new
@@ -272,12 +275,17 @@ def numeric_whittle_index(
 ) -> float:
     """Whittle index at state ``delta`` for an arbitrary per-AoI cost table.
 
-    Finds, by bisection, the price at which the active and passive actions
-    tie in the truncated average-cost chain; every probe solves that chain
-    exactly by policy iteration, warm-started from the previous probe's
-    optimal policy. Costs are normalized by their largest entry first (the
-    index scales linearly with costs). Independent of any closed form except
-    for the optional bracket hint.
+    Finds the price at which the active and passive actions tie in the
+    truncated average-cost chain. Every probe solves that chain exactly by
+    policy iteration, warm-started from the previous probe's optimal policy;
+    for that policy the advantage is affine in the price, and a Newton step
+    goes to its root. A step outside the probes' sign bracket, or a slope
+    that is not positive, halves the bracket instead (or widens it while it
+    is open). The root is returned only if exact solves a relative
+    ``_ORACLE_REL_TOL`` apart around it show the sign change. Costs are
+    normalized by their largest entry first (the index scales linearly with
+    costs). Independent of any closed form: the hint only picks the first
+    price.
     """
     costs = np.asarray(costs, dtype=float)
     k = costs.shape[0]
@@ -292,8 +300,9 @@ def numeric_whittle_index(
         raise OracleError("cost table is identically zero")
     costs = costs / scale
 
-    # transmitting everywhere has a single recurrent class at any p > 0
-    act = np.ones(k, dtype=bool)
+    # the first guess transmits from `delta` up: with the top state active
+    # the chain has a single recurrent class at any p > 0
+    act = np.arange(k) >= delta - 1
 
     def advantage(w: float) -> float:
         # active-minus-passive value at `delta`; positive means idling wins
@@ -301,32 +310,35 @@ def numeric_whittle_index(
         v, act = _optimal_values(costs, p, w, act)
         return w - p * (v[delta] - v[0])
 
-    # seed the bracket at the probed state's own cost scale, so that the
-    # doubling steps below stay in proportion to the index being sought
-    ref = float(costs[delta - 1])
-    hint = ref if bracket_hint is None else abs(bracket_hint) / scale
-    lo, hi = -hint - ref, 10.0 * hint + ref
+    # the probed state's own cost scales expansion steps and the absolute
+    # tolerance floor; a zero-cost state falls back to the largest cost
+    ref = abs(float(costs[delta - 1])) or 1.0
+    w = ref if bracket_hint is None else bracket_hint / scale
+    lo, hi, slope_act = -math.inf, math.inf, None
     for _ in range(200):
-        if advantage(lo) < 0.0:
+        adv = advantage(w)
+        lo = w if adv < 0.0 else lo
+        hi = w if adv > 0.0 else hi
+        if not np.array_equal(act, slope_act):
+            # h is affine in the price for a fixed policy: its derivative is
+            # the policy's relative value at zero costs and unit price
+            slope_act = act
+            slope = 1.0 - p * _policy_values([0.0] * k, p, 1.0, act.tolist())[delta]
+        new = w - adv / slope if slope > 0.0 else math.nan
+        if not lo < new < hi:
+            if math.isinf(lo) or math.isinf(hi):
+                new = w + math.copysign(abs(w) + ref, -adv)
+            else:
+                new = 0.5 * (lo + hi)
+        if abs(new - w) <= max(1e-13 * abs(w), 1e-15 * ref):
             break
-        lo = 2.0 * lo - ref
+        w = new
     else:
-        raise OracleError("failed to bracket the index from below")
-    for _ in range(200):
-        if advantage(hi) > 0.0:
-            break
-        hi = 2.0 * hi + ref
-    else:
-        raise OracleError("failed to bracket the index from above")
-    for _ in range(300):
-        if hi - lo <= _ORACLE_REL_TOL * max(abs(lo), abs(hi)) or hi - lo <= 1e-14 * ref:
-            break
-        mid = 0.5 * (lo + hi)
-        if advantage(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi) * scale
+        raise OracleError("index search did not converge in 200 steps")
+    half = 0.5 * max(_ORACLE_REL_TOL * abs(new), 1e-14 * ref)
+    if not advantage(new - half) < 0.0 < advantage(new + half):
+        raise OracleError("no sign change of the advantage around the index")
+    return new * scale
 
 
 def whittle_index_numeric(fn: AoiFunction, delta: int) -> float:

@@ -26,7 +26,7 @@ class FeasibilityError(AoiSchedError, ValueError):
 
 
 class OracleError(AoiSchedError, RuntimeError):
-    """A numerical oracle (bisection / policy iteration) failed."""
+    """A numerical oracle (Newton search, root certification, policy iteration) failed."""
 
 
 class UnsupportedPlantError(AoiSchedError, ValueError):

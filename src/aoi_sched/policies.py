@@ -239,7 +239,7 @@ class VoiWhittlePolicy(_ScoreTablePolicy):
     """Numeric Whittle index on the trace-of-covariance cost.
 
     No closed form exists for this cost, so each (sensor, AoI) index comes
-    from the bisection / policy-iteration oracle, filled into a table over
+    from the certified Newton / policy-iteration oracle, filled into a table over
     AoI 1..``delta_cap`` (cap at least 2) the first time a batch needs it.
     Past the cap the index is extrapolated geometrically from the last two
     entries, which preserves the ordering because the index grows with AoI.

@@ -53,7 +53,7 @@ def _stable_fn(rng, alpha_rng=(1.05, 2.0), p_rng=(0.5, 1.0), margin=0.95):
 
 
 def test_c01_whittle_oracle_equivalence():
-    """Closed form vs bisection/policy-iteration oracle on a 100-point grid."""
+    """Closed form vs the certified Newton/policy-iteration oracle on a 100-point grid."""
     start = time.perf_counter()
     rng = np.random.default_rng(101)
     worst = 0.0

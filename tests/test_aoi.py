@@ -5,15 +5,21 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoi_sched import (
     AoiFunction,
     OracleError,
     StabilityError,
     ThresholdPolicy,
+    aoi,
+    error_trace_table,
     f_value,
+    generate_ensemble,
     numeric_whittle_index,
     stationary_aoi_distribution,
+    steady_state_filter,
     threshold_average_cost,
     threshold_transmission_rate,
     threshold_value_function,
@@ -21,7 +27,8 @@ from aoi_sched import (
     whittle_index_numeric,
     whittle_index_table,
 )
-from aoi_sched.aoi import _optimal_values, aoi_cost_table
+from aoi_sched.aoi import _ORACLE_DELTA_MAX, _optimal_values, aoi_cost_table
+from aoi_sched.policies import _VOI_TAIL
 
 
 def test_f_value():
@@ -152,6 +159,32 @@ _VALUE_RTOL = 1e-6
 _INDEX_RTOL = 1e-6
 
 
+def _c01_grid():
+    """The (AoI function, AoI) pairs of acceptance criterion C01, in its order."""
+    rng = np.random.default_rng(101)
+    grid = []
+    while len(grid) < 100:
+        alpha, p = rng.uniform(1.05, 2.0), rng.uniform(0.5, 1.0)
+        if alpha * (1 - p) < 0.95:
+            fn = AoiFunction(alpha, rng.uniform(0.1, 5.0), p)
+            grid.append((fn, int(rng.integers(1, 11))))
+    return grid
+
+
+def _oracle_cases():
+    """(costs, p, AoI, hint): the C01 grid and 40 VoI trace-cost indexes.
+
+    The trace tables and hints are those VoiWhittlePolicy builds at cap 20
+    for a two-sensor ensemble.
+    """
+    cases = [(aoi_cost_table(fn.alpha, fn.beta, _ORACLE_DELTA_MAX)[1:], fn.p, d,
+              whittle_index(fn, d)) for fn, d in _c01_grid()]
+    for pl in generate_ensemble(2, 3, 3, (1.05, 1.3), seed=40, p_range=(0.8, 1.0)):
+        costs = error_trace_table(pl, steady_state_filter(pl), 20 + _VOI_TAIL)[1:]
+        cases += [(costs, pl.p, d, pl.p * costs[d]) for d in range(1, 21)]
+    return cases
+
+
 class TestWhittleOracle:
     def test_deterministic_channel(self):
         fn = AoiFunction(2.0, 1.0, 1.0)
@@ -211,6 +244,72 @@ class TestWhittleOracle:
         # transmits at AoI 1 and idles at the cheap absorbing top state
         with pytest.raises(OracleError):
             numeric_whittle_index(np.array([0.67, 0.65, 0.62]), 1.0, 1)
+
+    @pytest.mark.parametrize("delta, index", [(1, 0.375), (2, 1.5)])
+    def test_zero_cost_probed_state(self, delta, index):
+        # the probed state's own cost is zero, so it cannot scale the search
+        costs = np.array([0.0, 0.0, 1.0, 2.0])
+        w = numeric_whittle_index(costs, 0.5, delta)
+        assert w == pytest.approx(index, rel=1e-12)
+        gaps = []
+        for price in (w * (1 - _INDEX_RTOL), w * (1 + _INDEX_RTOL)):
+            v = _rvi_reference(costs, 0.5, price)
+            gaps.append(price - 0.5 * (v[delta] - v[0]))
+        assert gaps[0] < 0.0 < gaps[1], gaps
+
+    def test_tie_price_settles(self):
+        # a probe exactly at the index ties the policies that transmit from
+        # AoI delta and from delta + 1; rounding can rank each above the
+        # other, and policy iteration must still settle there
+        for costs, p, d, hint in _oracle_cases():
+            scale = float(np.max(np.abs(costs)))
+            w = numeric_whittle_index(costs, p, d, bracket_hint=hint) / scale
+            k = costs.shape[0]
+            starts = [np.ones(k, dtype=bool), np.arange(k) >= d - 1, np.arange(k) >= d]
+            for act in starts:
+                _, found = _optimal_values(costs / scale, p, w, act)
+                _optimal_values(costs / scale, p, w, found)
+
+    def test_chain_solves_per_index(self, monkeypatch):
+        # Newton steps on the affine advantage take a handful of exact chain
+        # solves per index; bisection to 1e-8 took about 57
+        calls = []
+        solve = aoi._policy_values
+        monkeypatch.setattr(aoi, "_policy_values", lambda *a: calls.append(1) or solve(*a))
+        grid = _c01_grid()
+        for fn, d in grid:
+            whittle_index_numeric(fn, d)
+        assert len(calls) <= 10 * len(grid), len(calls) / len(grid)
+
+    def test_returned_index_is_certified(self, monkeypatch):
+        # the last two exact solves sit just below and just above the
+        # returned index, a relative _ORACLE_REL_TOL = 1e-8 apart
+        prices = []
+        solve = aoi._optimal_values
+        monkeypatch.setattr(aoi, "_optimal_values",
+                            lambda c, p, w, act: prices.append(w) or solve(c, p, w, act))
+        for costs, p, d, hint in _oracle_cases()[::7]:
+            w = numeric_whittle_index(costs, p, d, bracket_hint=hint) / np.max(np.abs(costs))
+            below, above = prices[-2:]
+            assert below < w < above, (d, below, w, above)
+            assert above - below == pytest.approx(1e-8 * abs(w), rel=1e-6)
+
+    def test_hint_only_picks_the_start(self):
+        for costs, p, d, hint in _oracle_cases():
+            w = numeric_whittle_index(costs, p, d, bracket_hint=hint)
+            for other in (0.1 * hint, 10.0 * hint, None):
+                got = numeric_whittle_index(costs, p, d, bracket_hint=other)
+                assert got == pytest.approx(w, rel=1e-10), (d, other)
+
+
+@settings(max_examples=60)
+@given(alpha=st.floats(1.01, 2.5), rate=st.floats(0.0, 0.9), beta=st.floats(0.01, 100.0),
+       delta=st.integers(1, 15))
+def test_oracle_matches_closed_form(alpha, rate, beta, delta):
+    # rate = alpha (1 - p) <= 0.9 keeps what the chain's truncation at AoI
+    # 400 drops below (0.9)^385, far under the tolerance
+    fn = AoiFunction(alpha, beta, 1.0 - rate / alpha)
+    assert whittle_index_numeric(fn, delta) == pytest.approx(whittle_index(fn, delta), rel=1e-10)
 
 
 class TestThresholdAverageCost:
