@@ -1,11 +1,10 @@
-"""Command-line front end: gen | simulate | bounds | dp | sweep.
+"""Command-line front end: gen | simulate | bounds | dp.
 
 ``gen``, ``simulate --generate``, ``bounds --generate`` and ``dp`` draw
 their plants from the same flags (``--order``, ``--meas``, ``--rho-min``,
 ``--rho-max``; ``dp`` defaults ``--rho-max`` to 1.2) through one checked
-generator. ``sweep`` is an alias of ``simulate --sweep`` that takes the
-sweep as ``--kind``/``--values``. Every package error ends the command with
-exit status 1 and a one-line ``error:`` message on stderr.
+generator. Every package error ends the command with exit status 1 and a
+one-line ``error:`` message on stderr.
 """
 
 from __future__ import annotations
@@ -43,16 +42,6 @@ from .sim import (
     write_sweep_csv,
     write_sweep_json,
 )
-
-
-def _default_threads() -> int:
-    env = os.environ.get("AOI_SCHED_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -95,16 +84,10 @@ def _add_plants_source(p: argparse.ArgumentParser) -> None:
 
 
 def _sweep_of(args) -> tuple[str, list[float]] | None:
-    """The sweep of ``--sweep``, or of the alias's ``--kind``/``--values``."""
-    if getattr(args, "kind", None):
-        kind, text, given = args.kind, args.values, args.values
-        usage = f"--values wants lo:hi:steps or v1,v2,... for --kind {kind}"
-    elif args.sweep:
-        kind, _, text = args.sweep.partition(":")
-        given = args.sweep
-        usage = "--sweep wants kind:lo:hi:steps or kind:v1,v2,..."
-    else:
+    """The sweep of ``--sweep kind:lo:hi:steps`` or ``--sweep kind:v1,v2,...``."""
+    if not args.sweep:
         return None
+    kind, _, text = args.sweep.partition(":")
     try:
         if ":" in text:
             lo, hi, steps = text.split(":")
@@ -114,7 +97,9 @@ def _sweep_of(args) -> tuple[str, list[float]] | None:
     except ValueError:
         values = []
     if not values:
-        raise ValueError(f"{usage}, got {given!r}")
+        raise ValueError(
+            f"--sweep wants kind:lo:hi:steps or kind:v1,v2,..., got {args.sweep!r}"
+        )
     return kind.strip(), values
 
 
@@ -138,15 +123,15 @@ def _sim_config(args) -> SimConfig:
         seed=args.seed,
         metric=args.metric,
         warmup=args.warmup,
-        threads=_default_threads() if args.threads is None else args.threads,
+        threads=args.threads,
     )
 
 
 def cmd_simulate(args) -> int:
-    plants = _load_plants(args)
     specs = [parse_policy(p) for p in (args.policy or ["lightweight"])]
     config = _sim_config(args)
     sweep = _sweep_of(args)
+    plants = _load_plants(args)
     if sweep:
         rows = run_sweep(*sweep, plants, specs, config, m=args.m)
     else:
@@ -264,30 +249,6 @@ def cmd_dp(args) -> int:
     return 0
 
 
-def _add_simulate_args(p: argparse.ArgumentParser, alias: bool) -> None:
-    """Arguments of ``simulate``; ``alias`` builds the ``sweep`` spelling."""
-    _add_common(p)
-    _add_plants_source(p)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker pool size (default: AOI_SCHED_THREADS or 1)")
-    p.add_argument("--m", type=int, required=not alias, default=None,
-                   help="channel budget M")
-    p.add_argument("--policy", action="append",
-                   help=f"policy, one of {', '.join(POLICY_KINDS)} (repeatable)")
-    p.add_argument("--metric", type=str, default=SimConfig.metric, choices=METRICS)
-    p.add_argument("--horizon", type=int, default=SimConfig.horizon)
-    p.add_argument("--runs", type=int, default=SimConfig.runs)
-    p.add_argument("--warmup", type=int, default=None)
-    if alias:
-        p.add_argument("--kind", type=str, required=True,
-                       choices=("scale", "heterogeneity", "channel"))
-        p.add_argument("--values", type=str, required=True,
-                       help="lo:hi:steps or v1,v2,...")
-    else:
-        p.add_argument("--sweep", type=str, default=None,
-                       help="kind:lo:hi:steps or kind:v1,v2,...")
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="aoi-sched",
@@ -304,7 +265,22 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gen)
 
     s = sub.add_parser("simulate", help="Monte Carlo simulation")
-    _add_simulate_args(s, alias=False)
+    _add_common(s)
+    _add_plants_source(s)
+    s.add_argument("--threads", type=int, default=SimConfig.threads,
+                   help="worker pool size")
+    s.add_argument("--m", type=int, default=None,
+                   help="channel budget M (default: N/2, rounded; a scale sweep "
+                        "always takes N/2 at each point)")
+    s.add_argument("--policy", action="append",
+                   help=f"policy, one of {', '.join(POLICY_KINDS)} (repeatable)")
+    s.add_argument("--metric", type=str, default=SimConfig.metric, choices=METRICS)
+    s.add_argument("--horizon", type=int, default=SimConfig.horizon)
+    s.add_argument("--runs", type=int, default=SimConfig.runs)
+    s.add_argument("--warmup", type=int, default=SimConfig.warmup)
+    s.add_argument("--sweep", type=str, default=None,
+                   help="kind:lo:hi:steps or kind:v1,v2,... with kind one of "
+                        "scale, heterogeneity, channel")
     s.set_defaults(func=cmd_simulate)
 
     b = sub.add_parser("bounds", help="closed-form bounds and stability report")
@@ -321,10 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--cap", type=int, default=PolicySpec.delta_cap)
     _add_generation(d, rho_max=1.2)
     d.set_defaults(func=cmd_dp)
-
-    w = sub.add_parser("sweep", help="alias of simulate --sweep kind:values")
-    _add_simulate_args(w, alias=True)
-    w.set_defaults(func=cmd_simulate)
 
     return top
 

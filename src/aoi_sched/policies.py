@@ -796,13 +796,15 @@ class PolicySpec:
         raise ValueError(f"unknown policy kind {self.kind!r}")
 
 
-# CLI policy option -> (PolicySpec field, parser of its value)
+_FLAGS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
+
+# CLI policy option -> (kind that reads it, PolicySpec field, parser of its value)
 _POLICY_OPTIONS = {
-    "cap": ("delta_cap", int),
-    "voi-cap": ("voi_delta_cap", int),
-    "cost": ("dp_cost", str.strip),
-    "q": ("q", lambda val: tuple(float(x) for x in val.split("+"))),
-    "cache": ("use_cache", lambda val: val.strip().lower() not in ("0", "false", "no")),
+    "cap": ("dp", "delta_cap", int),
+    "cost": ("dp", "dp_cost", str.strip),
+    "voi-cap": ("voi-whittle", "voi_delta_cap", int),
+    "cache": ("voi-whittle", "use_cache", lambda val: _FLAGS[val.strip().lower()]),
+    "q": ("randomized", "q", lambda val: tuple(float(x) for x in val.split("+"))),
 }
 
 
@@ -810,6 +812,8 @@ def parse_policy(text: str) -> PolicySpec:
     """Parse a CLI policy string, e.g. ``lightweight`` or ``dp:cap=20``."""
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
+    if kind not in POLICY_KINDS:
+        raise ValueError(f"unknown policy kind {kind!r}")
     kwargs: dict = {}
     if rest:
         for item in rest.split(","):
@@ -817,11 +821,17 @@ def parse_policy(text: str) -> PolicySpec:
             key = key.strip()
             if key not in _POLICY_OPTIONS:
                 raise ValueError(f"unknown policy option {key!r}")
-            field, parse = _POLICY_OPTIONS[key]
+            owner, field, parse = _POLICY_OPTIONS[key]
+            if owner != kind:
+                raise ValueError(f"policy option {key} is for {owner}, not {kind}")
             try:
                 kwargs[field] = parse(val)
             except ValueError:
                 raise ValueError(
                     f"policy option {key} wants a number, got {val!r}"
+                ) from None
+            except KeyError:
+                raise ValueError(
+                    f"policy option {key} wants one of {'/'.join(_FLAGS)}, got {val!r}"
                 ) from None
     return PolicySpec(kind=kind, **kwargs)

@@ -23,7 +23,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +34,7 @@ METRICS = COST_METRICS + ("squared-error",)
 
 DIVERGENCE_LIMIT = 1e12
 _HIST_BINS = 128  # AoI histogram bins; the last one absorbs everything older
-_SWEEP_N_PER_M = 2.0  # N/M of sweep points that are not given M
+_DEFAULT_N_PER_M = 2.0  # N/M of a simulation not given M
 _RUN_BLOCK = 2048  # runs per block (see SimConfig)
 
 
@@ -298,10 +298,15 @@ def run_trajectory_sim(
 def run_sim(
     plants: list[PlantModel],
     policy_spec: PolicySpec,
-    m: int,
+    m: int | None,
     config: SimConfig,
 ) -> SimReport:
-    """Trajectory level for the ``squared-error`` metric, covariance otherwise."""
+    """Trajectory level for the ``squared-error`` metric, covariance otherwise.
+
+    ``m`` None takes M = N/2, rounded half to even and at least 1.
+    """
+    if m is None:
+        m = max(1, int(round(len(plants) / _DEFAULT_N_PER_M)))
     runner = (run_trajectory_sim if config.metric == "squared-error"
               else run_covariance_sim)
     return runner(plants, policy_spec, m, config)
@@ -378,10 +383,6 @@ class SweepRow:
     sweep: str
     sweep_value: float
     report: SimReport
-    time_per_decision_ns: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.time_per_decision_ns = self.report.wall_time_per_decision * 1e9
 
 
 def run_sweep(
@@ -394,31 +395,30 @@ def run_sweep(
 ) -> list[SweepRow]:
     """One SimReport per (sweep point, policy).
 
-    Kinds: ``scale`` grows N at N/M = 2; ``heterogeneity`` varies the
-    fraction of distinct plants in the ensemble; ``channel`` forces a common
-    success probability p on every sensor. The last two take M = ``m``, or
-    N/2 when ``m`` is None. Each point runs the level of :func:`run_sim`.
+    Kinds: ``scale`` grows N and takes no ``m``, as each point needs its own
+    M = N/2; ``heterogeneity`` varies the fraction (in [0, 1]) of distinct
+    plants in the ensemble; ``channel`` forces a common success probability
+    p on every sensor. Each point runs :func:`run_sim` with ``m``.
     """
+    values = [float(v) for v in values]
+    if kind not in ("scale", "heterogeneity", "channel"):
+        raise ValueError(f"unknown sweep kind {kind!r}")
+    if kind == "scale" and m is not None:
+        raise ValueError(f"a scale sweep takes M = N/2 at each point, not m={m}")
+    if kind == "heterogeneity" and not all(0.0 <= v <= 1.0 for v in values):
+        raise ValueError(f"heterogeneity fractions must lie in [0, 1], got {values}")
     rows: list[SweepRow] = []
     for value in values:
         if kind == "scale":
-            n = int(value)
-            ens = _cycle(plants, n)
-            mm = max(1, int(round(n / _SWEEP_N_PER_M)))
+            ens = _cycle(plants, int(value))
         elif kind == "heterogeneity":
-            n = len(plants)
-            distinct = max(1, int(round(float(value) * n)))
-            ens = [plants[i % distinct] for i in range(n)]
-            mm = m if m is not None else max(1, int(round(n / _SWEEP_N_PER_M)))
-        elif kind == "channel":
-            p = float(value)
-            ens = [replace(pl, p=p) for pl in plants]
-            mm = m if m is not None else max(1, int(round(len(ens) / _SWEEP_N_PER_M)))
+            distinct = max(1, int(round(value * len(plants))))
+            ens = [plants[i % distinct] for i in range(len(plants))]
         else:
-            raise ValueError(f"unknown sweep kind {kind!r}")
+            ens = [replace(pl, p=value) for pl in plants]
         for spec in policy_specs:
-            rep = run_sim(ens, spec, mm, config)
-            rows.append(SweepRow(sweep=kind, sweep_value=float(value), report=rep))
+            rep = run_sim(ens, spec, m, config)
+            rows.append(SweepRow(sweep=kind, sweep_value=value, report=rep))
     return rows
 
 
@@ -427,7 +427,7 @@ def write_sweep_csv(path: str, rows: list[SweepRow]) -> None:
     for r in rows:
         lines.append(
             f"{r.sweep_value!r},{r.report.policy},{r.report.mean_J!r},"
-            f"{r.report.ci95!r},{r.time_per_decision_ns!r},"
+            f"{r.report.ci95!r},{r.report.wall_time_per_decision * 1e9!r},"
             f"{r.report.diverged_runs}\n"
         )
     write_atomic(path, "".join(lines))
@@ -440,7 +440,7 @@ def write_sweep_json(path: str, rows: list[SweepRow]) -> None:
             {
                 "sweep": r.sweep,
                 "sweep_value": r.sweep_value,
-                "time_per_decision_ns": r.time_per_decision_ns,
+                "time_per_decision_ns": r.report.wall_time_per_decision * 1e9,
                 **r.report.to_dict(),
             }
             for r in rows

@@ -1,6 +1,9 @@
-"""Command-line surface: gen | simulate | bounds | dp | sweep."""
+"""Command-line surface: gen | simulate | bounds | dp."""
 
 import json
+import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -141,39 +144,25 @@ def test_dp_table(tmp_path, capsys):
     assert all(r >= 1.0 - 1e-9 for r in ratios)
 
 
-def test_sweep_subcommand(tmp_path):
+@pytest.mark.parametrize("sweep", [[], ["--sweep", "heterogeneity:0,1"]],
+                         ids=["plain", "heterogeneity-sweep"])
+def test_simulate_m_defaults_to_half_n(tmp_path, sweep):
     plants = tmp_path / "plants.json"
     run_cli("gen", "--count", "3", "--seed", "12", "--p-min", "0.9",
             "--out", str(plants))
-    rc = run_cli("sweep", "--plants", str(plants), "--m", "1",
-                 "--kind", "heterogeneity", "--values", "0,1",
-                 "--policy", "lightweight", "--runs", "40", "--horizon", "60",
-                 "--out", str(tmp_path / "het"))
-    assert rc == 0
-    lines = (tmp_path / "het.csv").read_text().strip().splitlines()
-    assert len(lines) == 3
-    # `sweep` is an alias: `simulate --sweep` gives the same rows
-    rc = run_cli("simulate", "--plants", str(plants), "--m", "1",
-                 "--sweep", "heterogeneity:0,1", "--policy", "lightweight",
-                 "--runs", "40", "--horizon", "60", "--out", str(tmp_path / "sim"))
-    assert rc == 0
-    docs = [json.loads((tmp_path / f"{p}.json").read_text()) for p in ("het", "sim")]
+    docs = []
+    for prefix, m in (("default", []), ("given", ["--m", "2"])):  # round(3 / 2)
+        rc = run_cli("simulate", "--plants", str(plants), *m, *sweep,
+                     "--policy", "lightweight", "--runs", "40", "--horizon", "60",
+                     "--out", str(tmp_path / prefix))
+        assert rc == 0
+        docs.append(json.loads((tmp_path / f"{prefix}.json").read_text()))
     for doc in docs:
         for row in doc["rows"]:
             row.pop("wall_time_per_decision")
             row.pop("time_per_decision_ns")
+    assert len(docs[0]["rows"]) == (2 if sweep else 1)
     assert docs[0] == docs[1]
-
-
-def test_threads_env_fallback(monkeypatch):
-    from aoi_sched.cli import _default_threads
-
-    monkeypatch.delenv("AOI_SCHED_THREADS", raising=False)
-    assert _default_threads() == 1
-    monkeypatch.setenv("AOI_SCHED_THREADS", "3")
-    assert _default_threads() == 3
-    monkeypatch.setenv("AOI_SCHED_THREADS", "junk")
-    assert _default_threads() == 1
 
 
 def test_simulate_divergence_only_exit(tmp_path, capsys):
@@ -262,10 +251,14 @@ _SWEEP_WANTS = "--sweep wants kind:lo:hi:steps or kind:v1,v2,..., got "
     *(pytest.param(["simulate", "--sweep", sweep], _SWEEP_WANTS + repr(sweep), id=sweep)
       for sweep in ["scale:1:2", "scale:1:2:x", "scale:1:2:3:4", "scale:1:2:0",
                     "channel:a,b", "channel:"]),
-    # the `sweep` alias names its own flags
-    pytest.param(["sweep", "--kind", "scale", "--values", "1:2"],
-                 "--values wants lo:hi:steps or v1,v2,... for --kind scale, got '1:2'",
-                 id="sweep-alias"),
+    # well-formed sweeps that run_sweep refuses
+    pytest.param(["simulate", "--sweep", "scale:2:4:2"],
+                 "a scale sweep takes M = N/2 at each point, not m=1", id="scale-with-m"),
+    pytest.param(["simulate", "--sweep", "heterogeneity:0,1.5"],
+                 "heterogeneity fractions must lie in [0, 1], got [0.0, 1.5]",
+                 id="heterogeneity:0,1.5"),
+    pytest.param(["simulate", "--sweep", "nothing:1"], "unknown sweep kind 'nothing'",
+                 id="nothing:1"),
 ])
 def test_simulate_rejects_malformed_sweep(tmp_path, capsys, argv, message):
     rc = run_cli(argv[0], "--generate", "2", "--m", "1", *argv[1:],
@@ -285,6 +278,25 @@ def test_simulate_rejects_policy_for_another_ensemble(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+_UNREAD_OPTION = {
+    "lightweight:cap=20": "policy option cap is for dp, not lightweight",
+    "dp:q=0.5": "policy option q is for randomized, not dp",
+    "round-robin:voi-cap=3": "policy option voi-cap is for voi-whittle, not round-robin",
+    "aoi-greedy:cost=trace": "policy option cost is for dp, not aoi-greedy",
+    "voi-whittle:cache=junk":
+        "policy option cache wants one of true/false/yes/no/1/0, got 'junk'",
+}
+
+
+@pytest.mark.parametrize("policy", list(_UNREAD_OPTION))
+def test_simulate_rejects_policy_option_it_does_not_read(tmp_path, capsys, policy):
+    rc = run_cli("simulate", "--generate", "2", "--m", "1", "--policy", policy,
+                 "--runs", "10", "--horizon", "10", "--out", str(tmp_path / "r"))
+    assert rc == 1
+    assert _UNREAD_OPTION[policy] in _one_line_error(capsys)
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("command", [["gen", "--count", "1"],
                                      ["bounds", "--m", "1"], ["dp"]])
 def test_threads_only_on_simulation_commands(capsys, command):
@@ -292,3 +304,31 @@ def test_threads_only_on_simulation_commands(capsys, command):
     with pytest.raises(SystemExit):
         run_cli(*command, "--threads", "2")
     assert "--threads" in capsys.readouterr().err
+
+
+def test_sweep_is_not_a_command(capsys):
+    with pytest.raises(SystemExit):
+        run_cli("sweep", "--kind", "channel", "--values", "0.8,1")
+    assert "invalid choice: 'sweep'" in capsys.readouterr().err
+
+
+def _readme_commands() -> list[str]:
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", readme.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("aoi-sched "):
+                commands.append(line)
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 5
+    parser = cli.build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

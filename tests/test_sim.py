@@ -309,6 +309,21 @@ class TestSweeps:
         rows = run_sweep("scale", [2, 4], plants, [PolicySpec("round-robin")], cfg)
         assert [r.sweep_value for r in rows] == [2.0, 4.0]
 
+    @pytest.mark.parametrize("kind,values,m,message", [
+        ("scale", [2, 4], 1, "a scale sweep takes M = N/2 at each point, not m=1"),
+        ("heterogeneity", [0.5, 1.01], None,
+         r"heterogeneity fractions must lie in \[0, 1\], got \[0.5, 1.01\]"),
+        ("heterogeneity", [-0.1], 1, r"fractions must lie in \[0, 1\], got \[-0.1\]"),
+    ], ids=["scale-with-m", "heterogeneity-above-1", "heterogeneity-below-0"])
+    def test_rejects_before_simulating(self, monkeypatch, kind, values, m, message):
+        def must_not_run(*args, **kwargs):
+            pytest.fail("simulated a sweep it should have refused")
+
+        monkeypatch.setattr(sim, "run_sim", must_not_run)
+        plants = generate_ensemble(2, 2, 2, (1.05, 1.15), seed=20, p_range=(0.9, 1.0))
+        with pytest.raises(ValueError, match=message):
+            run_sweep(kind, values, plants, [PolicySpec("round-robin")], SimConfig(), m=m)
+
 
 def test_measure_decision_time_smoke():
     plants = generate_ensemble(4, 2, 2, (1.05, 1.2), seed=22, p_range=(0.9, 1.0))
