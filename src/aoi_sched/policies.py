@@ -78,13 +78,16 @@ class Decision:
         return i in self.scheduled
 
 
-def _top_m_mask(scores: np.ndarray, m: int) -> np.ndarray:
+def _top_m_mask(scores: np.ndarray, m: int, neg: np.ndarray | None = None) -> np.ndarray:
     """Boolean mask of the m largest scores per row, in O(N) per row.
 
     Ranks as a stable descending sort would: equal scores go to the lowest
-    index, and NaN ranks below every number (NaN ties NaN).
+    index, and NaN ranks below every number (NaN ties NaN). Scores are
+    float64 or int64; ``neg``, if given, is scratch of their shape and
+    dtype. The mask is always a new array.
     """
-    neg = -scores  # partition puts NaN last, so the m-th entry ranks NaN last
+    # partition puts NaN last, so the m-th entry ranks NaN last
+    neg = -scores if neg is None else np.negative(scores, out=neg)
     neg.partition(m - 1, axis=1)
     kth = -neg[:, m - 1, None]  # NaN only where a row holds fewer than m numbers
     mask = scores >= kth
@@ -92,18 +95,25 @@ def _top_m_mask(scores: np.ndarray, m: int) -> np.ndarray:
     if np.count_nonzero(mask) == m * len(mask) and not np.count_nonzero(hole):
         return mask
     tie = scores == kth
-    above = mask ^ tie
+    above = np.logical_xor(mask, tie, out=mask)
     if np.count_nonzero(hole):
         above |= hole & ~np.isnan(scores)
         tie |= hole & np.isnan(scores)
     free = m - np.count_nonzero(above, axis=1, keepdims=True)
-    return above | (tie & (np.cumsum(tie, axis=1, dtype=np.int32) <= free))
+    # each tie's rank in its row, counted in place in the (8-byte) array
+    # that held -scores: a casting cumsum would copy the whole matrix
+    ranks = neg.view(np.int64)
+    np.copyto(ranks, tie)
+    tie &= np.cumsum(ranks, axis=1, out=ranks) <= free
+    above |= tie
+    return above
 
 
 class Policy:
     """Uniform decision interface; subclasses fill in ``decide_batch``."""
 
     name = "policy"
+    _scratch: list[np.ndarray] | None = None  # a clone's reusable (b, n) pair
 
     def __init__(self, n: int, m: int):
         if not (1 <= m <= n):
@@ -111,6 +121,15 @@ class Policy:
         self.n = n
         self.m = m
         self.rng: np.random.Generator | None = None
+
+    def _buffers(self, shape, dtype=np.float64) -> tuple[np.ndarray | None, ...]:
+        """A clone's two (b, n) scratch arrays, viewed as an 8-byte ``dtype``;
+        (None, None) on a policy called directly, which allocates per call."""
+        if self._scratch is None:
+            return None, None
+        if not self._scratch or self._scratch[0].shape != shape:
+            self._scratch = [np.empty(shape), np.empty(shape)]
+        return self._scratch[0].view(dtype), self._scratch[1].view(dtype)
 
     def decide_batch(self, deltas: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -128,10 +147,16 @@ class Policy:
     def reset(self) -> None:
         """Clear per-trajectory decision state (cursors); caches persist."""
 
-    def clone(self) -> "Policy":
-        """Shallow copy for a parallel worker; shares immutable tables."""
+    def clone(self, scratch=()) -> "Policy":
+        """Shallow copy for one worker thread; shares immutable tables.
+
+        ``decide_batch`` reuses one pair of 8-byte (b, n) scratch arrays on
+        a clone: ``scratch`` lends such a pair, which the caller may use
+        between decisions; without it the clone makes its own.
+        """
         dup = copy.copy(self)
         dup.reset()
+        dup._scratch = list(scratch)
         return dup
 
 
@@ -140,23 +165,33 @@ class _ScoreTablePolicy(Policy):
 
     def __init__(self, n: int, m: int):
         super().__init__(n, m)
-        # (n, cap+1) table in one slot all clones share, built once per run,
-        # not per block; threads growing it at once only repeat work, since
-        # the contents are deterministic
-        self._tables: list[np.ndarray | None] = [None]
+        # (n, cap+1) table, its flat view and the offsets of its rows there,
+        # in one slot all clones share, built once per run, not per block;
+        # threads growing it at once only repeat work, since the contents
+        # are deterministic
+        self._tables: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = [None]
 
     def _build_tables(self, max_delta: int) -> np.ndarray:
         raise NotImplementedError
 
-    def _scores(self, deltas: np.ndarray) -> np.ndarray:
+    def _scores(self, deltas: np.ndarray, out=None, index=None) -> np.ndarray:
+        """Score of each (run, sensor); ``out`` (float64) and ``index``
+        (int64) are optional (b, n) scratch for the scores and the gather."""
         dmax = int(deltas.max())
-        tables = self._tables[0]
-        if tables is None or tables.shape[1] <= dmax:
-            tables = self._tables[0] = self._build_tables(max(64, 2 * dmax))
-        return tables.T[deltas, np.arange(self.n)[None, :]]
+        slot = self._tables[0]
+        if slot is None or slot[0].shape[1] <= dmax:
+            table = self._build_tables(max(64, 2 * dmax))
+            slot = self._tables[0] = (table, table.ravel(),
+                                      np.arange(self.n) * table.shape[1])
+        _, flat, offsets = slot
+        # the table covers every AoI asked for, so no index is clipped
+        index = np.add(deltas, offsets, out=index, dtype=np.int64)  # any int AoI
+        return flat.take(index, out=out, mode="clip")
 
     def decide_batch(self, deltas: np.ndarray) -> np.ndarray:
-        return _top_m_mask(self._scores(deltas), self.m)
+        scores, neg = self._buffers(deltas.shape)
+        index = None if neg is None else neg.view(np.int64)
+        return _top_m_mask(self._scores(deltas, scores, index), self.m, neg)
 
 
 class LightweightPolicy(_ScoreTablePolicy):
@@ -194,8 +229,17 @@ class AoiGreedyPolicy(Policy):
 
     name = "aoi-greedy"
 
+    def __init__(self, n: int, m: int):
+        super().__init__(n, m)
+        self._order = np.arange(n)
+
     def decide_batch(self, deltas: np.ndarray) -> np.ndarray:
-        return _top_m_mask(deltas.astype(float), self.m)
+        # the key n * delta - i is unique in its row and ranks the older
+        # sensor first, then the lower index: no ties to break
+        key, neg = self._buffers(deltas.shape, np.int64)
+        key = np.multiply(deltas, self.n, out=key, dtype=np.int64)
+        key -= self._order
+        return _top_m_mask(key, self.m, neg)
 
 
 class VoiGreedyPolicy(_ScoreTablePolicy):
@@ -268,10 +312,10 @@ class VoiWhittlePolicy(_ScoreTablePolicy):
             error_trace_table(pl, ss, delta_cap + _VOI_TAIL)[1:]
             for pl, ss in zip(plants, filters)
         ]
-        self._tables[0] = np.full((self.n, delta_cap + 1), np.nan)
+        self._table = np.full((self.n, delta_cap + 1), np.nan)  # clones share it
 
-    def _scores(self, deltas: np.ndarray) -> np.ndarray:
-        cap, table = self.delta_cap, self._tables[0]
+    def _scores(self, deltas: np.ndarray, out=None, index=None) -> np.ndarray:
+        cap, table = self.delta_cap, self._table
         if not self.use_cache:
             table = np.full_like(table, np.nan)
         sensors = np.broadcast_to(np.arange(self.n), deltas.shape)

@@ -19,6 +19,7 @@ which is the cross-validation the test suite leans on.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -36,6 +37,8 @@ DIVERGENCE_LIMIT = 1e12
 _HIST_BINS = 128  # AoI histogram bins; the last one absorbs everything older
 _DEFAULT_N_PER_M = 2.0  # N/M of a simulation not given M
 _RUN_BLOCK = 2048  # runs per block (see SimConfig)
+# the phases of one Monte Carlo step that SimReport.timings splits its time by
+_PHASES = ("decide", "channel", "aoi_update", "cost", "accounting")
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,7 @@ class SimReport:
     per_sensor_success_rate: list[float]
     aoi_histogram: list[int]
     wall_time_per_decision: float
+    timings: dict[str, float]  # seconds per step phase, summed over blocks
     diverged_runs: int
     runs: int
     horizon: int
@@ -95,6 +99,7 @@ class SimReport:
         """Deterministic fields only: everything except wall-clock timing."""
         d = self.to_dict()
         d.pop("wall_time_per_decision")
+        d.pop("timings")
         return d
 
 
@@ -107,6 +112,12 @@ def _cycle(plants: list[PlantModel], n: int) -> list[PlantModel]:
     return [plants[i % len(plants)] for i in range(n)]
 
 
+def _default_m(n: int) -> int:
+    """M = N/2, rounded half to even and at least 1: the budget of a
+    simulation or decision timing not given M."""
+    return max(1, int(round(n / _DEFAULT_N_PER_M)))
+
+
 @dataclass
 class _BlockStats:
     run_means: np.ndarray
@@ -114,7 +125,7 @@ class _BlockStats:
     attempts: np.ndarray
     successes: np.ndarray
     histogram: np.ndarray
-    decision_time: float
+    phase_s: list[float]  # perf_counter totals, in _PHASES order
 
 
 def _aggregate(blocks: list[_BlockStats], policy_name, config) -> SimReport:
@@ -123,7 +134,7 @@ def _aggregate(blocks: list[_BlockStats], policy_name, config) -> SimReport:
     attempts = np.sum([b.attempts for b in blocks], axis=0)
     successes = np.sum([b.successes for b in blocks], axis=0)
     hist = np.sum([b.histogram for b in blocks], axis=0)
-    time_total = sum(b.decision_time for b in blocks)
+    phase_s = np.sum([b.phase_s for b in blocks], axis=0)
     ok = ~diverged
     if ok.any():
         mean_j = float(np.mean(means[ok]))
@@ -142,7 +153,8 @@ def _aggregate(blocks: list[_BlockStats], policy_name, config) -> SimReport:
         per_sensor_attempt_rate=(attempts / denom).tolist(),
         per_sensor_success_rate=success_rate.tolist(),
         aoi_histogram=hist.tolist(),
-        wall_time_per_decision=time_total / (config.runs * config.horizon),
+        wall_time_per_decision=float(phase_s[0]) / (config.runs * config.horizon),
+        timings={f"{name}_s": float(v) for name, v in zip(_PHASES, phase_s)},
         diverged_runs=int(diverged.sum()),
         runs=config.runs,
         horizon=config.horizon,
@@ -157,11 +169,17 @@ def _run_blocks(plants, proto, config: SimConfig, stride: int, make_step) -> Sim
     Block ``bi`` draws its channel from Philox tag ``stride * bi`` and hands
     tag ``stride * bi + 1`` to its policy clone; a level may key further
     streams of its own above those. ``make_step(bi, b, diverged)`` builds the
-    block's per-step cost kernel ``step(gamma, deltas)``, called after every
-    AoI update and accumulated only on measured (post-warmup) steps. Runs
-    whose instantaneous cost ever exceeds 1e12 (or overflows), warm-up
-    included, are set in ``diverged``: they stop accumulating and are left
-    out of the mean.
+    block's per-step cost kernel ``step(gamma, deltas, index, values)``,
+    called after every AoI update and accumulated only on measured
+    (post-warmup) steps; ``index`` (int64) and ``values`` (float64) are
+    (b, n) scratch arrays it may overwrite. Runs whose instantaneous cost
+    ever exceeds 1e12 (or overflows), warm-up included, are set in
+    ``diverged``: they stop accumulating and are left out of the mean.
+
+    Outside the trajectory kernel, a step allocates no (b, n) array but the
+    policy's mask: the channel draw, the cost gather, the histogram clip and
+    the policy clone's scratch share two block buffers, and the AoI vector
+    is updated in place.
     """
     n = len(plants)
     if proto.n != n:
@@ -169,42 +187,59 @@ def _run_blocks(plants, proto, config: SimConfig, stride: int, make_step) -> Sim
     probs = np.array([pl.p for pl in plants])
     warm = config.warmup_steps
     measured = config.horizon - warm
+    tick = time.perf_counter
 
     def one_block(args) -> _BlockStats:
         bi, b = args
-        policy = proto.clone()
+        values = np.empty((b, n))  # the channel draw, then the step's costs
+        index = np.empty((b, n), dtype=np.int64)  # cost-gather index, histogram clip
+        # the policy clone's scratch too: decide_batch runs while neither is in use
+        policy = proto.clone(scratch=(values, index))
         policy.rng = _philox(config.seed, stride * bi + 1)
         ch = _philox(config.seed, stride * bi)
         deltas = np.ones((b, n), dtype=np.int64)
+        gamma = np.empty((b, n), dtype=bool)
+        lost = np.empty((b, n), dtype=bool)
         cost_acc = np.zeros(b)
         diverged = np.zeros(b, dtype=bool)
         step = make_step(bi, b, diverged)
         attempts = np.zeros(n, dtype=np.int64)
         successes = np.zeros(n, dtype=np.int64)
         hist = np.zeros(_HIST_BINS + 1, dtype=np.int64)
-        t_policy = 0.0
+        phase_s = [0.0] * len(_PHASES)
         for t in range(1, config.horizon + 1):
-            t0 = time.perf_counter()
+            t0 = tick()
             mask = policy.decide_batch(deltas)
-            t_policy += time.perf_counter() - t0
-            gamma = mask & (ch.random((b, n)) < probs[None, :])
-            deltas = np.where(gamma, 1, deltas + 1)
-            step_cost = step(gamma, deltas)
+            t1 = tick()
+            np.less(ch.random(out=values), probs, out=gamma)
+            gamma &= mask
+            t2 = tick()
+            # deltas = where(gamma, 1, deltas + 1); masked writes cost more
+            deltas *= np.logical_not(gamma, out=lost)
+            deltas += 1
+            t3 = tick()
+            step_cost = step(gamma, deltas, index, values)
             diverged |= ~(step_cost <= DIVERGENCE_LIMIT)  # NaN and inf fail it too
+            t4 = tick()
             if t > warm:
                 attempts += mask.sum(axis=0)
                 successes += gamma.sum(axis=0)
                 cost_acc += np.where(diverged, 0.0, step_cost)
-                hist += np.bincount(
-                    np.minimum(deltas, _HIST_BINS).ravel(), minlength=_HIST_BINS + 1
-                )
+                np.minimum(deltas, _HIST_BINS, out=index)
+                hist += np.bincount(index.ravel(), minlength=_HIST_BINS + 1)
+            t5 = tick()
+            phase_s[0] += t1 - t0
+            phase_s[1] += t2 - t1
+            phase_s[2] += t3 - t2
+            phase_s[3] += t4 - t3
+            phase_s[4] += t5 - t4
         return _BlockStats(
             run_means=cost_acc / measured,
             diverged=diverged,
             attempts=attempts,
             successes=successes,
             histogram=hist,
-            decision_time=t_policy,
+            phase_s=phase_s,
         )
 
     sizes = [min(_RUN_BLOCK, config.runs - s) for s in range(0, config.runs, _RUN_BLOCK)]
@@ -231,13 +266,15 @@ def run_covariance_sim(
     accumulated after warmup.
     """
     filters, cps = filters_and_params(plants)
-    tabs = np.column_stack(
+    tabs = np.vstack(  # one row per sensor, over AoI 0..horizon + 1
         metric_cost_tables(config.metric, plants, filters, cps, config.horizon + 1))
     proto = policy_spec.make(plants, filters, cps, m)
-    sensor_cols = np.arange(len(plants))[None, :]
+    flat, offsets = tabs.ravel(), np.arange(len(plants)) * tabs.shape[1]
 
-    def step(gamma, deltas):
-        return tabs[deltas, sensor_cols].sum(axis=1)
+    def step(gamma, deltas, index, values):
+        # AoI never passes the horizon, so no index is clipped
+        np.add(deltas, offsets, out=index)
+        return np.take(flat, index, out=values, mode="clip").sum(axis=1)
 
     return _run_blocks(plants, proto, config, 2, lambda bi, b, diverged: step)
 
@@ -260,35 +297,74 @@ def run_trajectory_sim(
     and reports the empirical squared error ||d||^2 summed over sensors.
     The local filter runs at its converged gain throughout, matching the
     steady-state assumption of the covariance model. Each block draws its
-    noise from a third Philox stream. The remote error of a diverged run
-    stays frozen (its noise is still drawn), so it cannot overflow.
+    noise from a third Philox stream: per step one flat draw holding w_i
+    then v_i for each plant in turn. Each run of consecutive plants of one
+    (n, m) shape (a uniform ensemble is one run) steps as one stack, so its
+    noise blocks are views of that draw and each product is one ``matmul``.
+    The remote error of a diverged run stays frozen (its noise is still
+    drawn), so it cannot overflow.
     """
     cfg = replace(config, metric="squared-error")
     filters, cps = filters_and_params(plants)
     proto = policy_spec.make(plants, filters, cps, m)
-    chol_q = [np.linalg.cholesky(pl.Q) for pl in plants]
-    chol_r = [np.linalg.cholesky(pl.R) for pl in plants]
     chol_p = [np.linalg.cholesky(ss.posterior_cov) for ss in filters]
+
+    def stack_t(mats):  # each slice a transposed view, as ``M.T`` is per plant
+        return np.stack(mats).transpose(0, 2, 1)
+
+    groups = []  # (lo, hi, A^T, C^T, K^T, chol(Q)^T, chol(R)^T) per run of plants
+    lo = 0
+    for _, run in itertools.groupby(plants, key=lambda pl: (pl.n, pl.m)):
+        run = list(run)
+        hi = lo + len(run)
+        groups.append((lo, hi, stack_t([pl.A for pl in run]), stack_t([pl.C for pl in run]),
+                       stack_t([ss.gain for ss in filters[lo:hi]]),
+                       stack_t([np.linalg.cholesky(pl.Q) for pl in run]),
+                       stack_t([np.linalg.cholesky(pl.R) for pl in run])))
+        lo = hi
 
     def make_step(bi, b, diverged):
         noise = _philox(cfg.seed, 3 * bi + 2)
-        e_loc = [noise.standard_normal((b, pl.n)) @ chol_p[i].T
-                 for i, pl in enumerate(plants)]
-        d_rem = [noise.standard_normal((b, pl.n)) @ chol_p[i].T
-                 for i, pl in enumerate(plants)]
+        e_init = [noise.standard_normal((b, pl.n)) @ chol_p[i].T
+                  for i, pl in enumerate(plants)]
+        d_init = [noise.standard_normal((b, pl.n)) @ chol_p[i].T
+                  for i, pl in enumerate(plants)]
+        e_loc = [np.stack(e_init[g[0]:g[1]]) for g in groups]
+        d_rem = [np.stack(d_init[g[0]:g[1]]) for g in groups]
+        draw = np.empty(b * sum(pl.n + pl.m for pl in plants))
+        views = []  # per group: its w and v blocks in ``draw``, and a row record
+        at = 0
+        for lo, hi, _, c_t, *_ in groups:
+            nx, ny = c_t.shape[1:]
+            seg = draw[at:at + b * (hi - lo) * (nx + ny)].reshape(hi - lo, -1)
+            views.append((seg[:, :b * nx].reshape(hi - lo, b, nx),
+                          seg[:, b * nx:].reshape(hi - lo, b, ny),
+                          np.dtype((np.void, 8 * nx))))
+            at += seg.size
+        sq = np.empty((len(plants), b))  # per-plant squared errors, plant order
 
-        def step(gamma, deltas):
-            live = np.flatnonzero(~diverged) if diverged.any() else slice(None)
-            step_cost = np.zeros(b)
-            for i, pl in enumerate(plants):
-                w = noise.standard_normal((b, pl.n)) @ chol_q[i].T
-                v = noise.standard_normal((b, pl.m)) @ chol_r[i].T
-                pred = e_loc[i] @ pl.A.T + w
-                d_rem[i][live] = np.where(gamma[live, i : i + 1], pred[live],
-                                          d_rem[i][live] @ pl.A.T + w[live])
-                e_loc[i] = pred - (pred @ pl.C.T + v) @ filters[i].gain.T
-                step_cost += np.einsum("ij,ij->i", d_rem[i], d_rem[i])
-            return step_cost
+        def step(gamma, deltas, index, values):
+            frozen = diverged.any()
+            noise.standard_normal(out=draw)
+            for g, (lo, hi, a_t, c_t, k_t, lq_t, lr_t) in enumerate(groups):
+                w_raw, v_raw, row = views[g]
+                w = w_raw @ lq_t
+                pred = e_loc[g] @ a_t
+                pred += w
+                d_new = d_rem[g] @ a_t
+                d_new += w
+                # a delivery replaces whole rows: copying them as opaque
+                # records is about 3x faster than a mask broadcast along rows
+                np.copyto(d_new.view(row)[..., 0], pred.view(row)[..., 0],
+                          where=gamma[:, lo:hi].T)
+                if frozen:
+                    d_new[:, diverged] = d_rem[g][:, diverged]
+                d_rem[g] = d_new
+                y = pred @ c_t
+                y += v_raw @ lr_t
+                e_loc[g] = pred - y @ k_t
+                np.einsum("pij,pij->pi", d_new, d_new, out=sq[lo:hi])
+            return sq.sum(axis=0)
 
         return step
 
@@ -306,7 +382,7 @@ def run_sim(
     ``m`` None takes M = N/2, rounded half to even and at least 1.
     """
     if m is None:
-        m = max(1, int(round(len(plants) / _DEFAULT_N_PER_M)))
+        m = _default_m(len(plants))
     runner = (run_trajectory_sim if config.metric == "squared-error"
               else run_covariance_sim)
     return runner(plants, policy_spec, m, config)
@@ -325,7 +401,9 @@ def measure_decision_time(
     time_budget_s: float = 2.0,
     seed: int = 0,
 ) -> list[dict]:
-    """Median per-decision wall time for each (policy, N) at M = max(1, N // 2).
+    """Median per-decision wall time for each (policy, N) at the default M.
+
+    M is N/2, rounded half to even and at least 1, as in :func:`run_sim`.
 
     Decisions are timed one at a time on a pool of warm AoI states (the
     deployed call pattern, not the vectorized batch path). Policies slower
@@ -337,7 +415,7 @@ def measure_decision_time(
         ens = _cycle(plants, n)
         filters, cps = filters_and_params(ens)
         probs = np.array([pl.p for pl in ens])
-        m = max(1, n // 2)
+        m = _default_m(n)
         # warm state pool from a short greedy-scheduled chain
         rng = _philox(seed, 7)
         deltas = np.ones((128, n), dtype=np.int64)
@@ -405,6 +483,8 @@ def run_sweep(
         raise ValueError(f"unknown sweep kind {kind!r}")
     if kind == "scale" and m is not None:
         raise ValueError(f"a scale sweep takes M = N/2 at each point, not m={m}")
+    if kind == "scale" and min(values, default=1) < 1:
+        raise ValueError(f"a scale sweep point is a sensor count N >= 1, got N={min(values):g}")
     if kind == "heterogeneity" and not all(0.0 <= v <= 1.0 for v in values):
         raise ValueError(f"heterogeneity fractions must lie in [0, 1], got {values}")
     rows: list[SweepRow] = []

@@ -160,6 +160,7 @@ def test_simulate_m_defaults_to_half_n(tmp_path, sweep):
     for doc in docs:
         for row in doc["rows"]:
             row.pop("wall_time_per_decision")
+            row.pop("timings")
             row.pop("time_per_decision_ns")
     assert len(docs[0]["rows"]) == (2 if sweep else 1)
     assert docs[0] == docs[1]
@@ -265,6 +266,14 @@ def test_simulate_rejects_malformed_sweep(tmp_path, capsys, argv, message):
                  "--runs", "10", "--horizon", "10", "--out", str(tmp_path / "r"))
     assert rc == 1
     assert message in _one_line_error(capsys)
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_simulate_rejects_scale_point_below_one(tmp_path, capsys):
+    rc = run_cli("simulate", "--generate", "2", "--sweep", "scale:0,2",
+                 "--runs", "10", "--horizon", "10", "--out", str(tmp_path / "r"))
+    assert rc == 1
+    assert "a scale sweep point is a sensor count N >= 1, got N=0" in _one_line_error(capsys)
     assert not (tmp_path / "r.csv").exists()
 
 

@@ -531,6 +531,51 @@ def test_top_m_mask_matches_stable_argsort(rows, period, n, data):
         assert np.array_equal(_top_m_mask(scores, m), _argsort_reference(scores, m)), m
 
 
+# AoI values from a small set tie heavily; 10**6 checks the key's range
+_AOI = st.one_of(st.integers(1, 3), st.just(10**6))
+
+
+@settings(max_examples=200)
+@given(rows=st.integers(1, 6), n=st.integers(1, 24), data=st.data())
+def test_aoi_greedy_key_matches_top_m_mask(rows, n, data):
+    # the integer key n * delta - i has no ties, and must pick what the
+    # tie-breaking selection picks on the AoI itself
+    deltas = np.array(data.draw(st.lists(st.lists(_AOI, min_size=n, max_size=n),
+                                         min_size=rows, max_size=rows)), dtype=np.int64)
+    for m in range(1, n + 1):
+        expect = _top_m_mask(deltas.astype(float), m)
+        pol = AoiGreedyPolicy(n, m)
+        assert np.array_equal(pol.decide_batch(deltas), expect), m
+        assert np.array_equal(pol.clone().decide_batch(deltas), expect), m
+
+
+@pytest.mark.parametrize("kind", ["lightweight", "aoi-greedy", "voi-greedy", "aoi-whittle"])
+def test_clone_mask_survives_the_next_call(kind):
+    # a clone reuses its scratch from call to call (lent, as the simulator
+    # lends it, or its own); the mask it returns is new every time
+    plants, filters, cps = _ensemble(6, 31)
+    rng = np.random.default_rng(4)
+    first_in, second_in = rng.integers(1, 9, (2, 5, 6))
+    direct = PolicySpec(kind).make(plants, filters, cps, 3)
+    lent = (np.empty((5, 6)), np.empty((5, 6), dtype=np.int64))
+    for pol in (direct.clone(), direct.clone(scratch=lent)):
+        first = pol.decide_batch(first_in)
+        kept = first.copy()
+        second = pol.decide_batch(second_in)
+        assert np.array_equal(first, kept) and not np.shares_memory(first, second)
+        assert np.array_equal(first, direct.decide_batch(first_in))
+        assert np.array_equal(second, direct.decide_batch(second_in))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64])
+def test_decide_takes_any_integer_aoi_dtype(dtype):
+    plants, filters, cps = _ensemble(4, 32)
+    aoi = [3, 1, 3, 2]
+    for kind in ("lightweight", "aoi-greedy", "voi-greedy"):
+        pol = PolicySpec(kind).make(plants, filters, cps, 2)
+        assert pol.decide(np.array(aoi, dtype=dtype)) == pol.decide(np.array(aoi)), kind
+
+
 def test_top_m_mask_ranks_nan_last():
     scores = np.array([[np.nan, 1.0, np.nan, -np.inf],
                        [np.nan, np.nan, np.nan, np.nan]])

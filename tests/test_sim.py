@@ -2,6 +2,7 @@
 
 import copy
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest.mock import patch
@@ -29,6 +30,7 @@ from aoi_sched import (
     write_sweep_json,
 )
 from aoi_sched import sim
+from aoi_sched.plants import filters_and_params
 from aoi_sched.policies import Policy
 from aoi_sched.sim import _cycle, run_sim
 
@@ -238,7 +240,86 @@ class TestCovarianceSim:
         assert rep.per_sensor_attempt_rate[0] == pytest.approx(expect, abs=0.003)
 
 
+def _per_plant_trajectory_sim(plants, policy_spec, m, config):
+    """The trajectory level stepping one plant at a time (slow reference).
+
+    Same streams and draw order as ``run_trajectory_sim``: per step, w_i then
+    v_i for each plant in turn; only the live rows of the remote error move.
+    """
+    cfg = replace(config, metric="squared-error")
+    filters, cps = filters_and_params(plants)
+    proto = policy_spec.make(plants, filters, cps, m)
+    chol_q = [np.linalg.cholesky(pl.Q) for pl in plants]
+    chol_r = [np.linalg.cholesky(pl.R) for pl in plants]
+    chol_p = [np.linalg.cholesky(ss.posterior_cov) for ss in filters]
+
+    def make_step(bi, b, diverged):
+        noise = sim._philox(cfg.seed, 3 * bi + 2)
+        e_loc = [noise.standard_normal((b, pl.n)) @ chol_p[i].T
+                 for i, pl in enumerate(plants)]
+        d_rem = [noise.standard_normal((b, pl.n)) @ chol_p[i].T
+                 for i, pl in enumerate(plants)]
+
+        def step(gamma, deltas, index, values):
+            live = np.flatnonzero(~diverged) if diverged.any() else slice(None)
+            step_cost = np.zeros(b)
+            for i, pl in enumerate(plants):
+                w = noise.standard_normal((b, pl.n)) @ chol_q[i].T
+                v = noise.standard_normal((b, pl.m)) @ chol_r[i].T
+                pred = e_loc[i] @ pl.A.T + w
+                d_rem[i][live] = np.where(gamma[live, i : i + 1], pred[live],
+                                          d_rem[i][live] @ pl.A.T + w[live])
+                e_loc[i] = pred - (pred @ pl.C.T + v) @ filters[i].gain.T
+                step_cost += np.einsum("ij,ij->i", d_rem[i], d_rem[i])
+            return step_cost
+
+        return step
+
+    return sim._run_blocks(plants, proto, cfg, 3, make_step)
+
+
+def _mixed_ensemble():
+    # orders 1, 2 and 3, outputs 1 and 2; equal shapes both next to each
+    # other and apart, so plants step in stacks of one and of several
+    gen = generate_ensemble
+    return (gen(2, 1, 1, (1.05, 1.2), seed=1, p_range=(0.85, 1.0))
+            + gen(1, 3, 2, (1.05, 1.2), seed=2, p_range=(0.85, 1.0))
+            + gen(2, 2, 1, (1.05, 1.2), seed=3, p_range=(0.85, 1.0))
+            + gen(1, 1, 1, (1.05, 1.2), seed=4, p_range=(0.85, 1.0))
+            + gen(1, 3, 1, (1.05, 1.2), seed=5, p_range=(0.85, 1.0)))
+
+
+def _assert_same_stats(got, ref):
+    got, ref = got.stat_dict(), ref.stat_dict()
+    for key in ("mean_J", "ci95"):
+        assert got.pop(key) == pytest.approx(ref.pop(key), rel=1e-12, nan_ok=True), key
+    assert got == ref
+
+
 class TestTrajectorySim:
+    @pytest.mark.parametrize("kind,threads", [("lightweight", 1), ("aoi-greedy", 2)])
+    def test_stacked_step_matches_per_plant_reference(self, kind, threads):
+        plants = _mixed_ensemble()
+        cfg = SimConfig(horizon=120, runs=300, seed=7, metric="squared-error",
+                        threads=threads)
+        with patch.object(sim, "_RUN_BLOCK", 128):
+            got = run_trajectory_sim(plants, PolicySpec(kind), 3, cfg)
+            ref = _per_plant_trajectory_sim(plants, PolicySpec(kind), 3, cfg)
+        _assert_same_stats(got, ref)
+
+    def test_stacked_step_matches_reference_when_runs_diverge(self):
+        # a starved order-3 sensor diverges in some runs and not in others;
+        # the stacked step updates every row, then puts the frozen remote
+        # error of the diverged ones back
+        plants = (generate_ensemble(2, 3, 3, (1.25, 1.3), seed=1, p_range=(0.8, 1.0))
+                  + generate_ensemble(2, 1, 1, (1.05, 1.2), seed=4, p_range=(0.85, 1.0)))
+        spec = PolicySpec("randomized", q=(0.04, 0.5, 0.4, 0.4))
+        cfg = SimConfig(horizon=200, runs=40, seed=3, metric="squared-error")
+        got = run_trajectory_sim(plants, spec, 2, cfg)
+        ref = _per_plant_trajectory_sim(plants, spec, 2, cfg)
+        assert 0 < ref.diverged_runs < cfg.runs
+        _assert_same_stats(got, ref)
+
     def test_near_noiseless_limit(self):
         pl = PlantModel(A=[[1.2]], C=[[1.0]], Q=[[1e-8]], R=[[1e-8]], p=1.0)
         cfg = SimConfig(horizon=200, runs=200, seed=11, metric="squared-error")
@@ -311,10 +392,12 @@ class TestSweeps:
 
     @pytest.mark.parametrize("kind,values,m,message", [
         ("scale", [2, 4], 1, "a scale sweep takes M = N/2 at each point, not m=1"),
+        ("scale", [2, 0.5], None, r"a scale sweep point is a sensor count N >= 1, got N=0.5"),
         ("heterogeneity", [0.5, 1.01], None,
          r"heterogeneity fractions must lie in \[0, 1\], got \[0.5, 1.01\]"),
         ("heterogeneity", [-0.1], 1, r"fractions must lie in \[0, 1\], got \[-0.1\]"),
-    ], ids=["scale-with-m", "heterogeneity-above-1", "heterogeneity-below-0"])
+    ], ids=["scale-with-m", "scale-below-1", "heterogeneity-above-1",
+            "heterogeneity-below-0"])
     def test_rejects_before_simulating(self, monkeypatch, kind, values, m, message):
         def must_not_run(*args, **kwargs):
             pytest.fail("simulated a sweep it should have refused")
@@ -333,6 +416,48 @@ def test_measure_decision_time_smoke():
     )
     assert {r["policy"] for r in rows} == {"lightweight", "aoi-greedy"}
     assert all(r["median_s"] > 0 for r in rows)
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (5, 2), (7, 4)])
+def test_decision_timing_uses_the_simulation_default_m(n, m):
+    # at odd N the default M = N/2 rounds half to even, in both places
+    plants = generate_ensemble(n, 2, 2, (1.05, 1.2), seed=22, p_range=(0.9, 1.0))
+    [row] = measure_decision_time(plants, [PolicySpec("lightweight")], [n],
+                                  decisions=16, time_budget_s=0.5)
+    rep = run_sim(plants, PolicySpec("lightweight"), None, SimConfig(horizon=20, runs=4))
+    assert row["m"] == m
+    assert sum(rep.per_sensor_attempt_rate) == pytest.approx(m)
+
+
+def test_step_timings_stay_out_of_stat_dict(scalar09):
+    cfg = SimConfig(horizon=50, runs=20, seed=3)
+    rep = run_covariance_sim([scalar09], PolicySpec("lightweight"), 1, cfg)
+    timings = rep.to_dict()["timings"]
+    assert list(timings) == [f"{p}_s" for p in sim._PHASES]
+    assert all(t >= 0 for t in timings.values())
+    assert rep.wall_time_per_decision == timings["decide_s"] / (20 * 50)
+    assert "timings" not in rep.stat_dict()
+
+
+# the traced peak of one warm run at N = 1000 under the step loop that
+# allocated its temporaries per step (6,659,576 and 6,033,549 bytes with
+# numpy 2.4); the buffer-reusing loop must stay below it
+_PARENT_PEAK_BYTES = {"lightweight": 6_660_000, "aoi-greedy": 6_034_000}
+
+
+@pytest.mark.parametrize("kind", list(_PARENT_PEAK_BYTES))
+def test_covariance_sim_peak_memory_at_n1000(kind):
+    base = generate_ensemble(20, 3, 3, (1.05, 1.25), seed=5, p_range=(0.85, 1.0))
+    plants = _cycle(base, 1000)
+    cfg = SimConfig(horizon=150, runs=128, seed=5)
+    run_covariance_sim(plants, PolicySpec(kind), 500, cfg)  # warm
+    tracemalloc.start()
+    try:
+        run_covariance_sim(plants, PolicySpec(kind), 500, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _PARENT_PEAK_BYTES[kind]
 
 
 @pytest.mark.parametrize("metric", ["aoi-function", "trace"])
