@@ -6,6 +6,12 @@ M for the index policies, since costs increase with AoI and idling a slot
 never helps). Ties are always broken toward the lowest sensor index so
 decision sequences are deterministic and testable.
 
+Every top-M policy selects on an int64 key that has no ties: AoI-greedy on
+``N * delta - i``, the score-table policies on ``rank * N - i``, where rank
+is the dense rank of the sensor's score in the policy's table, ranked once
+each time the table is built or grown. A decision is then one partition per
+row, and the key alone carries the lowest-index rule.
+
 Batch variants operate on a (runs, N) AoI matrix and return a boolean
 schedule mask; the Monte Carlo engine is vectorized across independent
 runs through this interface.
@@ -15,6 +21,8 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,35 +86,34 @@ class Decision:
         return i in self.scheduled
 
 
-def _top_m_mask(scores: np.ndarray, m: int, neg: np.ndarray | None = None) -> np.ndarray:
-    """Boolean mask of the m largest scores per row, in O(N) per row.
+def _top_m_mask(keys: np.ndarray, m: int, neg: np.ndarray | None = None) -> np.ndarray:
+    """Boolean mask of the m largest keys per row, in O(N) per row.
 
-    Ranks as a stable descending sort would: equal scores go to the lowest
-    index, and NaN ranks below every number (NaN ties NaN). Scores are
-    float64 or int64; ``neg``, if given, is scratch of their shape and
-    dtype. The mask is always a new array.
+    Keys are int64 and distinct within a row (a score-table policy's ``rank
+    * N - i``, AoI-greedy's ``N * delta - i``), so exactly m are set, with
+    no tie to break. ``neg``, if given, is (b, n) int64 scratch. The mask is
+    always a new array.
     """
-    # partition puts NaN last, so the m-th entry ranks NaN last
-    neg = -scores if neg is None else np.negative(scores, out=neg)
+    neg = np.negative(keys, out=neg)
     neg.partition(m - 1, axis=1)
-    kth = -neg[:, m - 1, None]  # NaN only where a row holds fewer than m numbers
-    mask = scores >= kth
-    hole = np.isnan(kth)
-    if np.count_nonzero(mask) == m * len(mask) and not np.count_nonzero(hole):
-        return mask
-    tie = scores == kth
-    above = np.logical_xor(mask, tie, out=mask)
-    if np.count_nonzero(hole):
-        above |= hole & ~np.isnan(scores)
-        tie |= hole & np.isnan(scores)
-    free = m - np.count_nonzero(above, axis=1, keepdims=True)
-    # each tie's rank in its row, counted in place in the (8-byte) array
-    # that held -scores: a casting cumsum would copy the whole matrix
-    ranks = neg.view(np.int64)
-    np.copyto(ranks, tie)
-    tie &= np.cumsum(ranks, axis=1, out=ranks) <= free
-    above |= tie
-    return above
+    return keys >= -neg[:, m - 1, None]
+
+
+def _rank_keys(rows: np.ndarray, of) -> np.ndarray:
+    """Key table of the float scores ``rows[of]``, sensor i of N scored by
+    row ``of[i]``: ``rank * N - i``, where rank is the dense rank of a score
+    among all entries of ``rows`` (equal scores rank equal, NaN below every
+    number). Comparing keys ranks sensors as a stable descending sort of
+    their scores does: the higher score first, then the lower index.
+    """
+    _, inverse = np.unique(rows, return_inverse=True)  # ascending; NaN last
+    rank = inverse.reshape(rows.shape) + 1
+    rank[np.isnan(rows)] = 0
+    n = len(of)
+    keys = rank[of]
+    keys *= n
+    keys -= np.arange(n)[:, None]
+    return keys
 
 
 class Policy:
@@ -161,37 +168,45 @@ class Policy:
 
 
 class _ScoreTablePolicy(Policy):
-    """Top-M selection by a per-sensor score looked up from an AoI table."""
+    """Top-M selection by a per-sensor score looked up from an AoI table.
+
+    The float scores are ranked into a key table once per build (see
+    ``_rank_keys``), so a decision is one key gather, one partition and
+    one compare.
+    """
 
     def __init__(self, n: int, m: int):
         super().__init__(n, m)
-        # (n, cap+1) table, its flat view and the offsets of its rows there,
-        # in one slot all clones share, built once per run, not per block;
-        # threads growing it at once only repeat work, since the contents
-        # are deterministic
+        # (n, cols) key table, its flat view and the offsets of its rows
+        # there, in one slot all clones share, built once per run, not per
+        # block; threads growing it at once only repeat work, since the
+        # contents are deterministic
         self._tables: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = [None]
 
-    def _build_tables(self, max_delta: int) -> np.ndarray:
+    def _score_rows(self, max_delta: int) -> tuple[np.ndarray, np.ndarray]:
+        """Float scores over AoI 0..max_delta (column d at AoI d), one row
+        per distinct sensor model, and each sensor's row."""
         raise NotImplementedError
 
-    def _scores(self, deltas: np.ndarray, out=None, index=None) -> np.ndarray:
-        """Score of each (run, sensor); ``out`` (float64) and ``index``
-        (int64) are optional (b, n) scratch for the scores and the gather."""
+    def _keys(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The flat key table, covering every AoI in ``deltas``, and the
+        offsets of its rows."""
         dmax = int(deltas.max())
         slot = self._tables[0]
         if slot is None or slot[0].shape[1] <= dmax:
-            table = self._build_tables(max(64, 2 * dmax))
-            slot = self._tables[0] = (table, table.ravel(),
-                                      np.arange(self.n) * table.shape[1])
-        _, flat, offsets = slot
-        # the table covers every AoI asked for, so no index is clipped
-        index = np.add(deltas, offsets, out=index, dtype=np.int64)  # any int AoI
-        return flat.take(index, out=out, mode="clip")
+            slot = self._store(_rank_keys(*self._score_rows(max(64, 2 * dmax))))
+        return slot[1], slot[2]
+
+    def _store(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        slot = self._tables[0] = (keys, keys.ravel(), np.arange(self.n) * keys.shape[1])
+        return slot
 
     def decide_batch(self, deltas: np.ndarray) -> np.ndarray:
-        scores, neg = self._buffers(deltas.shape)
-        index = None if neg is None else neg.view(np.int64)
-        return _top_m_mask(self._scores(deltas, scores, index), self.m, neg)
+        keys, neg = self._buffers(deltas.shape, np.int64)
+        flat, offsets = self._keys(deltas)
+        # the table covers every AoI asked for, so no index is clipped
+        index = np.add(deltas, offsets, out=neg, dtype=np.int64)  # any int AoI
+        return _top_m_mask(flat.take(index, out=keys, mode="clip"), self.m, neg)
 
 
 class LightweightPolicy(_ScoreTablePolicy):
@@ -200,7 +215,7 @@ class LightweightPolicy(_ScoreTablePolicy):
     Only the scalar characteristic parameters and channel rates enter the
     score, so one decision costs a table lookup plus an O(N) partition.
     Past delta ~ 709 / log alpha the index saturates to ``inf``; saturated
-    sensors tie, and ``_top_m_mask`` then takes the lowest index, not the
+    sensors share one rank, so the key takes the lowest index, not the
     oldest sensor.
     """
 
@@ -218,10 +233,10 @@ class LightweightPolicy(_ScoreTablePolicy):
                     f"sensor {i}: alpha*(1-p) = {fn.alpha * (1 - fn.p):.4g} >= 1"
                 )
 
-    def _build_tables(self, max_delta: int) -> np.ndarray:
-        # one row per distinct sensor model: AoiFunction hashes by value
-        rows = {fn: whittle_index_table(fn, max_delta) for fn in dict.fromkeys(self.fns)}
-        return np.vstack([rows[fn] for fn in self.fns])
+    def _score_rows(self, max_delta: int) -> tuple[np.ndarray, np.ndarray]:
+        models: dict[AoiFunction, int] = {}  # AoiFunction hashes by value
+        of = [models.setdefault(fn, len(models)) for fn in self.fns]
+        return np.vstack([whittle_index_table(fn, max_delta) for fn in models]), np.array(of)
 
 
 class AoiGreedyPolicy(Policy):
@@ -252,18 +267,20 @@ class VoiGreedyPolicy(_ScoreTablePolicy):
         self.plants = plants
         self.filters = filters
 
-    def _build_tables(self, max_delta: int) -> np.ndarray:
-        # one row per distinct (plant, filter) object pair; column d holds
-        # the score at AoI d (column 0, never read, holds 0)
-        rows = {}
-        for pl, ss in zip(self.plants, self.filters):
-            if (id(pl), id(ss)) not in rows:
-                tr = error_trace_table(pl, ss, max_delta + 1)
-                rows[id(pl), id(ss)] = pl.p * (tr[1:] - tr[1])
-        return np.vstack([rows[id(pl), id(ss)] for pl, ss in zip(self.plants, self.filters)])
+    def _score_rows(self, max_delta: int) -> tuple[np.ndarray, np.ndarray]:
+        # one row per distinct (plant, filter) object pair (column 0, never
+        # read, holds 0)
+        models: dict[tuple[int, int], tuple[int, PlantModel, SteadyStateFilter]] = {}
+        of = [models.setdefault((id(pl), id(ss)), (len(models), pl, ss))[0]
+              for pl, ss in zip(self.plants, self.filters)]
+        rows = []
+        for _, pl, ss in models.values():
+            tr = error_trace_table(pl, ss, max_delta + 1)
+            rows.append(pl.p * (tr[1:] - tr[1]))
+        return np.vstack(rows), np.array(of)
 
 
-class AoiWhittlePolicy(Policy):
+class AoiWhittlePolicy(_ScoreTablePolicy):
     """Whittle index for the plain (linear) AoI cost: p*d*(d + 2/p - 1)/2."""
 
     name = "aoi-whittle"
@@ -273,10 +290,12 @@ class AoiWhittlePolicy(Policy):
         super().__init__(probs.shape[0], m)
         self.probs = probs
 
-    def decide_batch(self, deltas: np.ndarray) -> np.ndarray:
-        d = deltas.astype(float)
-        p = self.probs[None, :]
-        return _top_m_mask(0.5 * p * d * (d + 2.0 / p - 1.0), self.m)
+    def _score_rows(self, max_delta: int) -> tuple[np.ndarray, np.ndarray]:
+        # one row per distinct success probability
+        p, of = np.unique(self.probs, return_inverse=True)
+        p = p[:, None]
+        d = np.arange(max_delta + 1, dtype=float)
+        return 0.5 * p * d * (d + 2.0 / p - 1.0), of
 
 
 class VoiWhittlePolicy(_ScoreTablePolicy):
@@ -286,9 +305,12 @@ class VoiWhittlePolicy(_ScoreTablePolicy):
     from the certified Newton / policy-iteration oracle, filled into a table over
     AoI 1..``delta_cap`` (cap at least 2) the first time a batch needs it.
     Past the cap the index is extrapolated geometrically from the last two
-    entries, which preserves the ordering because the index grows with AoI.
-    Every block and thread shares the table; ``use_cache=False`` starts each
-    decision from an empty one, the online computation that C10 times.
+    entries, which preserves the ordering because the index grows with AoI;
+    an extrapolated entry is written into the table, grown past the cap as
+    AoI needs. Writing an entry drops the keys; the next decision ranks the
+    table into keys again.
+    Every block and thread shares both tables; ``use_cache=False`` starts
+    each decision from an empty one, the online computation that C10 times.
     ``PolicySpec`` holds the defaults of both knobs: cap 40, cache on.
     """
 
@@ -312,26 +334,54 @@ class VoiWhittlePolicy(_ScoreTablePolicy):
             error_trace_table(pl, ss, delta_cap + _VOI_TAIL)[1:]
             for pl, ss in zip(plants, filters)
         ]
-        self._table = np.full((self.n, delta_cap + 1), np.nan)  # clones share it
+        self._indexes: list[np.ndarray | None] = [None]  # the float table; clones share it
+        # filling, ranking and reading the shared tables is one step: a clone
+        # must not read keys ranked before another clone filled its entries
+        self._lock = threading.Lock()
 
-    def _scores(self, deltas: np.ndarray, out=None, index=None) -> np.ndarray:
-        cap, table = self.delta_cap, self._table
-        if not self.use_cache:
-            table = np.full_like(table, np.nan)
+    def _filled(self, deltas: np.ndarray) -> np.ndarray:
+        """The index table with every entry ``deltas`` reads filled; a call
+        that writes an entry (always, on a table it starts) drops the keys."""
+        cap, dmax = self.delta_cap, int(deltas.max())
+        table = self._indexes[0] if self.use_cache else None
+        if table is None or table.shape[1] <= dmax:
+            # AoI 0..cap, or room to extrapolate up to twice the largest AoI
+            grown = np.full((self.n, cap + 1 if dmax <= cap else 2 * dmax), np.nan)
+            if table is not None:
+                grown[:, :table.shape[1]] = table
+            table = grown
+            if self.use_cache:
+                self._indexes[0] = table
         sensors = np.broadcast_to(np.arange(self.n), deltas.shape)
         clipped = np.minimum(deltas, cap)
         past = np.nonzero(deltas > cap)
-        need = np.zeros(table.shape, dtype=bool)
+        need = np.zeros((self.n, cap + 1), dtype=bool)
         need[sensors, clipped] = need[past[1], cap - 1] = True
-        for i, d in zip(*np.nonzero(need & np.isnan(table))):
+        fill = np.nonzero(need & np.isnan(table[:, :cap + 1]))
+        for i, d in zip(*fill):
             costs, p = self._costs[i], self.probs[i]
             table[i, d] = numeric_whittle_index(costs, p, int(d), bracket_hint=p * costs[d])
-        scores = table[sensors, clipped]
+        if fill[0].size:
+            self._tables[0] = None
         for r, i in zip(*past):  # Python floats: numpy's power can differ in the last bit
-            w_hi, w_lo = float(table[i, cap]), float(table[i, cap - 1])
-            ratio = w_hi / w_lo if w_lo > 0 and w_hi > w_lo else 2.0
-            scores[r, i] = w_hi * ratio ** int(deltas[r, i] - cap)
-        return scores
+            d = int(deltas[r, i])
+            if math.isnan(table[i, d]):
+                w_hi, w_lo = float(table[i, cap]), float(table[i, cap - 1])
+                ratio = w_hi / w_lo if w_lo > 0 and w_hi > w_lo else 2.0
+                table[i, d] = w_hi * ratio ** (d - cap)
+                self._tables[0] = None
+        return table
+
+    def _scores(self, deltas: np.ndarray) -> np.ndarray:
+        """Float index of each (run, sensor), filled as a decision fills it."""
+        with self._lock:
+            return self._filled(deltas)[np.arange(self.n), deltas]
+
+    def _keys(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        with self._lock:
+            table = self._filled(deltas)
+            slot = self._tables[0] or self._store(_rank_keys(table, np.arange(self.n)))
+            return slot[1], slot[2]
 
 
 class RoundRobinPolicy(Policy):

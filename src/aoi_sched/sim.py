@@ -37,6 +37,7 @@ DIVERGENCE_LIMIT = 1e12
 _HIST_BINS = 128  # AoI histogram bins; the last one absorbs everything older
 _DEFAULT_N_PER_M = 2.0  # N/M of a simulation not given M
 _RUN_BLOCK = 2048  # runs per block (see SimConfig)
+_FLUSH = 255  # measured steps per flush of the uint8 counters: no count wraps
 # the phases of one Monte Carlo step that SimReport.timings splits its time by
 _PHASES = ("decide", "channel", "aoi_update", "cost", "accounting")
 
@@ -163,6 +164,14 @@ def _aggregate(blocks: list[_BlockStats], policy_name, config) -> SimReport:
     )
 
 
+def _age(deltas: np.ndarray, gamma: np.ndarray, lost: np.ndarray | None = None) -> None:
+    """AoI update in place: 1 where ``gamma`` delivered, one older elsewhere;
+    ``lost``, if given, is bool scratch of their shape."""
+    # deltas = where(gamma, 1, deltas + 1); masked writes cost more
+    deltas *= np.logical_not(gamma, out=lost)
+    deltas += 1
+
+
 def _run_blocks(plants, proto, config: SimConfig, stride: int, make_step) -> SimReport:
     """Run the replications block by block and reduce them in block order.
 
@@ -179,7 +188,10 @@ def _run_blocks(plants, proto, config: SimConfig, stride: int, make_step) -> Sim
     Outside the trajectory kernel, a step allocates no (b, n) array but the
     policy's mask: the channel draw, the cost gather, the histogram clip and
     the policy clone's scratch share two block buffers, and the AoI vector
-    is updated in place.
+    is updated in place. Attempts and successes are counted per (run,
+    sensor) by in-place adds of the bool masks into uint8 counters, which
+    are summed into the block's int64 totals every ``_FLUSH`` (255)
+    measured steps, before they can wrap, and at the horizon.
     """
     n = len(plants)
     if proto.n != n:
@@ -205,6 +217,8 @@ def _run_blocks(plants, proto, config: SimConfig, stride: int, make_step) -> Sim
         step = make_step(bi, b, diverged)
         attempts = np.zeros(n, dtype=np.int64)
         successes = np.zeros(n, dtype=np.int64)
+        tried = np.zeros((b, n), dtype=np.uint8)  # since the last flush
+        won = np.zeros((b, n), dtype=np.uint8)
         hist = np.zeros(_HIST_BINS + 1, dtype=np.int64)
         phase_s = [0.0] * len(_PHASES)
         for t in range(1, config.horizon + 1):
@@ -214,16 +228,19 @@ def _run_blocks(plants, proto, config: SimConfig, stride: int, make_step) -> Sim
             np.less(ch.random(out=values), probs, out=gamma)
             gamma &= mask
             t2 = tick()
-            # deltas = where(gamma, 1, deltas + 1); masked writes cost more
-            deltas *= np.logical_not(gamma, out=lost)
-            deltas += 1
+            _age(deltas, gamma, lost)
             t3 = tick()
             step_cost = step(gamma, deltas, index, values)
             diverged |= ~(step_cost <= DIVERGENCE_LIMIT)  # NaN and inf fail it too
             t4 = tick()
             if t > warm:
-                attempts += mask.sum(axis=0)
-                successes += gamma.sum(axis=0)
+                tried += mask.view(np.uint8)
+                won += gamma.view(np.uint8)
+                if (t - warm) % _FLUSH == 0 or t == config.horizon:
+                    attempts += tried.sum(axis=0, dtype=np.int64)
+                    successes += won.sum(axis=0, dtype=np.int64)
+                    tried.fill(0)
+                    won.fill(0)
                 cost_acc += np.where(diverged, 0.0, step_cost)
                 np.minimum(deltas, _HIST_BINS, out=index)
                 hist += np.bincount(index.ravel(), minlength=_HIST_BINS + 1)
@@ -418,13 +435,11 @@ def measure_decision_time(
         m = _default_m(n)
         # warm state pool from a short greedy-scheduled chain
         rng = _philox(seed, 7)
-        deltas = np.ones((128, n), dtype=np.int64)
+        pool = np.ones((128, n), dtype=np.int64)
         warm_pol = AoiGreedyPolicy(n, m)
         for _ in range(256):
-            mask = warm_pol.decide_batch(deltas)
-            gamma = mask & (rng.random((128, n)) < probs[None, :])
-            deltas = np.where(gamma, 1, deltas + 1)
-        pool = deltas
+            mask = warm_pol.decide_batch(pool)
+            _age(pool, mask & (rng.random((128, n)) < probs[None, :]))
         for spec in policy_specs:
             policy = spec.make(ens, filters, cps, m)
             policy.rng = _philox(seed, 11)

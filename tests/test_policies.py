@@ -34,7 +34,28 @@ from aoi_sched import (
     whittle_index,
     whittle_index_table,
 )
-from aoi_sched.policies import _VOI_TAIL, POLICY_KINDS, Policy, _top_m_mask
+from aoi_sched.policies import _VOI_TAIL, POLICY_KINDS, Policy, _ScoreTablePolicy
+
+
+def _float_scores(pol, deltas):
+    """The float scores a score-table policy ranks into keys, per (run, sensor)."""
+    deltas = np.asarray(deltas)
+    rows, of = pol._score_rows(max(64, 2 * int(deltas.max())))
+    return rows[of, deltas]
+
+
+class _GivenTable(_ScoreTablePolicy):
+    """Score-table policy over a fixed float table: sensor i scores by row
+    ``of[i]`` at column AoI (test helper)."""
+
+    name = "given-table"
+
+    def __init__(self, rows, of, m):
+        super().__init__(len(of), m)
+        self.rows, self.of = np.asarray(rows, dtype=float), np.asarray(of)
+
+    def _score_rows(self, max_delta):
+        return self.rows, self.of
 
 
 def _ensemble(count, seed, rho=(1.05, 1.3), p_range=(0.8, 1.0)):
@@ -69,7 +90,7 @@ class TestLightweight:
             cps = [CharParams(a, 1.0) for a in alphas]
             pol = LightweightPolicy(cps, [0.9, 0.9], 1)
             deltas = [[2800, 4000], [4000, 2800], [3000, 3500]]
-            assert np.all(np.isinf(pol._scores(np.array(deltas))))
+            assert np.all(np.isinf(_float_scores(pol, deltas)))
             for row in deltas:
                 assert pol.decide(row).scheduled == (0,)
 
@@ -122,7 +143,7 @@ class TestVoiGreedy:
         plants, filters, _ = _ensemble(2, 3)
         pol = VoiGreedyPolicy(plants, filters, 1)
         assert pol.decide([9000, 2]).scheduled == (0,)
-        scores = pol._scores(np.array([[9000, 2]]))
+        scores = _float_scores(pol, [[9000, 2]])
         assert scores[0, 0] == np.inf and np.isfinite(scores[0, 1])
         tr = error_trace_table(plants[0], filters[0], 9000)
         first = int(np.argmin(np.isfinite(tr)))
@@ -132,7 +153,7 @@ class TestVoiGreedy:
         plants, filters, _ = _ensemble(2, 24)
         pol = VoiGreedyPolicy(plants, filters, 1)
         deltas = np.array([[4, 4]])
-        scores = pol._scores(deltas)[0]
+        scores = _float_scores(pol, deltas)[0]
         for i, (pl, ss) in enumerate(zip(plants, filters)):
             tr = error_trace_table(pl, ss, 6)
             assert scores[i] == pytest.approx(pl.p * (tr[5] - tr[1]), rel=1e-12)
@@ -182,6 +203,16 @@ class TestVoiWhittle:
         pol = VoiWhittlePolicy(plants, filters, 1, delta_cap=8, use_cache=True)
         w12, w9, w8 = pol._scores(np.array([[12], [9], [8]]))[:, 0]
         assert w12 > w9 > w8
+
+    def test_keys_rank_entries_filled_between_decisions(self):
+        # entries filled by a float read after the keys were ranked must
+        # enter the next decision's keys
+        plants, filters, _ = _ensemble(3, 29)
+        pol = VoiWhittlePolicy(plants, filters, 1, delta_cap=8, use_cache=True)
+        pol.decide_batch(np.array([[2, 2, 2]]))
+        deltas = np.array([[7, 3, 12], [5, 8, 1]])
+        scores = pol._scores(deltas)
+        assert np.array_equal(pol.decide_batch(deltas), _argsort_reference(scores, 1))
 
     @settings(max_examples=40)
     @given(seed=st.integers(0, 10_000), cap=st.integers(2, 12), data=st.data())
@@ -292,8 +323,8 @@ def test_score_rows_built_once_per_distinct_sensor_model(monkeypatch):
         real = getattr(policies, name)
         monkeypatch.setattr(policies, name,
                             lambda *args, real=real, name=name: calls.append(name) or real(*args))
-    light = LightweightPolicy(cps, probs, 30)._scores(deltas)
-    greedy = VoiGreedyPolicy(plants, filters, 30)._scores(deltas)
+    light = _float_scores(LightweightPolicy(cps, probs, 30), deltas)
+    greedy = _float_scores(VoiGreedyPolicy(plants, filters, 30), deltas)
     assert calls == ["whittle_index_table"] * 3 + ["error_trace_table"] * 3
     assert light.tobytes() == light_ref.tobytes()
     assert greedy.tobytes() == greedy_ref.tobytes()
@@ -521,14 +552,48 @@ _SCORE = st.one_of(st.integers(0, 3).map(float),
 @given(rows=st.integers(1, 6), period=st.integers(1, 12), n=st.integers(1, 24),
        data=st.data())
 def test_top_m_mask_matches_stable_argsort(rows, period, n, data):
-    # a row repeats its first `period` scores, as an ensemble cycled from
-    # `period` plants does; period >= n gives rows with no forced repeats
-    base = np.array(data.draw(st.lists(st.lists(_SCORE, min_size=period,
-                                                 max_size=period),
-                                        min_size=rows, max_size=rows)))
-    scores = base[:, np.arange(n) % period]
+    # sensor i scores by table row i % period, as an ensemble cycled from
+    # `period` plants does (period >= n forces no repeats); each run reads
+    # each sensor at its own AoI, so one decision compares keys ranked
+    # across the whole table
+    cols = data.draw(st.integers(2, 5))
+    table = np.array(data.draw(st.lists(st.lists(_SCORE, min_size=cols, max_size=cols),
+                                        min_size=period, max_size=period)))
+    deltas = np.array(data.draw(st.lists(st.lists(st.integers(1, cols - 1), min_size=n,
+                                                  max_size=n),
+                                         min_size=rows, max_size=rows)))
+    of = np.arange(n) % period
+    scores = table[of, deltas]
     for m in range(1, n + 1):
-        assert np.array_equal(_top_m_mask(scores, m), _argsort_reference(scores, m)), m
+        pol = _GivenTable(table, of, m)
+        expect = _argsort_reference(scores, m)
+        assert np.array_equal(pol.decide_batch(deltas), expect), m
+        assert np.array_equal(pol.clone().decide_batch(deltas), expect), m
+
+
+@pytest.mark.parametrize("kind", ["lightweight", "voi-whittle"])
+def test_keys_follow_a_grown_table(kind):
+    # AoI past 64 rebuilds the lightweight keys mid-run, and AoI past the
+    # cap writes VoI-Whittle extrapolations into a grown table; either way
+    # the masks equal the stable argsort of the float indexes. Four copies
+    # of three sensor models tie at equal AoI.
+    plants, filters, cps = (x * 4 for x in _ensemble(3, 33))
+    pol = PolicySpec(kind, voi_delta_cap=6).make(plants, filters, cps, 5)
+    fns = [AoiFunction(cp.alpha, cp.beta, pl.p) for cp, pl in zip(cps, plants)]
+    rng = np.random.default_rng(33)
+    widths = []
+    for hi in (8, 30, 100, 400):
+        deltas = rng.integers(1, hi, (16, 12))
+        deltas[0] = hi  # every sensor at one AoI: ties across the copies
+        mask = pol.decide_batch(deltas)
+        if kind == "lightweight":
+            table = np.vstack([whittle_index_table(fn, 400) for fn in fns])
+            scores = table[np.arange(12), deltas]
+        else:
+            scores = pol._scores(deltas)
+        assert np.array_equal(mask, _argsort_reference(scores, 5)), hi
+        widths.append(pol._tables[0][0].shape[1])
+    assert widths[0] < widths[-1]  # the tables grew
 
 
 # AoI values from a small set tie heavily; 10**6 checks the key's range
@@ -538,12 +603,12 @@ _AOI = st.one_of(st.integers(1, 3), st.just(10**6))
 @settings(max_examples=200)
 @given(rows=st.integers(1, 6), n=st.integers(1, 24), data=st.data())
 def test_aoi_greedy_key_matches_top_m_mask(rows, n, data):
-    # the integer key n * delta - i has no ties, and must pick what the
-    # tie-breaking selection picks on the AoI itself
+    # the integer key n * delta - i has no ties, and must pick what a
+    # stable descending sort of the AoI itself picks
     deltas = np.array(data.draw(st.lists(st.lists(_AOI, min_size=n, max_size=n),
                                          min_size=rows, max_size=rows)), dtype=np.int64)
     for m in range(1, n + 1):
-        expect = _top_m_mask(deltas.astype(float), m)
+        expect = _argsort_reference(deltas.astype(float), m)
         pol = AoiGreedyPolicy(n, m)
         assert np.array_equal(pol.decide_batch(deltas), expect), m
         assert np.array_equal(pol.clone().decide_batch(deltas), expect), m
@@ -579,10 +644,13 @@ def test_decide_takes_any_integer_aoi_dtype(dtype):
 def test_top_m_mask_ranks_nan_last():
     scores = np.array([[np.nan, 1.0, np.nan, -np.inf],
                        [np.nan, np.nan, np.nan, np.nan]])
-    assert _top_m_mask(scores, 1).tolist() == [[False, True, False, False],
-                                               [True, False, False, False]]
-    assert _top_m_mask(scores, 3).tolist() == [[True, True, False, True],
-                                               [True, True, True, False]]
+    # run r reads every sensor at AoI r + 1, the column holding its scores
+    table = np.column_stack([np.zeros(4), scores.T])
+    deltas = np.array([[1] * 4, [2] * 4])
+    assert _GivenTable(table, range(4), 1).decide_batch(deltas).tolist() == [
+        [False, True, False, False], [True, False, False, False]]
+    assert _GivenTable(table, range(4), 3).decide_batch(deltas).tolist() == [
+        [True, True, False, True], [True, True, True, False]]
 
 
 def test_parse_policy():

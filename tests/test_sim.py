@@ -2,6 +2,7 @@
 
 import copy
 import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aoi_sched import (
+    AoiGreedyPolicy,
     PlantModel,
     PolicySpec,
     SimConfig,
@@ -172,6 +174,56 @@ class TestCovarianceSim:
         finally:
             sys.setswitchinterval(interval)
         assert a.stat_dict() == b.stat_dict()
+
+    def test_voi_whittle_tables_under_thread_stress(self):
+        # AoI passes voi-cap 4 in every block, so clones on 4 threads fill,
+        # extrapolate into and re-rank the shared tables at once; a clone
+        # that read keys ranked before its entries were filled would change
+        # a decision
+        ens = generate_ensemble(3, 2, 2, (1.05, 1.2), seed=8, p_range=(0.3, 0.5))
+        spec = PolicySpec("voi-whittle", voi_delta_cap=4)
+        cfg = SimConfig(horizon=60, runs=128, seed=8)
+        with patch.object(sim, "_RUN_BLOCK", 16):
+            a = run_covariance_sim(ens, spec, 1, cfg)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                b = run_covariance_sim(ens, spec, 1, replace(cfg, threads=4))
+            finally:
+                sys.setswitchinterval(interval)
+        assert sum(a.aoi_histogram[5:]) > 0
+        assert a.stat_dict() == b.stat_dict()
+
+    def test_counters_do_not_wrap(self, scalar10):
+        # every sensor is scheduled and delivers on each of 3 x 255 + 35
+        # measured steps, so the per-run uint8 counters fill three times
+        # over: each flush must land before a count wraps
+        cfg = SimConfig(horizon=800, runs=40, seed=2, warmup=0)
+        rep = run_covariance_sim([scalar10] * 3, PolicySpec("lightweight"), 3, cfg)
+        assert rep.per_sensor_attempt_rate == [1.0] * 3
+        assert rep.per_sensor_success_rate == [1.0] * 3
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    @patch.object(sim, "_RUN_BLOCK", 32)
+    def test_attempt_counts_match_the_masks_taken(self, threads):
+        # 100 runs = 3 x 32 + 4 over 600 steps, two flushes and the horizon
+        # each; every mask the policy returns is counted in int64 here
+        plants = generate_ensemble(4, 2, 2, (1.05, 1.2), seed=12, p_range=(0.5, 0.9))
+        inner = PolicySpec("lightweight").make(plants, *filters_and_params(plants), 2)
+        counted = np.zeros(4, dtype=np.int64)
+        lock = threading.Lock()
+
+        class Counting(Policy):
+            def decide_batch(self, deltas):
+                mask = inner.decide_batch(deltas)
+                with lock:
+                    np.add(counted, mask.sum(axis=0), out=counted)
+                return mask
+
+        cfg = SimConfig(horizon=600, runs=100, seed=12, warmup=0, threads=threads)
+        rep = run_covariance_sim(plants, _FixedPolicySpec(Counting(4, 2)), 2, cfg)
+        assert rep.per_sensor_attempt_rate == (counted / (600 * 100)).tolist()
+        assert 0 < min(rep.per_sensor_success_rate) and max(rep.per_sensor_success_rate) < 1
 
     def test_budget_and_rates(self):
         plants = generate_ensemble(4, 3, 3, (1.05, 1.2), seed=9, p_range=(0.85, 1.0))
@@ -416,6 +468,32 @@ def test_measure_decision_time_smoke():
     )
     assert {r["policy"] for r in rows} == {"lightweight", "aoi-greedy"}
     assert all(r["median_s"] > 0 for r in rows)
+
+
+def test_decision_timing_pool_is_the_greedy_chain():
+    # the warm pool is 256 AoI-greedy steps of 128 runs on the Philox stream
+    # (seed, 7); the reference steps the same chain by where(gamma, 1, d + 1)
+    plants = generate_ensemble(5, 2, 2, (1.05, 1.2), seed=22, p_range=(0.5, 0.9))
+    seen = []
+
+    class Recording(Policy):
+        def decide_batch(self, deltas):
+            seen.append(deltas.copy())
+            return np.zeros(deltas.shape, dtype=bool)
+
+    measure_decision_time(plants, [_FixedPolicySpec(Recording(5, 2))], [5],
+                          decisions=16, time_budget_s=5.0, seed=3)
+    rng = sim._philox(3, 7)
+    probs = np.array([pl.p for pl in plants])
+    deltas = np.ones((128, 5), dtype=np.int64)
+    for _ in range(256):
+        mask = AoiGreedyPolicy(5, 2).decide_batch(deltas)
+        gamma = mask & (rng.random((128, 5)) < probs[None, :])
+        deltas = np.where(gamma, 1, deltas + 1)
+    assert len(seen) == 17 and deltas.max() > 2
+    assert np.array_equal(seen[0], deltas[:1])
+    for k, row in enumerate(seen[1:]):
+        assert np.array_equal(row, deltas[k:k + 1]), k
 
 
 @pytest.mark.parametrize("n,m", [(3, 2), (5, 2), (7, 4)])
