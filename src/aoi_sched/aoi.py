@@ -286,6 +286,10 @@ def numeric_whittle_index(
     normalized by their largest entry first (the index scales linearly with
     costs). Independent of any closed form: the hint only picks the first
     price.
+
+    The domain is a finite, nonnegative cost table (``costs[j]`` is the cost
+    at AoI j + 1) that is not identically zero; any other table raises
+    ``OracleError`` before a chain is solved.
     """
     costs = np.asarray(costs, dtype=float)
     k = costs.shape[0]
@@ -295,6 +299,10 @@ def numeric_whittle_index(
         raise ValueError(f"p={p} outside (0, 1]")
     if not np.all(np.isfinite(costs)):
         raise OracleError("cost table overflows float64; truncate it at a smaller AoI")
+    negative = np.flatnonzero(costs < 0.0)
+    if negative.size:
+        raise OracleError(f"cost table is negative at AoI {negative[0] + 1}; "
+                          "costs must be nonnegative")
     scale = float(np.max(np.abs(costs)))
     if scale <= 0.0:
         raise OracleError("cost table is identically zero")

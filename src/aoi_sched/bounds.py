@@ -24,7 +24,7 @@ import numpy as np
 from .aoi import (AoiFunction, ThresholdPolicy, threshold_average_cost,
                   threshold_transmission_rate)
 from .errors import FeasibilityError, StabilityError, UnsupportedPlantError
-from .plants import PlantModel, SteadyStateFilter, spectral_radius, write_atomic
+from .plants import PlantModel, SteadyStateFilter, write_atomic
 
 _DEFECTIVE_COND = 1e8  # eigenvector basis above this condition number is treated as defective
 _DELTA_TILDE_CAP = 10**6
@@ -35,13 +35,13 @@ _EXACT_N_LIMIT = 6  # largest ensemble whose integer thresholds are searched exa
 
 def necessary_stability(plant: PlantModel) -> bool:
     """Mean-square stability is impossible unless rho(A)^2 (1 - p) < 1."""
-    rho = spectral_radius(plant.A)
+    rho = plant.rho
     return rho * rho * (1.0 - plant.p) < 1.0
 
 
 def sufficient_stability(plant: PlantModel, q_star_i: float) -> bool:
     """rho(A)^2 (1 - q* p) < 1 guarantees mean-square stability."""
-    rho = spectral_radius(plant.A)
+    rho = plant.rho
     return rho * rho * (1.0 - q_star_i * plant.p) < 1.0
 
 
@@ -269,7 +269,7 @@ def lower_bound_J_origin(
     """
     alphas, betas, zetas = [], [], []
     for idx, (pl, ss) in enumerate(zip(plants, filters)):
-        rho = spectral_radius(pl.A)
+        rho = pl.rho
         alpha = rho * rho
         if alpha * (1.0 - pl.p) >= 1.0:
             raise StabilityError(f"sensor {idx} violates rho^2 (1-p) < 1")

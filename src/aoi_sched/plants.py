@@ -14,13 +14,20 @@ This module provides the filter fixed point, the AoI-indexed error
 covariances, the scalar characteristic parameters (alpha, beta) that bound
 the error trace by a geometric AoI function, and a seeded random plant
 generator used by the experiment harness.
+
+Everything plant-specific is worked out once per plant object: a
+``PlantModel`` keeps rho(A) from its validation, and ``steady_state_filter``
+solves the Riccati iteration on the first call for a plant and keeps the
+result on it, so every later caller (simulation, sweep point, DP, bounds)
+shares that one read-only filter. Equal but distinct plant objects are
+solved separately.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,7 +91,8 @@ class PlantModel:
 
     Construction validates the standing assumptions: (A, C) observable,
     (A, sqrt(Q)) controllable, Q and R symmetric positive definite,
-    rho(A) > 1 and p in (0, 1].
+    rho(A) > 1 and p in (0, 1]. The validated ``rho`` = rho(A) is kept, and
+    ``steady_state_filter`` keeps its solved filter in ``_filter``.
     """
 
     A: np.ndarray
@@ -92,6 +100,9 @@ class PlantModel:
     Q: np.ndarray
     R: np.ndarray
     p: float
+    rho: float = field(init=False, repr=False, compare=False)
+    _filter: SteadyStateFilter | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("A", "C", "Q", "R"):
@@ -112,7 +123,8 @@ class PlantModel:
         _check_spd(self.R, "R")
         if not (0.0 < self.p <= 1.0):
             raise PlantInvariantError(f"p={self.p} outside (0, 1]")
-        if spectral_radius(self.A) <= 1.0:
+        object.__setattr__(self, "rho", spectral_radius(self.A))
+        if self.rho <= 1.0:
             raise PlantInvariantError("rho(A) <= 1; plants must be unstable")
         if numeric_rank(observability_matrix(self.A, self.C)) < n:
             raise PlantInvariantError("(A, C) is not observable")
@@ -150,7 +162,11 @@ class PlantModel:
 
 @dataclass(frozen=True)
 class SteadyStateFilter:
-    """Converged local Kalman filter: posterior/prior covariances and gain."""
+    """Converged local Kalman filter: posterior/prior covariances and gain.
+
+    One filter is solved per plant object and shared by every caller that
+    asks for that plant, so its three arrays are read-only.
+    """
 
     posterior_cov: np.ndarray
     prior_cov: np.ndarray
@@ -159,6 +175,21 @@ class SteadyStateFilter:
 
 
 def steady_state_filter(plant: PlantModel) -> SteadyStateFilter:
+    """The plant's steady-state filter, solved on the first call and kept.
+
+    A frozen ``PlantModel`` with read-only arrays always has one fixed
+    point, so later calls on the same object return the same filter object.
+    """
+    ss = plant._filter
+    if ss is None:
+        # threads solving one plant at once only repeat deterministic work;
+        # the last one's equal filter is kept
+        ss = _riccati_fixed_point(plant)
+        object.__setattr__(plant, "_filter", ss)
+    return ss
+
+
+def _riccati_fixed_point(plant: PlantModel) -> SteadyStateFilter:
     """Fixed point of the Riccati recursion by plain iteration from P = Q.
 
     Each sweep runs predict / gain / update and re-symmetrizes the result;
@@ -178,6 +209,8 @@ def steady_state_filter(plant: PlantModel) -> SteadyStateFilter:
             prior = a @ new_post @ a.T + q
             prior = 0.5 * (prior + prior.T)
             gain = np.linalg.solve((c @ prior @ c.T + r).T, (prior @ c.T).T).T
+            for arr in (new_post, prior, gain):
+                arr.setflags(write=False)
             return SteadyStateFilter(new_post, prior, gain, it)
         post = new_post
     raise ConvergenceError(
@@ -205,7 +238,7 @@ def characteristic_params(plant: PlantModel, ss: SteadyStateFilter) -> CharParam
     alpha = rho(A)^2 and beta = max(Tr(A Pbar A^T) / alpha, Tr(Q)), the
     smallest scale for which both AoI trace inequalities hold with that rate.
     """
-    rho = spectral_radius(plant.A)
+    rho = plant.rho
     if rho <= 1.0:
         raise PlantInvariantError("characteristic parameters need rho(A) > 1")
     alpha = rho * rho
@@ -220,14 +253,17 @@ def filters_and_params(
 ) -> tuple[list[SteadyStateFilter], list[CharParams]]:
     """Steady-state filter and characteristic parameters of every plant.
 
-    Solved once per distinct plant object and shared by every position that
-    holds it (a frozen ``PlantModel`` with read-only arrays always gives one
-    answer); equal but distinct objects are solved separately.
+    The filters are each plant object's own (see ``steady_state_filter``);
+    positions that hold one object share its filter and its parameters,
+    which are worked out once per distinct object.
     """
-    distinct = {id(pl): pl for pl in plants}
-    filters = {k: steady_state_filter(pl) for k, pl in distinct.items()}
-    cps = {k: characteristic_params(distinct[k], ss) for k, ss in filters.items()}
-    return [filters[id(pl)] for pl in plants], [cps[id(pl)] for pl in plants]
+    solved: dict[int, tuple[SteadyStateFilter, CharParams]] = {}
+    for pl in plants:
+        if id(pl) not in solved:
+            ss = steady_state_filter(pl)
+            solved[id(pl)] = ss, characteristic_params(pl, ss)
+    pairs = [solved[id(pl)] for pl in plants]
+    return [ss for ss, _ in pairs], [cp for _, cp in pairs]
 
 
 def _aged_cov(p1: np.ndarray, a: np.ndarray, q: np.ndarray, delta: int) -> np.ndarray:

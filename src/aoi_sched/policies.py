@@ -146,10 +146,10 @@ class Policy:
         deltas = np.asarray(deltas)
         if deltas.shape != (self.n,):
             raise ValueError(f"AoI vector must have shape ({self.n},), got {deltas.shape}")
-        if deltas.dtype.kind not in "iu" or np.any(deltas < 1):
+        if deltas.dtype.kind not in "iu" or deltas.min() < 1:
             raise ValueError(f"AoI values must be positive integers, got {deltas.tolist()}")
         mask = self.decide_batch(deltas[None, :])[0]
-        return Decision(scheduled=tuple(int(i) for i in np.flatnonzero(mask)))
+        return Decision(scheduled=tuple(np.flatnonzero(mask).tolist()))
 
     def reset(self) -> None:
         """Clear per-trajectory decision state (cursors); caches persist."""

@@ -21,6 +21,18 @@ def scalar_filter(scalar_plant):
     return steady_state_filter(scalar_plant)
 
 
+@pytest.fixture
+def riccati_solves(monkeypatch):
+    """Plants the Riccati iteration runs on during the test, in call order."""
+    import aoi_sched.plants as plants_mod
+
+    solved = []
+    real = plants_mod._riccati_fixed_point
+    monkeypatch.setattr(plants_mod, "_riccati_fixed_point",
+                        lambda pl: solved.append(pl) or real(pl))
+    return solved
+
+
 @pytest.fixture(scope="session")
 def scalar_pbar():
     # independent oracle: the scalar Riccati fixed point solves

@@ -245,6 +245,16 @@ class TestWhittleOracle:
         with pytest.raises(OracleError):
             numeric_whittle_index(np.array([0.67, 0.65, 0.62]), 1.0, 1)
 
+    def test_negative_costs_rejected_before_any_solve(self, monkeypatch):
+        # the oracle's domain is a nonnegative table; a mixed-sign one fails
+        # fast, naming its first negative AoI
+        monkeypatch.setattr(aoi, "_optimal_values",
+                            lambda *a: pytest.fail("solved a chain outside the domain"))
+        costs = np.array([0.5, 1.0, -0.2, 2.0, -1.0])
+        for p in (0.5, 1.0):
+            with pytest.raises(OracleError, match="negative at AoI 3; costs must be nonnegative"):
+                numeric_whittle_index(costs, p, 1)
+
     @pytest.mark.parametrize("delta, index", [(1, 0.375), (2, 1.5)])
     def test_zero_cost_probed_state(self, delta, index):
         # the probed state's own cost is zero, so it cannot scale the search

@@ -1,6 +1,8 @@
 """Plant model, filter fixed point, characteristic parameters, generation."""
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from unittest.mock import patch
 
 import numpy as np
@@ -62,9 +64,12 @@ class TestSteadyStateFilter:
         rng = np.random.default_rng(0)
         pl = generate_plant(3, 3, (1.05, 1.3), rng)
         fast = steady_state_filter(pl)
+        # an equal fresh object, since ``pl`` keeps its solved filter
+        twin = PlantModel.from_dict(pl.to_dict())
         with (patch.object(plants_mod, "_RICCATI_TOL", 1e-14),
               patch.object(plants_mod, "_RICCATI_MAX_ITERS", 1_000_000)):
-            slow = steady_state_filter(pl)
+            slow = steady_state_filter(twin)
+        assert slow.iterations > fast.iterations
         np.testing.assert_allclose(fast.posterior_cov, slow.posterior_cov, atol=1e-8)
 
     def test_fixed_point_property(self, scalar_plant, scalar_filter):
@@ -80,9 +85,55 @@ class TestSteadyStateFilter:
         assert np.min(np.linalg.eigvalsh(gap)) >= -1e-12
 
     @patch.object(plants_mod, "_RICCATI_MAX_ITERS", 3)
-    def test_nonconvergence_raises(self, scalar_plant):
+    def test_nonconvergence_raises(self):
+        # a fresh plant: the session's scalar plant may already be solved
+        pl = PlantModel(A=[[1.2]], C=[[1.0]], Q=[[1.0]], R=[[1.0]], p=0.9)
         with pytest.raises(ConvergenceError):
-            steady_state_filter(scalar_plant)
+            steady_state_filter(pl)
+        assert pl._filter is None
+
+    def test_solved_once_per_plant_object(self, riccati_solves):
+        pl = generate_plant(3, 2, (1.05, 1.3), np.random.default_rng(4))
+        first = steady_state_filter(pl)
+        assert steady_state_filter(pl) is first
+        assert riccati_solves == [pl]
+        # an equal but distinct object is solved on its own, to the same bits
+        twin = PlantModel.from_dict(pl.to_dict())
+        again = steady_state_filter(twin)
+        assert again is not first and len(riccati_solves) == 2
+        for name in ("posterior_cov", "prior_cov", "gain"):
+            assert getattr(again, name).tobytes() == getattr(first, name).tobytes()
+
+    def test_first_solve_under_thread_stress(self):
+        # threads racing on a plant's first solve each get a filter of the
+        # same bits, and the plant keeps one of them for every later call
+        base = generate_ensemble(6, 3, 3, (1.05, 1.3), seed=6)
+        plants = [PlantModel.from_dict(pl.to_dict()) for pl in base * 4]
+        ref = [steady_state_filter(pl) for pl in base]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(lambda pl: [steady_state_filter(pl) for _ in range(3)],
+                                    plants * 2))
+        finally:
+            sys.setswitchinterval(interval)
+        for i, runs in enumerate(got):
+            pl = plants[i % len(plants)]
+            for ss in runs:
+                assert ss.posterior_cov.tobytes() == ref[i % 6].posterior_cov.tobytes()
+                assert ss.gain.tobytes() == ref[i % 6].gain.tobytes()
+            assert steady_state_filter(pl) is pl._filter is steady_state_filter(pl)
+
+    def test_filter_arrays_reject_writes(self, scalar_filter):
+        for arr in (scalar_filter.posterior_cov, scalar_filter.prior_cov,
+                    scalar_filter.gain):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0.0
+
+    def test_rho_kept_from_validation(self):
+        pl = generate_plant(4, 2, (1.05, 1.3), np.random.default_rng(5))
+        assert pl.rho == spectral_radius(pl.A)
 
 
 class TestCharacteristicParams:

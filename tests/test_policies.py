@@ -511,6 +511,19 @@ def test_decide_rejects_aoi_not_shaped_n(kind):
     assert len(pol.decide([5, 2, 1]).scheduled) <= 1
 
 
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_decision_holds_python_ints(kind):
+    plants, filters, cps = _ensemble(4, 38, rho=(1.05, 1.15))
+    one, batch = (PolicySpec(kind, delta_cap=6, voi_delta_cap=6).make(plants, filters, cps, 2)
+                  for _ in range(2))
+    one.rng, batch.rng = np.random.default_rng(38), np.random.default_rng(38)
+    aoi = [3, 1, 5, 2]
+    scheduled = one.decide(np.array(aoi, dtype=np.uint16)).scheduled
+    mask = batch.decide_batch(np.array([aoi], dtype=np.int64))[0]
+    assert type(scheduled) is tuple and all(type(i) is int for i in scheduled)
+    assert scheduled == tuple(int(i) for i in np.flatnonzero(mask))
+
+
 @settings(max_examples=30)
 @given(mn=st.sampled_from([(m, n) for n in (1, 2, 3) for m in range(1, n + 1)]),
        seed=st.integers(0, 10_000), data=st.data())

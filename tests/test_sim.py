@@ -1,6 +1,7 @@
 """Monte Carlo engine: covariance and trajectory simulation, sweeps, timing."""
 
 import copy
+import json
 import sys
 import threading
 import tracemalloc
@@ -136,27 +137,32 @@ class TestCovarianceSim:
         assert built == [64, 64, 64]
 
     @patch.object(sim, "_RUN_BLOCK", 32)
-    def test_riccati_solved_once_per_distinct_plant(self, monkeypatch):
+    def test_riccati_solved_once_per_distinct_plant(self, monkeypatch, riccati_solves):
         import aoi_sched.plants as plants_mod
 
-        solved = []
+        calls = []  # public calls, through the module global the benchmark wraps
         real = plants_mod.steady_state_filter
-
-        def counting(plant, *args, **kwargs):
-            solved.append(plant)
-            return real(plant, *args, **kwargs)
-
-        monkeypatch.setattr(plants_mod, "steady_state_filter", counting)
+        monkeypatch.setattr(plants_mod, "steady_state_filter",
+                            lambda pl: calls.append(pl) or real(pl))
         base = generate_ensemble(3, 2, 2, (1.05, 1.2), seed=8, p_range=(0.85, 1.0))
         cfg = SimConfig(horizon=40, runs=50, seed=8)
         cycled = run_covariance_sim(_cycle(base, 60), PolicySpec("lightweight"), 30, cfg)
-        assert len(solved) == 3
+        assert len(riccati_solves) == 3 and len(calls) == 3
+        # a second simulation of the same plant objects solves nothing, and
+        # its seeded statistics are byte-identical to the cold run's
+        riccati_solves.clear()
+        again = run_covariance_sim(_cycle(base, 60), PolicySpec("lightweight"), 30, cfg)
+        assert riccati_solves == []
+        assert _stat_bytes(again) == _stat_bytes(cycled)
         # equal but distinct plant objects are each solved, to the same result
-        solved.clear()
-        copies = [copy.deepcopy(pl) for pl in _cycle(base, 60)]
+        copies = [PlantModel.from_dict(pl.to_dict()) for pl in _cycle(base, 60)]
         distinct = run_covariance_sim(copies, PolicySpec("lightweight"), 30, cfg)
-        assert len(solved) == 60
-        assert distinct.stat_dict() == cycled.stat_dict()
+        assert len(riccati_solves) == 60
+        assert _stat_bytes(distinct) == _stat_bytes(cycled)
+        # a deep copy of a solved plant carries its filter
+        riccati_solves.clear()
+        steady_state_filter(copy.deepcopy(base[0]))
+        assert riccati_solves == []
 
     @patch.object(sim, "_RUN_BLOCK", 32)
     def test_shared_index_tables_under_thread_stress(self):
@@ -458,6 +464,45 @@ class TestSweeps:
         plants = generate_ensemble(2, 2, 2, (1.05, 1.15), seed=20, p_range=(0.9, 1.0))
         with pytest.raises(ValueError, match=message):
             run_sweep(kind, values, plants, [PolicySpec("round-robin")], SimConfig(), m=m)
+
+
+def _stat_bytes(report) -> str:
+    return json.dumps(report.stat_dict(), sort_keys=True)
+
+
+def _assert_each_solved_at_most_once(solved, base):
+    assert len(solved) == len({id(pl) for pl in solved}) <= len(base)
+    assert {id(pl) for pl in solved} <= {id(pl) for pl in base}
+
+
+def test_trajectory_sim_solves_each_plant_once(riccati_solves):
+    base = generate_ensemble(3, 2, 2, (1.05, 1.2), seed=9, p_range=(0.85, 1.0))
+    cfg = SimConfig(horizon=40, runs=16, seed=9)
+    cold = run_trajectory_sim(_cycle(base, 12), PolicySpec("lightweight"), 6, cfg)
+    _assert_each_solved_at_most_once(riccati_solves, base)
+    riccati_solves.clear()
+    warm = run_trajectory_sim(_cycle(base, 12), PolicySpec("lightweight"), 6, cfg)
+    assert riccati_solves == [] and _stat_bytes(warm) == _stat_bytes(cold)
+
+
+def test_dp_solve_and_evaluation_solve_each_plant_once(riccati_solves):
+    from aoi_sched import LightweightPolicy, dp_optimal_policy, evaluate_policy_average_cost
+
+    base = generate_ensemble(2, 2, 2, (1.05, 1.2), seed=10, p_range=(0.85, 1.0))
+    ens = _cycle(base, 3)
+    filters, cps = filters_and_params(ens)
+    sol = dp_optimal_policy(ens, 1, delta_cap=8, filters=[steady_state_filter(pl) for pl in ens])
+    cost = evaluate_policy_average_cost(LightweightPolicy(cps, [pl.p for pl in ens], 1),
+                                        ens, 1, delta_cap=8, filters=filters)
+    _assert_each_solved_at_most_once(riccati_solves, base)
+    assert sol.average_cost <= cost + 1e-8
+
+
+def test_decision_timing_solves_each_plant_once(riccati_solves):
+    base = generate_ensemble(3, 2, 2, (1.05, 1.2), seed=11, p_range=(0.9, 1.0))
+    measure_decision_time(base, [PolicySpec("lightweight"), PolicySpec("voi-greedy")],
+                          [3, 8, 20], decisions=50, time_budget_s=0.5, seed=0)
+    _assert_each_solved_at_most_once(riccati_solves, base)
 
 
 def test_measure_decision_time_smoke():
