@@ -20,14 +20,15 @@ Everything plant-specific is worked out once per plant object: a
 solves the Riccati iteration on the first call for a plant and keeps the
 result on it, so every later caller (simulation, sweep point, DP, bounds)
 shares that one read-only filter. Equal but distinct plant objects are
-solved separately.
+solved separately, and so is a copy or an unpickled plant; a plant
+re-channeled by ``with_channel`` shares the original's filter.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -132,6 +133,11 @@ class PlantModel:
         if numeric_rank(controllability_matrix(self.A, sq)) < n:
             raise PlantInvariantError("(A, sqrt(Q)) is not controllable")
 
+    def __reduce__(self):
+        # copies and unpickled plants go through the constructor, which
+        # validates and freezes them; each solves its own filter on demand
+        return type(self), (self.A, self.C, self.Q, self.R, self.p)
+
     @property
     def n(self) -> int:
         return self.A.shape[0]
@@ -187,6 +193,17 @@ def steady_state_filter(plant: PlantModel) -> SteadyStateFilter:
         ss = _riccati_fixed_point(plant)
         object.__setattr__(plant, "_filter", ss)
     return ss
+
+
+def with_channel(plant: PlantModel, p: float) -> PlantModel:
+    """``plant`` with success probability ``p``, validated as a new plant.
+
+    The filter does not depend on p, so the new plant shares ``plant``'s
+    (solved first if it is not yet) instead of solving its own.
+    """
+    out = replace(plant, p=p)
+    object.__setattr__(out, "_filter", steady_state_filter(plant))
+    return out
 
 
 def _riccati_fixed_point(plant: PlantModel) -> SteadyStateFilter:

@@ -502,6 +502,7 @@ def _joint_cost_tensor(cost_tables: list[np.ndarray], cap: int) -> np.ndarray:
 _DP_TOL = 1e-9  # span of the Bellman bracket at which the DP stops
 _DP_LOOSE_TOL = 1e-2  # residual span of evaluations between improvements
 _DP_MAX_KERNELS = 10_000  # gather products plus Bellman sweeps per solve
+_BLOCK = 4096  # states per gather block: 2^M rows of it stay cache-resident
 _STATE_BUDGET = 2_000_000  # joint states (delta_cap^N) the DP may allocate
 
 
@@ -536,59 +537,91 @@ def _optimal_sweep(cost: np.ndarray, probs: np.ndarray, m: int):
     return sweep
 
 
+def _coordinate_rows(shape: tuple[int, ...]) -> np.ndarray:
+    """Per-sensor terms of each flat state's all-idle successor, as int32.
+
+    Row ``i`` holds ``min(c_i + 1, cap - 1) * stride_i`` for every flat state
+    with AoI coordinates ``c`` (AoI ``c + 1``); row ``n`` holds their sum,
+    the flat successor when no sensor is hit. Resetting sensor ``i`` to AoI 1
+    subtracts its row.
+    """
+    n, cap = len(shape), shape[0]
+    rows = np.empty((n + 1, cap**n), dtype=np.int32)
+    grown = np.minimum(np.arange(1, cap + 1), cap - 1)
+    for i in range(n):
+        axis = [1] * n
+        axis[i] = cap
+        rows[i].reshape(shape)[...] = (grown * cap ** (n - 1 - i)).reshape(axis)
+    np.sum(rows[:n], axis=0, out=rows[n])
+    return rows
+
+
 def _policy_product(
-    shape: tuple[int, ...], subsets: list[tuple[int, ...]], probs: np.ndarray,
+    coords: np.ndarray, subsets: list[tuple[int, ...]], probs: np.ndarray,
     action_table: np.ndarray,
 ):
-    """Product ``v -> P v`` with a fixed policy's transition matrix, plus the
-    state order it works in (position -> flat state).
+    """Product ``(v, out) -> out = P v`` with a fixed policy's transition
+    matrix, plus the state order it works in (position -> flat state).
 
     Values live on the states ordered by action (a stable sort), so each
-    subset's states form one slice. Per subset, one index row per
-    success/failure pattern holds every state's successor position, with the
-    pattern's probability as its one weight; a product is then ``sum_k w_k *
-    v[rows_k]`` per slice.
+    subset's states form one slice. The slice is cut into blocks of at most
+    ``_BLOCK`` states; per block, a ``(2^M, block)`` intp array holds each
+    state's successor position under each success/failure pattern of the
+    subset, built from ``coords`` (see :func:`_coordinate_rows`). A product
+    is then, per block, one gather into a scratch shared by all blocks and
+    one dot with the patterns' probabilities.
     """
-    cap = shape[0]
     order = np.argsort(action_table, kind="stable")
     pos = np.empty(order.size, dtype=np.intp)  # intp rows gather without a cast
     pos[order] = np.arange(order.size)
-    strides = cap ** np.arange(len(shape) - 1, -1, -1)
-    groups, lo = [], 0
+    n, probs = coords.shape[0] - 1, probs.tolist()
+    patterns = list(itertools.product((True, False), repeat=len(subsets[0])))
+    scratch = np.empty(len(patterns) * min(_BLOCK, order.size))
+    blocks, lo = [], 0
     for subset, count in zip(subsets, np.bincount(action_table, minlength=len(subsets))):
-        coords = np.unravel_index(order[lo : lo + count], shape)
-        grown = [np.minimum(c + 1, cap - 1) * st for c, st in zip(coords, strides)]
-        all_grown = sum(grown)
-        rows, weights = [], []
-        for hits in itertools.product((True, False), repeat=len(subset)):
-            succ, w = all_grown, 1.0  # reset the AoI of each sensor hit
-            for i, hit in zip(subset, hits):
-                succ = succ - grown[i] if hit else succ
-                w *= probs[i] if hit else 1.0 - probs[i]
-            rows.append(pos[succ])
-            weights.append(w)
-        if count:
-            groups.append((slice(lo, lo + count), rows, weights))
+        # one weight per success/failure pattern, in itertools.product order
+        weights = np.array([
+            math.prod(probs[i] if hit else 1.0 - probs[i] for i, hit in zip(subset, hits))
+            for hits in patterns
+        ])
+        for a in range(lo, lo + count, _BLOCK):
+            states = order[a : min(a + _BLOCK, lo + count)]
+            succ = np.empty((len(patterns), states.size), dtype=np.intp)
+            succ[-1] = coords[n].take(states)  # no sensor hit
+            span = 1
+            # a hit resets sensor i, dropping its term; each pattern with i hit
+            # sits `span` rows before its twin with i idle (product order)
+            for i in reversed(subset):
+                grown = coords[i].take(states)
+                np.subtract(succ[-span:], grown, out=succ[-2 * span : -span])
+                span *= 2
+            rows = pos.take(succ, mode="wrap")
+            gathered = scratch[: rows.size].reshape(rows.shape)
+            blocks.append((slice(a, a + states.size), rows, weights, gathered))
         lo += count
 
-    def product(v: np.ndarray) -> np.ndarray:
-        pv = np.empty_like(v)
-        for part, rows, weights in groups:
-            acc = pv[part]
-            np.multiply(v[rows[0]], weights[0], out=acc)
-            for row, w in zip(rows[1:], weights[1:]):
-                term = v[row]
-                term *= w
-                acc += term
-        return pv
+    def product(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        for part, rows, weights, gathered in blocks:
+            v.take(rows, out=gathered, mode="wrap")  # rows are in range
+            np.dot(weights, gathered, out=out[part])
+        return out
 
     return product, order
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a . b`` summed by numpy's own loop: a BLAS ``ddot`` splits long
+    vectors across its threads, so its rounding would depend on their count."""
+    return float(np.einsum("i,i->", a, b))
 
 
 def _bicgstab(apply, b: np.ndarray, x: np.ndarray, tol: float, left) -> tuple:
     """Solve ``apply(x) = b`` by BiCGSTAB (van der Vorst 1992) until the span
     of the true residual ``b - apply(x)`` is below ``tol``.
 
+    ``apply(y, out)`` writes into ``out``. ``x`` is updated in place, and
+    the other vectors (``r``, ``r0``, ``p``, ``v``, ``t``) are allocated once
+    per call; ``v`` and ``t`` double as scratch for the scaled updates.
     The recursive residual only triggers a check: the true residual is then
     recomputed, and the iteration restarts from the current ``x`` if it
     misses the tolerance, as it also does on breakdown or on a non-finite
@@ -597,10 +630,11 @@ def _bicgstab(apply, b: np.ndarray, x: np.ndarray, tol: float, left) -> tuple:
     the kernel applications still allowed (one is kept for the last
     residual). Returns ``x`` and its true residual.
     """
+    r, r0, p, v, t = (np.empty_like(b) for _ in range(5))
     best = np.inf
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite -> restart
         while True:
-            r = b - apply(x)
+            np.subtract(b, apply(x, r), out=r)
             span = float(np.ptp(r))
             if span < tol:
                 return x, r
@@ -612,29 +646,30 @@ def _bicgstab(apply, b: np.ndarray, x: np.ndarray, tol: float, left) -> tuple:
                     f"span {shown:.3g} is still above the tolerance {tol:g}"
                 )
             best = span
-            r0, p = r.copy(), r.copy()
-            rho = float(np.dot(r0, r))
+            np.copyto(r0, r)
+            np.copyto(p, r)
+            rho = _dot(r0, r)
             while left() >= 3 and rho != 0.0:
-                v = apply(p)
-                r0v = float(np.dot(r0, v))
+                apply(p, v)
+                r0v = _dot(r0, v)
                 if r0v == 0.0:
                     break
                 alpha = rho / r0v
-                x += alpha * p
-                r -= alpha * v
+                x += np.multiply(p, alpha, out=t)  # t is free until apply(r, t)
+                r -= np.multiply(v, alpha, out=t)
                 if not np.ptp(r) >= tol:
                     break
-                t = apply(r)
-                tt = float(np.dot(t, t))
-                omega = float(np.dot(t, r)) / tt if tt else 0.0
+                apply(r, t)
+                tt = _dot(t, t)
+                omega = _dot(t, r) / tt if tt else 0.0
                 if omega == 0.0:
                     break
-                x += omega * r
-                r -= omega * t
+                p -= np.multiply(v, omega, out=v)  # v is free from here on
+                x += np.multiply(r, omega, out=v)
+                r -= np.multiply(t, omega, out=t)
                 if not np.ptp(r) >= tol:
                     break
-                rho_next = float(np.dot(r0, r))
-                p -= omega * v
+                rho_next = _dot(r0, r)
                 p *= (rho_next / rho) * (alpha / omega)
                 p += r
                 rho = rho_next
@@ -652,11 +687,12 @@ def joint_value_iteration(
     Each cost table holds AoI 0..cap (slot 0 unused) and AoI saturates at
     that cap. A policy is evaluated by solving the unichain equations ``h +
     g - P h = c`` with ``h(1,...,1) = 0`` by BiCGSTAB, whose product ``P h``
-    gathers each state's 2^M successor values through precomputed index
-    rows. The solve stops once the span of its true residual, ``T_pi h - h
-    - g``, is below the tolerance, and ``g`` plus the residual's midpoint is
-    the policy's average cost. Evaluating a fixed ``action_table`` is that
-    one solve, to ``_DP_TOL``.
+    gathers each state's 2^M successor values through index rows built per
+    policy from coordinate rows computed once per call (see
+    :func:`_policy_product`). The solve stops once the span of its true
+    residual, ``T_pi h - h - g``, is below the tolerance, and ``g`` plus the
+    residual's midpoint is the policy's average cost. Evaluating a fixed
+    ``action_table`` is that one solve, to ``_DP_TOL``.
 
     Without ``action_table``, policy iteration starts from the myopic table
     and improves it by one Bellman sweep on ``h``: the sweep computes ``cost
@@ -681,6 +717,7 @@ def joint_value_iteration(
     _check_size(n, m, cap)
     subsets = list(itertools.combinations(range(n), m))
     cost = _joint_cost_tensor(cost_tables, cap)
+    coords = _coordinate_rows(cost.shape)
     used = 0
 
     def left() -> int:
@@ -689,22 +726,26 @@ def joint_value_iteration(
     def evaluate(table: np.ndarray, x: np.ndarray, tol: float):
         # x holds h on the flat states, except at AoI (1,...,1), flat
         # state 0, where h is 0 and x carries the gain g
-        product, order = _policy_product(cost.shape, subsets, probs, table)
+        product, order = _policy_product(coords, subsets, probs, table)
         origin = int(np.flatnonzero(order == 0)[0])
 
-        def apply(y: np.ndarray) -> np.ndarray:
+        def apply(y: np.ndarray, out: np.ndarray) -> np.ndarray:
             nonlocal used
             used += 1
-            h = y.copy()
-            h[origin] = 0.0
-            out = h - product(h)
-            out += y[origin]
+            gain = y[origin]
+            y[origin] = 0.0  # y is h for the product
+            product(y, out)
+            np.subtract(y, out, out=out)
+            out += gain
+            y[origin] = gain
             return out
 
-        x, r = _bicgstab(apply, cost.ravel()[order], x[order], tol, left)
-        out_x, out_r = np.empty_like(x), np.empty_like(r)
-        out_x[order], out_r[order] = x, r
-        return out_x, out_r
+        # x is permuted in place, and the right-hand side then takes the
+        # residual back to the flat states
+        b = cost.ravel()[order]
+        x, r = _bicgstab(apply, b, np.take(x, order, out=x), tol, left)
+        x[order], b[order] = x, r
+        return x, b
 
     if action_table is not None:
         table = np.asarray(action_table).reshape(cost.size)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .plants import PlantModel, filters_and_params, write_atomic
+from .plants import PlantModel, filters_and_params, with_channel, write_atomic
 from .policies import COST_METRICS, AoiGreedyPolicy, PolicySpec, metric_cost_tables
 
 METRICS = COST_METRICS + ("squared-error",)
@@ -510,7 +510,7 @@ def run_sweep(
             distinct = max(1, int(round(value * len(plants))))
             ens = [plants[i % distinct] for i in range(len(plants))]
         else:
-            ens = [replace(pl, p=value) for pl in plants]
+            ens = [with_channel(pl, value) for pl in plants]
         for spec in policy_specs:
             rep = run_sim(ens, spec, m, config)
             rows.append(SweepRow(sweep=kind, sweep_value=value, report=rep))

@@ -1,6 +1,8 @@
 """Plant model, filter fixed point, characteristic parameters, generation."""
 
+import copy
 import json
+import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from unittest.mock import patch
@@ -130,6 +132,24 @@ class TestSteadyStateFilter:
                     scalar_filter.gain):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = 0.0
+
+    @pytest.mark.parametrize("dup", [copy.deepcopy, lambda pl: pickle.loads(pickle.dumps(pl))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_are_rebuilt_frozen(self, dup, riccati_solves):
+        pl = generate_plant(3, 2, (1.05, 1.3), np.random.default_rng(7))
+        solved = steady_state_filter(pl)
+        twin = dup(pl)
+        for name in ("A", "C", "Q", "R"):
+            assert not getattr(twin, name).flags.writeable
+            assert getattr(twin, name).tobytes() == getattr(pl, name).tobytes()
+        assert twin.p == pl.p and twin.rho == pl.rho
+        # the copy solves its own filter on demand, to the original's bits
+        assert twin._filter is None
+        again = steady_state_filter(twin)
+        assert [id(x) for x in riccati_solves] == [id(pl), id(twin)]
+        for name in ("posterior_cov", "prior_cov", "gain"):
+            assert not getattr(again, name).flags.writeable
+            assert getattr(again, name).tobytes() == getattr(solved, name).tobytes()
 
     def test_rho_kept_from_validation(self):
         pl = generate_plant(4, 2, (1.05, 1.3), np.random.default_rng(5))

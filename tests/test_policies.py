@@ -1,12 +1,20 @@
 """Scheduling policies, the randomized stationary sampler, and the joint DP."""
 
+import itertools
+import math
+import os
+import subprocess
+import sys
+import textwrap
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aoi_sched
 from aoi_sched import (
     AoiFunction,
     AoiGreedyPolicy,
@@ -34,6 +42,7 @@ from aoi_sched import (
     whittle_index,
     whittle_index_table,
 )
+from aoi_sched import policies
 from aoi_sched.policies import _VOI_TAIL, POLICY_KINDS, Policy, _ScoreTablePolicy
 
 
@@ -459,6 +468,89 @@ class TestJointDp:
             plants, 1, delta_cap=15, filters=filters,
         )
         assert sol.average_cost <= ours + 1e-8
+
+    @staticmethod
+    def _dense_transition(probs, subsets, table, cap):
+        # independent oracle: each sensor's next AoI on its own (reset to 1
+        # when scheduled and delivered, else grown and saturated at the
+        # cap), multiplied out state by state in flat (C) order
+        states = list(itertools.product(range(1, cap + 1), repeat=len(probs)))
+        index = {s: k for k, s in enumerate(states)}
+        dense = np.zeros((len(states), len(states)))
+        for k, state in enumerate(states):
+            subset = subsets[table[k]]
+            moves = [[(1, p), (min(d + 1, cap), 1.0 - p)] if i in subset
+                     else [(min(d + 1, cap), 1.0)]
+                     for i, (d, p) in enumerate(zip(state, probs))]
+            for combo in itertools.product(*moves):
+                dense[k, index[tuple(d for d, _ in combo)]] += math.prod(w for _, w in combo)
+        return dense
+
+    @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks-of-7"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_policy_product_matches_dense_transition_matrix(self, monkeypatch, m, block):
+        if block is not None:  # cut every subset's states into many blocks
+            monkeypatch.setattr(policies, "_BLOCK", block)
+        n, cap = 3, 5
+        rng = np.random.default_rng(40 + m)
+        probs = np.array([1.0, *rng.uniform(0.3, 1.0, n - 1)])
+        subsets = list(itertools.combinations(range(n), m))
+        table = rng.integers(len(subsets), size=cap**n).astype(np.int16)
+        v = rng.standard_normal(cap**n)
+        product, order = policies._policy_product(
+            policies._coordinate_rows((cap,) * n), subsets, probs, table)
+        got = product(v[order], np.empty_like(v))
+        want = (self._dense_transition(probs, subsets, table, cap) @ v)[order]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_evaluation_peak_memory(self):
+        # one lightweight evaluation at (M, N) = (2, 3), cap 25: successor
+        # rows, coordinate rows, one gather scratch and BiCGSTAB's five
+        # vectors. A product or step that allocated per iteration, as the
+        # copying kernel did (17.04 x cap^N x 8 bytes), would cross the bound.
+        m, n, cap = 2, 3, 25
+        plants, filters, cps = _ensemble(n, 6000 + 997 * m + 31 * n, rho=(1.05, 1.2))
+        subsets = list(itertools.combinations(range(n), m))
+        probs = [pl.p for pl in plants]
+        table = policies.policy_action_table(LightweightPolicy(cps, probs, m), n, cap, subsets)
+        tables = policies.metric_cost_tables("aoi-function", plants, filters, cps, cap)
+        policies.joint_value_iteration(tables, probs, m, action_table=table)  # warm
+        tracemalloc.start()
+        try:
+            policies.joint_value_iteration(tables, probs, m, action_table=table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 17 * cap**n * 8
+
+    def test_results_do_not_depend_on_blas_threads(self):
+        # the product's BLAS dot may run on several threads; the solve and
+        # the evaluation must give the same bits on one thread or two
+        script = textwrap.dedent("""
+            import hashlib
+            from aoi_sched import (LightweightPolicy, characteristic_params,
+                dp_optimal_policy, evaluate_policy_average_cost, generate_ensemble,
+                steady_state_filter)
+            m, n = 2, 4
+            plants = generate_ensemble(n, 3, 3, (1.05, 1.2), seed=6000 + 997 * m + 31 * n,
+                                       p_range=(0.8, 1.0))
+            filters = [steady_state_filter(pl) for pl in plants]
+            cps = [characteristic_params(pl, ss) for pl, ss in zip(plants, filters)]
+            sol = dp_optimal_policy(plants, m, delta_cap=12, filters=filters)
+            ours = evaluate_policy_average_cost(LightweightPolicy(cps, [pl.p for pl in plants], m),
+                                                plants, m, delta_cap=12, filters=filters)
+            print(float.hex(sol.average_cost), float.hex(ours),
+                  hashlib.sha256(sol.action_table.tobytes()).hexdigest())
+        """)
+        src = os.path.dirname(os.path.dirname(aoi_sched.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=120, check=True)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1] and outputs[0].count(" ") == 2
 
     def test_state_budget_guard(self):
         # the DP allocates at most 2,000,000 joint states

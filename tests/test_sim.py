@@ -1,6 +1,7 @@
 """Monte Carlo engine: covariance and trajectory simulation, sweeps, timing."""
 
 import copy
+import itertools
 import json
 import sys
 import threading
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from aoi_sched import (
     AoiGreedyPolicy,
+    PlantInvariantError,
     PlantModel,
     PolicySpec,
     SimConfig,
@@ -159,10 +161,14 @@ class TestCovarianceSim:
         distinct = run_covariance_sim(copies, PolicySpec("lightweight"), 30, cfg)
         assert len(riccati_solves) == 60
         assert _stat_bytes(distinct) == _stat_bytes(cycled)
-        # a deep copy of a solved plant carries its filter
+        # a deep copy of a solved plant is rebuilt by the constructor and
+        # solves its own filter, to the same bits
         riccati_solves.clear()
-        steady_state_filter(copy.deepcopy(base[0]))
-        assert riccati_solves == []
+        dup = copy.deepcopy(base[0])
+        assert dup._filter is None
+        gain = steady_state_filter(base[0]).gain
+        assert steady_state_filter(dup).gain.tobytes() == gain.tobytes()
+        assert len(riccati_solves) == 1 and riccati_solves[0] is dup
 
     @patch.object(sim, "_RUN_BLOCK", 32)
     def test_shared_index_tables_under_thread_stress(self):
@@ -426,6 +432,23 @@ class TestSweeps:
         assert lines[0] == "sweep_value,policy,mean_J,ci95,time_per_decision_ns,diverged_runs"
         assert len(lines) == 5
         write_sweep_json(str(tmp_path / "sweep.json"), rows)
+
+    def test_channel_sweep_solves_each_plant_once(self, riccati_solves):
+        # the filter does not depend on p: every point shares the plants' own
+        plants = generate_ensemble(3, 2, 2, (1.05, 1.15), seed=16, p_range=(0.9, 1.0))
+        cfg = SimConfig(horizon=60, runs=40, seed=17)
+        specs = [PolicySpec("lightweight"), PolicySpec("voi-greedy")]
+        rows = run_sweep("channel", [0.7, 0.85, 1.0], plants, specs, cfg, m=1)
+        assert [id(pl) for pl in riccati_solves] == [id(pl) for pl in plants]
+        # each point simulates as an ensemble re-built at that p would
+        for row, (value, spec) in zip(rows, itertools.product([0.7, 0.85, 1.0], specs)):
+            ens = [replace(pl, p=value) for pl in plants]
+            assert _stat_bytes(row.report) == _stat_bytes(run_sim(ens, spec, 1, cfg))
+
+    def test_channel_sweep_validates_each_point(self):
+        plants = generate_ensemble(2, 2, 2, (1.05, 1.15), seed=16, p_range=(0.9, 1.0))
+        with pytest.raises(PlantInvariantError, match=r"p=1.5 outside \(0, 1\]"):
+            run_sweep("channel", [1.5], plants, [PolicySpec("round-robin")], SimConfig(), m=1)
 
     def test_homogeneous_ensemble_policies_identical(self):
         plants = generate_ensemble(4, 3, 3, (1.05, 1.15), seed=18, p_range=(0.9, 1.0))
