@@ -404,6 +404,8 @@ def compute_bounds_report(
     m: int,
 ) -> BoundsReport:
     """Evaluate every bound that exists for this ensemble, with reasons."""
+    if not 1 <= m <= len(plants):
+        raise ValueError(f"budget m={m} outside 1..{len(plants)}")
     alphas = [cp.alpha for cp in char_params]
     betas = [cp.beta for cp in char_params]
     probs = [pl.p for pl in plants]

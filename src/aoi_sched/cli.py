@@ -3,15 +3,14 @@
 ``gen``, ``simulate --generate``, ``bounds --generate`` and ``dp`` draw
 their plants from the same flags (``--order``, ``--meas``, ``--rho-min``,
 ``--rho-max``; ``dp`` defaults ``--rho-max`` to 1.2) through one checked
-generator. Every package error ends the command with exit status 1 and a
-one-line ``error:`` message on stderr.
+generator. Every package error, bad input and failed file operation ends
+the command with exit status 1 and a one-line ``error:`` message on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -58,8 +57,10 @@ def _add_generation(p: argparse.ArgumentParser, rho_max: float = 1.3) -> None:
     p.add_argument("--rho-max", type=float, default=rho_max)
 
 
-def _generate(args, count: int, seed: int, p_range=None) -> list:
+def _generate(args, count: int, seed: int | np.random.SeedSequence, p_range=None) -> list:
     """The ensemble the generation flags describe, after checking them."""
+    if count < 1:
+        raise ValueError(f"plant count must be at least 1, got {count}")
     if not (1.0 < args.rho_min <= args.rho_max):
         raise ValueError("--rho-min must exceed 1 and not exceed --rho-max")
     return generate_ensemble(count, args.order, args.meas,
@@ -68,10 +69,8 @@ def _generate(args, count: int, seed: int, p_range=None) -> list:
 
 def _load_plants(args) -> list:
     if args.plants is not None:
-        if not os.path.exists(args.plants):
-            raise FileNotFoundError(f"plants file not found: {args.plants}")
         return load_ensemble(args.plants)
-    if args.generate:
+    if args.generate is not None:
         return _generate(args, args.generate, args.seed)
     raise ValueError("give --plants FILE or --generate COUNT")
 
@@ -217,12 +216,13 @@ def cmd_dp(args) -> int:
             raise ValueError(
                 f"--pairs wants a comma list of M:N pairs, got {chunk!r}"
             ) from None
-    rng_seed = args.seed
     lines = ["m,n,instance,ours,optimal,ratio"]
     ratios = []
     for m, n in pairs:
         for inst in range(args.instances):
-            plants = _generate(args, n, rng_seed + 1000 * m + 10 * n + inst, (0.8, 1.0))
+            # one entropy word per coordinate: no two (M, N, instance) share a stream
+            seed = np.random.SeedSequence([args.seed, m, n, inst])
+            plants = _generate(args, n, seed, (0.8, 1.0))
             filters, cps = filters_and_params(plants)
             sol = dp_optimal_policy(plants, m, delta_cap=args.cap, filters=filters)
             ours = evaluate_policy_average_cost(
@@ -305,7 +305,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (AoiSchedError, FileNotFoundError, ValueError) as exc:
+    except (AoiSchedError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -157,13 +157,22 @@ class PlantModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PlantModel":
-        return cls(
-            A=np.array(d["A"], dtype=float),
-            C=np.array(d["C"], dtype=float),
-            Q=np.array(d["Q"], dtype=float),
-            R=np.array(d["R"], dtype=float),
-            p=float(d["p"]),
-        )
+        """The plant of a ``to_dict`` document; a missing or ill-typed field
+        raises ``ValueError`` naming it."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a plant must be an object, got {type(d).__name__}")
+        fields = {}
+        for key in ("A", "C", "Q", "R", "p"):
+            if key not in d:
+                raise ValueError(f'plant has no "{key}" field')
+            try:
+                fields[key] = float(d[key]) if key == "p" else np.array(d[key], dtype=float)
+            except (TypeError, ValueError):
+                fields[key] = None
+            if fields[key] is None or np.ndim(fields[key]) != (0 if key == "p" else 2):
+                kind = "a number" if key == "p" else "a matrix (a list of rows) of numbers"
+                raise ValueError(f'plant field "{key}" must be {kind}, got {d[key]!r}')
+        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -438,7 +447,7 @@ def generate_ensemble(
     n: int,
     m: int,
     rho_range: tuple[float, float],
-    seed: int,
+    seed: int | np.random.SeedSequence,
     p_range: tuple[float, float] | None = None,
     dynamics: str = "dense",
 ) -> list[PlantModel]:
@@ -455,19 +464,35 @@ def ensemble_to_dict(plants: list[PlantModel]) -> dict:
 
 
 def ensemble_from_dict(doc: dict) -> list[PlantModel]:
-    return [PlantModel.from_dict(d) for d in doc["plants"]]
+    """The plants of an ``ensemble_to_dict`` document, at least one."""
+    plants = doc.get("plants") if isinstance(doc, dict) else None
+    if not isinstance(plants, list) or not plants:
+        raise ValueError('an ensemble must be an object with a non-empty "plants" list')
+    out = []
+    for i, d in enumerate(plants):
+        try:
+            out.append(PlantModel.from_dict(d))
+        except ValueError as exc:
+            raise type(exc)(f"plant {i}: {exc}") from None
+    return out
 
 
 def write_atomic(path: str, text: str) -> None:
     """Write ``text`` to ``path`` through a temp file and a rename.
 
     Readers see either the old file or the complete new one, never a
-    partial write. Every file the package writes goes through here.
+    partial write; a failed write or rename removes the temp file and
+    re-raises. Every file the package writes goes through here.
     """
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.isfile(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def save_ensemble(path: str, plants: list[PlantModel]) -> None:
@@ -476,5 +501,10 @@ def save_ensemble(path: str, plants: list[PlantModel]) -> None:
 
 
 def load_ensemble(path: str) -> list[PlantModel]:
+    """The ensemble saved at ``path``; a file that is not one raises
+    ``ValueError`` naming the file and what is wrong with it."""
     with open(path) as fh:
-        return ensemble_from_dict(json.load(fh))
+        try:
+            return ensemble_from_dict(json.load(fh))
+        except ValueError as exc:  # bad JSON or UTF-8 too
+            raise ValueError(f"{path}: {exc}") from exc

@@ -9,8 +9,8 @@ decision sequences are deterministic and testable.
 Every top-M policy selects on an int64 key that has no ties: AoI-greedy on
 ``N * delta - i``, the score-table policies on ``rank * N - i``, where rank
 is the dense rank of the sensor's score in the policy's table, ranked once
-each time the table is built or grown. A decision is then one partition per
-row, and the key alone carries the lowest-index rule.
+each time the table is built, grown or written into. A decision is then one
+partition per row, and the key alone carries the lowest-index rule.
 
 Batch variants operate on a (runs, N) AoI matrix and return a boolean
 schedule mask; the Monte Carlo engine is vectorized across independent
@@ -99,12 +99,13 @@ def _top_m_mask(keys: np.ndarray, m: int, neg: np.ndarray | None = None) -> np.n
     return keys >= -neg[:, m - 1, None]
 
 
-def _rank_keys(rows: np.ndarray, of) -> np.ndarray:
-    """Key table of the float scores ``rows[of]``, sensor i of N scored by
-    row ``of[i]``: ``rank * N - i``, where rank is the dense rank of a score
-    among all entries of ``rows`` (equal scores rank equal, NaN below every
-    number). Comparing keys ranks sensors as a stable descending sort of
-    their scores does: the higher score first, then the lower index.
+def _rank_keys(rows: np.ndarray, of) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A score-table slot: the float scores ``rows``, the flat key table of
+    sensor i of N scored by row ``of[i]``, and the offset of each sensor's
+    keys there. A key is ``rank * N - i``, where rank is the dense rank of a
+    score among all entries of ``rows`` (equal scores rank equal, NaN below
+    every number). Comparing keys ranks sensors as a stable descending sort
+    of their scores does: the higher score first, then the lower index.
     """
     _, inverse = np.unique(rows, return_inverse=True)  # ascending; NaN last
     rank = inverse.reshape(rows.shape) + 1
@@ -113,7 +114,7 @@ def _rank_keys(rows: np.ndarray, of) -> np.ndarray:
     keys = rank[of]
     keys *= n
     keys -= np.arange(n)[:, None]
-    return keys
+    return rows, keys.ravel(), np.arange(n) * rows.shape[1]
 
 
 class Policy:
@@ -170,43 +171,50 @@ class Policy:
 class _ScoreTablePolicy(Policy):
     """Top-M selection by a per-sensor score looked up from an AoI table.
 
-    The float scores are ranked into a key table once per build (see
-    ``_rank_keys``), so a decision is one key gather, one partition and
-    one compare.
+    Sensors are mapped to distinct sensor models once, at construction:
+    ``of[i]`` is the table row of sensor i, and ``models[r]`` the model of
+    row r (a sensor's ``key`` names its model). The float rows (column d at
+    AoI d) and their rank keys live together in one slot (see
+    ``_rank_keys``) that all clones share, read and written under one
+    lock, so a decision is one locked check, one key gather, one partition
+    and one compare. A subclass supplies the code that fills its rows.
     """
 
-    def __init__(self, n: int, m: int):
-        super().__init__(n, m)
-        # (n, cols) key table, its flat view and the offsets of its rows
-        # there, in one slot all clones share, built once per run, not per
-        # block; threads growing it at once only repeat work, since the
-        # contents are deterministic
-        self._tables: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = [None]
+    def __init__(self, models: list, m: int, key=lambda model: model):
+        super().__init__(len(models), m)
+        seen: dict = {}  # key -> (row, model)
+        self.of = np.array([seen.setdefault(key(model), (len(seen), model))[0]
+                            for model in models])
+        self.models = [model for _, model in seen.values()]
+        self._slot: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = [None]
+        self._lock = threading.Lock()
 
-    def _score_rows(self, max_delta: int) -> tuple[np.ndarray, np.ndarray]:
-        """Float scores over AoI 0..max_delta (column d at AoI d), one row
-        per distinct sensor model, and each sensor's row."""
+    def _rows(self, max_delta: int) -> np.ndarray:
+        """Float scores over AoI 0..max_delta, one row per model."""
         raise NotImplementedError
 
-    def _keys(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The flat key table, covering every AoI in ``deltas``, and the
-        offsets of its rows."""
+    def _fill(self, rows: np.ndarray | None, deltas: np.ndarray) -> np.ndarray | None:
+        """The rows holding every entry ``deltas`` reads if they are not the
+        shared ``rows`` (None before the first fill), else None. Closed forms
+        rebuild over AoI 0..max(64, 2 * dmax) once ``rows`` is too short."""
         dmax = int(deltas.max())
-        slot = self._tables[0]
-        if slot is None or slot[0].shape[1] <= dmax:
-            slot = self._store(_rank_keys(*self._score_rows(max(64, 2 * dmax))))
-        return slot[1], slot[2]
-
-    def _store(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        slot = self._tables[0] = (keys, keys.ravel(), np.arange(self.n) * keys.shape[1])
-        return slot
+        if rows is None or rows.shape[1] <= dmax:
+            return self._rows(max(64, 2 * dmax))
+        return None
 
     def decide_batch(self, deltas: np.ndarray) -> np.ndarray:
         keys, neg = self._buffers(deltas.shape, np.int64)
-        flat, offsets = self._keys(deltas)
-        # the table covers every AoI asked for, so no index is clipped
-        index = np.add(deltas, offsets, out=neg, dtype=np.int64)  # any int AoI
-        return _top_m_mask(flat.take(index, out=keys, mode="clip"), self.m, neg)
+        self._lock.acquire()  # half the per-call cost of a `with` block
+        try:
+            slot = self._slot[0]
+            rows = self._fill(None if slot is None else slot[0], deltas)
+            if rows is not None:
+                slot = self._slot[0] = _rank_keys(rows, self.of)
+        finally:
+            self._lock.release()
+        # the keys cover every AoI asked for, so no index is clipped
+        index = np.add(deltas, slot[2], out=neg, dtype=np.int64)  # any int AoI
+        return _top_m_mask(slot[1].take(index, out=keys, mode="clip"), self.m, neg)
 
 
 class LightweightPolicy(_ScoreTablePolicy):
@@ -222,21 +230,17 @@ class LightweightPolicy(_ScoreTablePolicy):
     name = "lightweight"
 
     def __init__(self, char_params: list[CharParams], probs, m: int):
-        super().__init__(len(char_params), m)
-        self.fns = [
-            AoiFunction(cp.alpha, cp.beta, float(p))
-            for cp, p in zip(char_params, probs)
-        ]
-        for i, fn in enumerate(self.fns):
+        # AoiFunction hashes by value: equal parameters share a row
+        fns = [AoiFunction(cp.alpha, cp.beta, float(p)) for cp, p in zip(char_params, probs)]
+        super().__init__(fns, m)
+        for i, fn in enumerate(fns):
             if not fn.stable:
                 raise StabilityError(
                     f"sensor {i}: alpha*(1-p) = {fn.alpha * (1 - fn.p):.4g} >= 1"
                 )
 
-    def _score_rows(self, max_delta: int) -> tuple[np.ndarray, np.ndarray]:
-        models: dict[AoiFunction, int] = {}  # AoiFunction hashes by value
-        of = [models.setdefault(fn, len(models)) for fn in self.fns]
-        return np.vstack([whittle_index_table(fn, max_delta) for fn in models]), np.array(of)
+    def _rows(self, max_delta: int) -> np.ndarray:
+        return np.vstack([whittle_index_table(fn, max_delta) for fn in self.models])
 
 
 class AoiGreedyPolicy(Policy):
@@ -263,21 +267,15 @@ class VoiGreedyPolicy(_ScoreTablePolicy):
     name = "voi-greedy"
 
     def __init__(self, plants: list[PlantModel], filters: list[SteadyStateFilter], m: int):
-        super().__init__(len(plants), m)
-        self.plants = plants
-        self.filters = filters
+        # one sensor model per (plant, filter) pair of objects
+        super().__init__(list(zip(plants, filters)), m, lambda pair: tuple(map(id, pair)))
 
-    def _score_rows(self, max_delta: int) -> tuple[np.ndarray, np.ndarray]:
-        # one row per distinct (plant, filter) object pair (column 0, never
-        # read, holds 0)
-        models: dict[tuple[int, int], tuple[int, PlantModel, SteadyStateFilter]] = {}
-        of = [models.setdefault((id(pl), id(ss)), (len(models), pl, ss))[0]
-              for pl, ss in zip(self.plants, self.filters)]
-        rows = []
-        for _, pl, ss in models.values():
+    def _rows(self, max_delta: int) -> np.ndarray:
+        rows = []  # column 0, never read, holds 0
+        for pl, ss in self.models:
             tr = error_trace_table(pl, ss, max_delta + 1)
             rows.append(pl.p * (tr[1:] - tr[1]))
-        return np.vstack(rows), np.array(of)
+        return np.vstack(rows)
 
 
 class AoiWhittlePolicy(_ScoreTablePolicy):
@@ -286,32 +284,27 @@ class AoiWhittlePolicy(_ScoreTablePolicy):
     name = "aoi-whittle"
 
     def __init__(self, probs, m: int):
-        probs = np.asarray(probs, dtype=float)
-        super().__init__(probs.shape[0], m)
-        self.probs = probs
+        super().__init__(np.asarray(probs, dtype=float).tolist(), m)
 
-    def _score_rows(self, max_delta: int) -> tuple[np.ndarray, np.ndarray]:
-        # one row per distinct success probability
-        p, of = np.unique(self.probs, return_inverse=True)
-        p = p[:, None]
+    def _rows(self, max_delta: int) -> np.ndarray:
+        p = np.array(self.models)[:, None]
         d = np.arange(max_delta + 1, dtype=float)
-        return 0.5 * p * d * (d + 2.0 / p - 1.0), of
+        return 0.5 * p * d * (d + 2.0 / p - 1.0)
 
 
 class VoiWhittlePolicy(_ScoreTablePolicy):
     """Numeric Whittle index on the trace-of-covariance cost.
 
-    No closed form exists for this cost, so each (sensor, AoI) index comes
-    from the certified Newton / policy-iteration oracle, filled into a table over
-    AoI 1..``delta_cap`` (cap at least 2) the first time a batch needs it.
-    Past the cap the index is extrapolated geometrically from the last two
-    entries, which preserves the ordering because the index grows with AoI;
-    an extrapolated entry is written into the table, grown past the cap as
-    AoI needs. Writing an entry drops the keys; the next decision ranks the
-    table into keys again.
-    Every block and thread shares both tables; ``use_cache=False`` starts
-    each decision from an empty one, the online computation that C10 times.
-    ``PolicySpec`` holds the defaults of both knobs: cap 40, cache on.
+    No closed form exists for this cost, so each (plant, AoI) index comes
+    from the certified Newton / policy-iteration oracle, filled into the
+    plant's row over AoI 1..``delta_cap`` (cap at least 2) the first time a
+    batch needs it. Past the cap the index is extrapolated geometrically
+    from the last two entries, which preserves the ordering because the
+    index grows with AoI; an extrapolated entry is written into the rows,
+    grown past the cap as AoI needs. A call that writes an entry ranks the
+    rows again. ``use_cache=False`` starts each decision from empty rows,
+    the online computation that C10 times. ``PolicySpec`` holds the
+    defaults of both knobs: cap 40, cache on.
     """
 
     name = "voi-whittle"
@@ -324,64 +317,38 @@ class VoiWhittlePolicy(_ScoreTablePolicy):
         delta_cap: int,
         use_cache: bool,
     ):
-        super().__init__(len(plants), m)
+        super().__init__(list(zip(plants, filters)), m, lambda pair: tuple(map(id, pair)))
         if delta_cap < 2:
             raise ValueError(f"delta_cap={delta_cap} must be at least 2")
         self.delta_cap = delta_cap
         self.use_cache = use_cache
-        self.probs = np.array([pl.p for pl in plants])
-        self._costs = [
-            error_trace_table(pl, ss, delta_cap + _VOI_TAIL)[1:]
-            for pl, ss in zip(plants, filters)
-        ]
-        self._indexes: list[np.ndarray | None] = [None]  # the float table; clones share it
-        # filling, ranking and reading the shared tables is one step: a clone
-        # must not read keys ranked before another clone filled its entries
-        self._lock = threading.Lock()
+        self._costs = [error_trace_table(pl, ss, delta_cap + _VOI_TAIL)[1:]
+                       for pl, ss in self.models]
 
-    def _filled(self, deltas: np.ndarray) -> np.ndarray:
-        """The index table with every entry ``deltas`` reads filled; a call
-        that writes an entry (always, on a table it starts) drops the keys."""
+    def _fill(self, rows: np.ndarray | None, deltas: np.ndarray) -> np.ndarray | None:
         cap, dmax = self.delta_cap, int(deltas.max())
-        table = self._indexes[0] if self.use_cache else None
+        table = rows if self.use_cache else None
         if table is None or table.shape[1] <= dmax:
             # AoI 0..cap, or room to extrapolate up to twice the largest AoI
-            grown = np.full((self.n, cap + 1 if dmax <= cap else 2 * dmax), np.nan)
+            grown = np.full((len(self.models), cap + 1 if dmax <= cap else 2 * dmax), np.nan)
             if table is not None:
                 grown[:, :table.shape[1]] = table
             table = grown
-            if self.use_cache:
-                self._indexes[0] = table
-        sensors = np.broadcast_to(np.arange(self.n), deltas.shape)
-        clipped = np.minimum(deltas, cap)
+        of = np.broadcast_to(self.of, deltas.shape)
         past = np.nonzero(deltas > cap)
-        need = np.zeros((self.n, cap + 1), dtype=bool)
-        need[sensors, clipped] = need[past[1], cap - 1] = True
+        need = np.zeros((len(self.models), cap + 1), dtype=bool)
+        need[of, np.minimum(deltas, cap)] = need[of[past], cap - 1] = True
         fill = np.nonzero(need & np.isnan(table[:, :cap + 1]))
-        for i, d in zip(*fill):
-            costs, p = self._costs[i], self.probs[i]
-            table[i, d] = numeric_whittle_index(costs, p, int(d), bracket_hint=p * costs[d])
-        if fill[0].size:
-            self._tables[0] = None
-        for r, i in zip(*past):  # Python floats: numpy's power can differ in the last bit
-            d = int(deltas[r, i])
-            if math.isnan(table[i, d]):
-                w_hi, w_lo = float(table[i, cap]), float(table[i, cap - 1])
-                ratio = w_hi / w_lo if w_lo > 0 and w_hi > w_lo else 2.0
-                table[i, d] = w_hi * ratio ** (d - cap)
-                self._tables[0] = None
-        return table
-
-    def _scores(self, deltas: np.ndarray) -> np.ndarray:
-        """Float index of each (run, sensor), filled as a decision fills it."""
-        with self._lock:
-            return self._filled(deltas)[np.arange(self.n), deltas]
-
-    def _keys(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        with self._lock:
-            table = self._filled(deltas)
-            slot = self._tables[0] or self._store(_rank_keys(table, np.arange(self.n)))
-            return slot[1], slot[2]
+        for r, d in zip(*fill):
+            costs, p = self._costs[r], self.models[r][0].p
+            table[r, d] = numeric_whittle_index(costs, p, int(d), bracket_hint=p * costs[d])
+        extrapolate = [(r, d) for r, d in zip(of[past].tolist(), deltas[past].tolist())
+                       if math.isnan(table[r, d])]
+        for r, d in extrapolate:  # Python floats: numpy's power can differ in the last bit
+            w_hi, w_lo = float(table[r, cap]), float(table[r, cap - 1])
+            ratio = w_hi / w_lo if w_lo > 0 and w_hi > w_lo else 2.0
+            table[r, d] = w_hi * ratio ** (d - cap)
+        return table if table is not rows or fill[0].size or extrapolate else None
 
 
 class RoundRobinPolicy(Policy):

@@ -4,6 +4,7 @@ import json
 import pathlib
 import re
 import shlex
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -243,6 +244,83 @@ def test_dp_rejects_no_instances(tmp_path, capsys, monkeypatch, instances):
     assert rc == 1
     assert f"--instances must be at least 1, got {instances}" in _one_line_error(capsys)
     assert not (tmp_path / "dp.csv").exists()
+
+
+def test_dp_instances_get_distinct_ensembles(monkeypatch):
+    # README's grid: every (M, N, instance) draws its own plants, so no
+    # larger ensemble starts with a smaller one's (the solves are stubbed)
+    firsts = []
+    real = cli.generate_ensemble
+
+    def recording(*args, **kwargs):
+        plants = real(*args, **kwargs)
+        firsts.append(plants[0].A.tobytes())
+        return plants
+
+    monkeypatch.setattr(cli, "generate_ensemble", recording)
+    monkeypatch.setattr(cli, "dp_optimal_policy",
+                        lambda *args, **kwargs: SimpleNamespace(average_cost=1.0))
+    monkeypatch.setattr(cli, "evaluate_policy_average_cost", lambda *args, **kwargs: 1.0)
+    assert run_cli("dp", "--pairs", "1:2,1:3,2:3,2:4,3:4", "--instances", "20",
+                   "--seed", "3", "--json") == 0
+    assert len(firsts) == 100 and len(set(firsts)) == 100
+
+
+_PLANT = {"A": [[1.2]], "C": [[1.0]], "Q": [[1.0]], "R": [[1.0]], "p": 0.9}
+
+
+# argv ({tmp} is the test's directory, holding bad.json and the directory
+# outdir), the document written to bad.json, and the error line's text
+@pytest.mark.parametrize("argv,doc,message", [
+    pytest.param(["bounds", "--plants", "{tmp}/bad.json", "--m", "1"],
+                 {"plants": [{k: v for k, v in _PLANT.items() if k != "p"}]},
+                 'bad.json: plant 0: plant has no "p" field', id="plant-without-p"),
+    pytest.param(["bounds", "--plants", "{tmp}/bad.json", "--m", "1"],
+                 {"plants": [_PLANT, {**_PLANT, "A": "x"}]},
+                 'bad.json: plant 1: plant field "A" must be a matrix', id="ill-typed-A"),
+    pytest.param(["bounds", "--plants", "{tmp}/bad.json", "--m", "1"],
+                 {"plants": [{**_PLANT, "A": 1.2}]},
+                 'bad.json: plant 0: plant field "A" must be a matrix', id="scalar-A"),
+    pytest.param(["bounds", "--plants", "{tmp}/bad.json", "--m", "1"],
+                 {"plants": [{**_PLANT, "p": None}]},
+                 'bad.json: plant 0: plant field "p" must be a number', id="ill-typed-p"),
+    pytest.param(["bounds", "--plants", "{tmp}/bad.json", "--m", "1"], {"schema_version": 1},
+                 'bad.json: an ensemble must be an object with a non-empty "plants" list',
+                 id="no-plants"),
+    pytest.param(["bounds", "--plants", "{tmp}/bad.json", "--m", "1"], [_PLANT],
+                 'bad.json: an ensemble must be an object with a non-empty "plants" list',
+                 id="top-level-list"),
+    pytest.param(["simulate", "--plants", "{tmp}/bad.json", "--m", "1"], {"plants": []},
+                 'bad.json: an ensemble must be an object with a non-empty "plants" list',
+                 id="empty-ensemble"),
+    pytest.param(["bounds", "--plants", "{tmp}/bad.json", "--m", "1"], {"plants": [[1]]},
+                 "bad.json: plant 0: a plant must be an object, got list", id="plant-not-object"),
+    pytest.param(["bounds", "--generate", "3", "--m", "1", "--out", "{tmp}/outdir"], None,
+                 "Is a directory", id="bounds-out-is-a-directory"),
+    pytest.param(["gen", "--count", "2", "--out", "{tmp}/outdir"], None,
+                 "Is a directory", id="gen-out-is-a-directory"),
+    pytest.param(["gen", "--count", "0", "--out", "{tmp}/p.json"], None,
+                 "plant count must be at least 1, got 0", id="gen-count-0"),
+    pytest.param(["gen", "--count", "-3", "--out", "{tmp}/p.json"], None,
+                 "plant count must be at least 1, got -3", id="gen-count-negative"),
+    pytest.param(["simulate", "--generate", "-1", "--out", "{tmp}/r"], None,
+                 "plant count must be at least 1, got -1", id="simulate-generate-negative"),
+    pytest.param(["simulate", "--generate", "0", "--out", "{tmp}/r"], None,
+                 "plant count must be at least 1, got 0", id="simulate-generate-0"),
+    pytest.param(["bounds", "--generate", "3", "--m", "0"], None,
+                 "budget m=0 outside 1..3", id="bounds-m-0"),
+    pytest.param(["bounds", "--generate", "3", "--m", "5"], None,
+                 "budget m=5 outside 1..3", id="bounds-m-above-n"),
+])
+def test_bad_input_ends_in_one_error_line(tmp_path, capsys, argv, doc, message):
+    if doc is not None:
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+    (tmp_path / "outdir").mkdir()
+    rc = run_cli(*(arg.format(tmp=tmp_path) for arg in argv))
+    assert rc == 1
+    assert message in _one_line_error(capsys)
+    assert not list(tmp_path.glob("*.tmp.*"))
+    assert not (tmp_path / "p.json").exists() and not (tmp_path / "r.csv").exists()
 
 
 _SWEEP_WANTS = "--sweep wants kind:lo:hi:steps or kind:v1,v2,..., got "

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 import tracemalloc
 
@@ -47,10 +48,12 @@ from aoi_sched.policies import _VOI_TAIL, POLICY_KINDS, Policy, _ScoreTablePolic
 
 
 def _float_scores(pol, deltas):
-    """The float scores a score-table policy ranks into keys, per (run, sensor)."""
+    """The float scores a score-table policy ranks into keys, per (run,
+    sensor), read from its shared rows once a decision on ``deltas`` has
+    filled them."""
     deltas = np.asarray(deltas)
-    rows, of = pol._score_rows(max(64, 2 * int(deltas.max())))
-    return rows[of, deltas]
+    pol.decide_batch(deltas)
+    return pol._slot[0][0][pol.of, deltas]
 
 
 class _GivenTable(_ScoreTablePolicy):
@@ -60,11 +63,11 @@ class _GivenTable(_ScoreTablePolicy):
     name = "given-table"
 
     def __init__(self, rows, of, m):
-        super().__init__(len(of), m)
-        self.rows, self.of = np.asarray(rows, dtype=float), np.asarray(of)
+        super().__init__(list(of), m)
+        self.table = np.asarray(rows, dtype=float)
 
-    def _score_rows(self, max_delta):
-        return self.rows, self.of
+    def _rows(self, max_delta):
+        return self.table[self.models]
 
 
 def _ensemble(count, seed, rho=(1.05, 1.3), p_range=(0.8, 1.0)):
@@ -191,37 +194,38 @@ class TestVoiWhittle:
         ss = steady_state_filter(pl)
         pol = VoiWhittlePolicy([pl], [ss], 1, delta_cap=12, use_cache=True)
         fn = AoiFunction(1.25**2, ss.posterior_cov[0, 0], 0.8)
-        got = pol._scores(np.array([[1], [3], [7]]))[:, 0]
+        got = _float_scores(pol, np.array([[1], [3], [7]]))[:, 0]
         for d, w in zip((1, 3, 7), got):
             assert w == pytest.approx(whittle_index(fn, d), rel=1e-4)
 
     def test_index_monotone(self):
         plants, filters, _ = _ensemble(1, 26)
         pol = VoiWhittlePolicy(plants, filters, 1, delta_cap=20, use_cache=True)
-        idx = pol._scores(np.arange(1, 21)[:, None])[:, 0]
+        idx = _float_scores(pol, np.arange(1, 21)[:, None])[:, 0]
         assert all(idx[i + 1] > idx[i] for i in range(len(idx) - 1))
 
     def test_cache_hit_bit_identical(self):
         plants, filters, _ = _ensemble(1, 27)
         pol = VoiWhittlePolicy(plants, filters, 1, delta_cap=10, use_cache=True)
-        first = pol._scores(np.array([[4]]))[0, 0]
-        assert pol._scores(np.array([[4]]))[0, 0] == first
+        first = _float_scores(pol, np.array([[4]]))[0, 0]
+        assert _float_scores(pol, np.array([[4]]))[0, 0] == first
 
     def test_extrapolation_preserves_order(self):
         plants, filters, _ = _ensemble(1, 28)
         pol = VoiWhittlePolicy(plants, filters, 1, delta_cap=8, use_cache=True)
-        w12, w9, w8 = pol._scores(np.array([[12], [9], [8]]))[:, 0]
+        w12, w9, w8 = _float_scores(pol, np.array([[12], [9], [8]]))[:, 0]
         assert w12 > w9 > w8
 
     def test_keys_rank_entries_filled_between_decisions(self):
-        # entries filled by a float read after the keys were ranked must
-        # enter the next decision's keys
+        # entries a decision fills after the keys were ranked must enter
+        # that decision's keys, whether it writes into the rows in place (AoI
+        # up to the cap) or grows them (AoI 12 past it)
         plants, filters, _ = _ensemble(3, 29)
         pol = VoiWhittlePolicy(plants, filters, 1, delta_cap=8, use_cache=True)
         pol.decide_batch(np.array([[2, 2, 2]]))
-        deltas = np.array([[7, 3, 12], [5, 8, 1]])
-        scores = pol._scores(deltas)
-        assert np.array_equal(pol.decide_batch(deltas), _argsort_reference(scores, 1))
+        for deltas in ([[1, 3, 8], [5, 8, 1]], [[7, 3, 12], [5, 8, 1]]):
+            mask = pol.decide_batch(np.array(deltas))
+            assert np.array_equal(mask, _argsort_reference(_float_scores(pol, deltas), 1))
 
     @settings(max_examples=40)
     @given(seed=st.integers(0, 10_000), cap=st.integers(2, 12), data=st.data())
@@ -234,10 +238,10 @@ class TestVoiWhittle:
                                            max_size=2), min_size=1, max_size=4))
         deltas = np.array(rows, dtype=np.int64)
         cached = VoiWhittlePolicy(plants, filters, 1, delta_cap=cap, use_cache=True)
-        got = cached._scores(deltas)
+        got = _float_scores(cached, deltas)
         uncached = VoiWhittlePolicy(plants, filters, 1, delta_cap=cap, use_cache=False)
-        assert got.tobytes() == uncached._scores(deltas).tobytes()
-        assert got.tobytes() == cached._scores(deltas).tobytes()  # warm table
+        assert got.tobytes() == _float_scores(uncached, deltas).tobytes()
+        assert got.tobytes() == _float_scores(cached, deltas).tobytes()  # warm table
         for i, (pl, ss) in enumerate(zip(plants, filters)):
             costs = error_trace_table(pl, ss, cap + _VOI_TAIL)[1:]
 
@@ -337,6 +341,53 @@ def test_score_rows_built_once_per_distinct_sensor_model(monkeypatch):
     assert calls == ["whittle_index_table"] * 3 + ["error_trace_table"] * 3
     assert light.tobytes() == light_ref.tobytes()
     assert greedy.tobytes() == greedy_ref.tobytes()
+
+
+def test_voi_whittle_fills_one_row_per_distinct_plant(monkeypatch):
+    # 3 plants cycled to N=12 are 3 sensor models: VoI-Whittle builds 3
+    # trace tables, not 12, calls the oracle once per (distinct plant, AoI)
+    # it reads, and scores each sensor as its plant alone would
+    plants, filters, _ = (x * 4 for x in _ensemble(3, 39))
+    cap = 6
+    deltas = np.random.default_rng(39).integers(1, 10, size=(5, 12))
+    wanted = {(i % 3, min(d, cap)) for (_, i), d in np.ndenumerate(deltas)}
+    wanted |= {(i % 3, cap - 1) for (_, i), d in np.ndenumerate(deltas) if d > cap}
+    calls = []
+    for name in ("error_trace_table", "numeric_whittle_index"):
+        real = getattr(policies, name)
+        monkeypatch.setattr(policies, name, lambda *args, real=real, name=name, **kw:
+                            calls.append(name) or real(*args, **kw))
+    pol = VoiWhittlePolicy(plants, filters, 6, delta_cap=cap, use_cache=True)
+    scores = _float_scores(pol, deltas)
+    assert calls.count("error_trace_table") == 3
+    assert calls.count("numeric_whittle_index") == len(wanted)
+    for j in range(3):
+        alone = VoiWhittlePolicy(plants[j:j + 1], filters[j:j + 1], 1, cap, True)
+        column = deltas[:, j::3].reshape(-1, 1)
+        assert (_float_scores(alone, column).tobytes()
+                == scores[:, j::3].reshape(-1, 1).tobytes()), j
+
+
+def test_clones_build_the_shared_rows_once():
+    # the slot is read and written under one lock: a clone that finds the
+    # rows being built waits for them instead of building its own copy
+    calls = []
+
+    class Slow(_GivenTable):
+        def _rows(self, max_delta):
+            calls.append(max_delta)
+            time.sleep(0.05)  # the other clone reaches the slot meanwhile
+            return super()._rows(max_delta)
+
+    pol = Slow(np.arange(12.0).reshape(3, 4), [0, 1, 2], 1)
+    deltas = np.array([[1, 2, 3]])
+    workers = [threading.Thread(target=pol.clone().decide_batch, args=(deltas,))
+               for _ in range(2)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    assert len(calls) == 1
 
 
 def test_homogeneous_staggered_policies_agree():
@@ -695,9 +746,9 @@ def test_keys_follow_a_grown_table(kind):
             table = np.vstack([whittle_index_table(fn, 400) for fn in fns])
             scores = table[np.arange(12), deltas]
         else:
-            scores = pol._scores(deltas)
+            scores = _float_scores(pol, deltas)
         assert np.array_equal(mask, _argsort_reference(scores, 5)), hi
-        widths.append(pol._tables[0][0].shape[1])
+        widths.append(pol._slot[0][0].shape[1])
     assert widths[0] < widths[-1]  # the tables grew
 
 
