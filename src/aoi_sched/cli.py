@@ -304,6 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (AoiSchedError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -108,6 +108,8 @@ class PlantModel:
     def __post_init__(self) -> None:
         for name in ("A", "C", "Q", "R"):
             arr = np.array(getattr(self, name), dtype=float)
+            if arr.ndim != 2:
+                raise PlantInvariantError(f"{name} must be a 2-D matrix, got shape {arr.shape}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         n, m = self.n, self.m

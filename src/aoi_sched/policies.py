@@ -118,7 +118,8 @@ def _rank_keys(rows: np.ndarray, of) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 class Policy:
-    """Uniform decision interface; subclasses fill in ``decide_batch``."""
+    """Uniform decision interface; subclasses fill in ``_keys`` (a top-M
+    policy ranked by int64 keys) or ``decide_batch`` (any other)."""
 
     name = "policy"
     _scratch: list[np.ndarray] | None = None  # a clone's reusable (b, n) pair
@@ -139,8 +140,15 @@ class Policy:
             self._scratch = [np.empty(shape), np.empty(shape)]
         return self._scratch[0].view(dtype), self._scratch[1].view(dtype)
 
+    def _keys(self, deltas: np.ndarray, out=None, index=None) -> np.ndarray | None:
+        """Tie-free int64 keys of a (b, n) AoI batch or one (n,) vector whose
+        M largest per row are the schedule (None: no keys, decide by mask).
+        ``out`` (for the keys) and ``index``: int64 scratch shaped as ``deltas``."""
+        return None
+
     def decide_batch(self, deltas: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        keys, scratch = self._buffers(deltas.shape, np.int64)
+        return _top_m_mask(self._keys(deltas, keys, scratch), self.m, scratch)
 
     def decide(self, deltas) -> Decision:
         """Schedule one step from the AoI vector: one positive int per sensor."""
@@ -149,8 +157,12 @@ class Policy:
             raise ValueError(f"AoI vector must have shape ({self.n},), got {deltas.shape}")
         if deltas.dtype.kind not in "iu" or deltas.min() < 1:
             raise ValueError(f"AoI values must be positive integers, got {deltas.tolist()}")
-        mask = self.decide_batch(deltas[None, :])[0]
-        return Decision(scheduled=tuple(np.flatnonzero(mask).tolist()))
+        keys = self._keys(deltas)
+        if keys is None:
+            return Decision(tuple(np.flatnonzero(self.decide_batch(deltas[None, :])[0]).tolist()))
+        top = keys.argpartition(-self.m)[-self.m:]  # distinct keys: decide_batch's set
+        top.sort()
+        return Decision(tuple(top.tolist()))
 
     def reset(self) -> None:
         """Clear per-trajectory decision state (cursors); caches persist."""
@@ -176,8 +188,10 @@ class _ScoreTablePolicy(Policy):
     row r (a sensor's ``key`` names its model). The float rows (column d at
     AoI d) and their rank keys live together in one slot (see
     ``_rank_keys``) that all clones share, read and written under one
-    lock, so a decision is one locked check, one key gather, one partition
-    and one compare. A subclass supplies the code that fills its rows.
+    lock. ``_keys`` is one locked check and one key gather for a batch or
+    one vector; ``decide_batch`` adds a partition and a compare per row,
+    ``decide`` one argpartition of the vector's N keys. A subclass supplies
+    the code that fills its rows.
     """
 
     def __init__(self, models: list, m: int, key=lambda model: model):
@@ -202,8 +216,7 @@ class _ScoreTablePolicy(Policy):
             return self._rows(max(64, 2 * dmax))
         return None
 
-    def decide_batch(self, deltas: np.ndarray) -> np.ndarray:
-        keys, neg = self._buffers(deltas.shape, np.int64)
+    def _keys(self, deltas: np.ndarray, out=None, index=None) -> np.ndarray:
         self._lock.acquire()  # half the per-call cost of a `with` block
         try:
             slot = self._slot[0]
@@ -213,15 +226,16 @@ class _ScoreTablePolicy(Policy):
         finally:
             self._lock.release()
         # the keys cover every AoI asked for, so no index is clipped
-        index = np.add(deltas, slot[2], out=neg, dtype=np.int64)  # any int AoI
-        return _top_m_mask(slot[1].take(index, out=keys, mode="clip"), self.m, neg)
+        index = np.add(deltas, slot[2], out=index, dtype=np.int64)  # any int AoI
+        return slot[1].take(index, out=out, mode="clip")
 
 
 class LightweightPolicy(_ScoreTablePolicy):
     """Schedule the M sensors with the largest closed-form Whittle indexes.
 
     Only the scalar characteristic parameters and channel rates enter the
-    score, so one decision costs a table lookup plus an O(N) partition.
+    score, so ``decide`` on one AoI vector costs a locked table check, one
+    key gather and an O(N) argpartition of the N keys.
     Past delta ~ 709 / log alpha the index saturates to ``inf``; saturated
     sensors share one rank, so the key takes the lowest index, not the
     oldest sensor.
@@ -252,13 +266,12 @@ class AoiGreedyPolicy(Policy):
         super().__init__(n, m)
         self._order = np.arange(n)
 
-    def decide_batch(self, deltas: np.ndarray) -> np.ndarray:
+    def _keys(self, deltas: np.ndarray, out=None, index=None) -> np.ndarray:
         # the key n * delta - i is unique in its row and ranks the older
         # sensor first, then the lower index: no ties to break
-        key, neg = self._buffers(deltas.shape, np.int64)
-        key = np.multiply(deltas, self.n, out=key, dtype=np.int64)
+        key = np.multiply(deltas, self.n, out=out, dtype=np.int64)
         key -= self._order
-        return _top_m_mask(key, self.m, neg)
+        return key
 
 
 class VoiGreedyPolicy(_ScoreTablePolicy):

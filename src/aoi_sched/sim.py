@@ -422,10 +422,11 @@ def measure_decision_time(
 
     M is N/2, rounded half to even and at least 1, as in :func:`run_sim`.
 
-    Decisions are timed one at a time on a pool of warm AoI states (the
-    deployed call pattern, not the vectorized batch path). Policies slower
-    than the per-cell time budget are measured on fewer decisions; the
-    count actually timed is reported alongside the median.
+    Each decision is one ``policy.decide`` call on one AoI vector from a
+    pool of warm AoI states (the deployed call pattern, not the vectorized
+    batch path). Policies slower than the per-cell time budget are measured
+    on fewer decisions; the count actually timed is reported alongside the
+    median.
     """
     rows: list[dict] = []
     for n in n_list:
@@ -443,7 +444,7 @@ def measure_decision_time(
         for spec in policy_specs:
             policy = spec.make(ens, filters, cps, m)
             policy.rng = _philox(seed, 11)
-            policy.decide_batch(pool[:1])  # warm tables/caches once
+            policy.decide(pool[0])  # warm tables/caches once
             batch = 16
             samples: list[float] = []
             done = 0
@@ -451,7 +452,7 @@ def measure_decision_time(
             while done < decisions and time.perf_counter() - start < time_budget_s:
                 t0 = time.perf_counter()
                 for k in range(batch):
-                    policy.decide_batch(pool[(done + k) % 128 : (done + k) % 128 + 1])
+                    policy.decide(pool[(done + k) % 128])
                 samples.append((time.perf_counter() - t0) / batch)
                 done += batch
             rows.append(

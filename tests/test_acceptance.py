@@ -377,7 +377,9 @@ def test_c09_comparative_trends():
 
 
 def test_c10_timing_soft():
-    """(soft) Lightweight decision cost: 5x under uncached VoI-Whittle, ~N (partition)."""
+    """(soft) Lightweight decision cost: 5x under uncached VoI-Whittle, ~N (partition).
+
+    Each time is the median of one ``decide`` call on one AoI vector."""
     plants = generate_ensemble(20, 3, 3, (1.05, 1.25), seed=110,
                                p_range=(0.85, 1.0))
     rows = measure_decision_time(
@@ -393,7 +395,7 @@ def test_c10_timing_soft():
     ok = speedup >= 5.0 and growth < 3.0
     assert _verdict(
         10, ok,
-        f"lightweight {med[('lightweight', 20)]*1e6:.1f}us vs uncached "
+        f"one decide call: lightweight {med[('lightweight', 20)]*1e6:.1f}us vs uncached "
         f"voi-whittle {med[('voi-whittle', 20)]*1e3:.1f}ms at N=20 "
         f"({speedup:.0f}x, need >= 5x); N=10->20 growth {growth:.2f} (< 3); "
         f"aoi-greedy/lightweight {greedy_ratio:.2f}",

@@ -311,6 +311,12 @@ _PLANT = {"A": [[1.2]], "C": [[1.0]], "Q": [[1.0]], "R": [[1.0]], "p": 0.9}
                  "budget m=0 outside 1..3", id="bounds-m-0"),
     pytest.param(["bounds", "--generate", "3", "--m", "5"], None,
                  "budget m=5 outside 1..3", id="bounds-m-above-n"),
+    *(pytest.param([*argv, "--seed", "-1"], None,
+                   "--seed must be a non-negative integer, got -1", id=f"{argv[0]}-negative-seed")
+      for argv in (["gen", "--count", "2", "--out", "{tmp}/p.json"],
+                   ["simulate", "--generate", "2", "--m", "1", "--out", "{tmp}/r"],
+                   ["bounds", "--generate", "2", "--m", "1"],
+                   ["dp", "--pairs", "1:2", "--instances", "1", "--cap", "4"])),
 ])
 def test_bad_input_ends_in_one_error_line(tmp_path, capsys, argv, doc, message):
     if doc is not None:

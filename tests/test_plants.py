@@ -3,6 +3,7 @@
 import copy
 import json
 import pickle
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from unittest.mock import patch
@@ -350,6 +351,15 @@ class TestGeneratePlant:
             PlantModel(A=[[1.2]], C=[[1.0]], Q=[[-1.0]], R=[[1.0]], p=0.5)
         with pytest.raises(PlantInvariantError):
             PlantModel(A=[[1.2]], C=[[1.0]], Q=[[1.0]], R=[[1.0]], p=0.0)
+
+    @pytest.mark.parametrize("field", ["A", "C", "Q", "R"])
+    @pytest.mark.parametrize("value,shape", [(1.2, ()), ([1.2], (1,)), ([[[1.2]]], (1, 1, 1))],
+                             ids=["scalar", "1-D", "3-D"])
+    def test_constructor_names_a_matrix_that_is_not_2d(self, field, value, shape):
+        fields = {"A": [[1.2]], "C": [[1.0]], "Q": [[1.0]], "R": [[1.0]], field: value}
+        message = f"{field} must be a 2-D matrix, got shape {shape}"
+        with pytest.raises(PlantInvariantError, match=f"^{re.escape(message)}$"):
+            PlantModel(**fields, p=0.5)
 
 
 def test_ensemble_json_roundtrip(tmp_path):

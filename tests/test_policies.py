@@ -797,6 +797,77 @@ def test_decide_takes_any_integer_aoi_dtype(dtype):
         assert pol.decide(np.array(aoi, dtype=dtype)) == pol.decide(np.array(aoi)), kind
 
 
+_KEY_RANKED = ("lightweight", "aoi-greedy", "voi-greedy", "aoi-whittle", "voi-whittle")
+
+
+def _assert_decide_is_the_batch_row(make, rows):
+    """``decide`` on each AoI vector schedules what ``decide_batch`` marks in
+    that one-row batch; twin policies, so each path fills its own rows."""
+    one, batch = make(), make()
+    for row in rows:
+        expect = tuple(np.flatnonzero(batch.decide_batch(row[None])[0]).tolist())
+        assert one.decide(row).scheduled == expect, row.tolist()
+
+
+@pytest.mark.parametrize("kind", _KEY_RANKED)
+@settings(max_examples=12)
+@given(n=st.integers(1, 4), seed=st.integers(0, 10_000),
+       dtype=st.sampled_from([np.uint8, np.int32, np.uint64, np.int64]), data=st.data())
+def test_decide_is_the_batch_row(kind, n, seed, dtype, data):
+    # AoI past 64 grows the closed-form rows, and past voi-cap 3 VoI-Whittle
+    # extrapolates into its rows and ranks them again
+    m = data.draw(st.integers(1, n))
+    plants, filters, cps = _ensemble(n, seed)
+    aoi = st.one_of(st.integers(1, 4), st.integers(60, 255))
+    rows = np.array(data.draw(st.lists(st.lists(aoi, min_size=n, max_size=n),
+                                       min_size=1, max_size=5)), dtype=dtype)
+    _assert_decide_is_the_batch_row(
+        lambda: PolicySpec(kind, voi_delta_cap=3).make(plants, filters, cps, m), rows)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_decide_is_the_batch_row_past_overflow(dtype):
+    # saturated lightweight indexes tie at inf; sensor 0's VoI-greedy trace
+    # overflows float64 before AoI 9000
+    for alphas in ((1.44, 1.3), (1.3, 1.44)):
+        cps = [CharParams(a, 1.0) for a in alphas]
+        _assert_decide_is_the_batch_row(
+            lambda: LightweightPolicy(cps, [0.9, 0.9], 1),
+            np.array([[2800, 4000], [4000, 2800], [3000, 3500], [5, 3000]], dtype=dtype))
+    plants, filters, _ = _ensemble(2, 3)
+    _assert_decide_is_the_batch_row(lambda: VoiGreedyPolicy(plants, filters, 1),
+                                    np.array([[9000, 2], [2, 9000], [9000, 9000]], dtype=dtype))
+
+
+@pytest.mark.parametrize("kind", _KEY_RANKED)
+def test_decide_keeps_a_clones_lent_scratch(kind):
+    # the simulator lends a clone its (values, index) pair and reuses both
+    # arrays between decisions; a decide call must not swap them out
+    plants, filters, cps = _ensemble(4, 35)
+    lent = (np.empty((8, 4)), np.empty((8, 4), dtype=np.int64))
+    pol = PolicySpec(kind, voi_delta_cap=3).make(plants, filters, cps, 2).clone(scratch=lent)
+    pol.decide([5, 1, 70, 2])
+    assert len(pol._scratch) == 2
+    assert pol._scratch[0] is lent[0] and pol._scratch[1] is lent[1]
+
+
+@pytest.mark.parametrize("kind", _KEY_RANKED)
+def test_decide_never_hands_decide_batch_a_vector(kind):
+    # a batch's row count is deltas.shape[0], so decide_batch takes 2-D only
+    plants, filters, cps = _ensemble(3, 36)
+    pol = PolicySpec(kind, voi_delta_cap=3).make(plants, filters, cps, 1)
+    base = type(pol)
+
+    def decide_batch(self, deltas):
+        assert deltas.ndim == 2, deltas.shape
+        return base.decide_batch(self, deltas)
+
+    pol.__class__ = type("Checked", (base,), {"decide_batch": decide_batch})
+    for aoi in ([3, 70, 1], [1, 1, 1], [200, 2, 9]):
+        expect = tuple(np.flatnonzero(pol.decide_batch(np.array([aoi]))[0]).tolist())
+        assert pol.decide(aoi).scheduled == expect
+
+
 def test_top_m_mask_ranks_nan_last():
     scores = np.array([[np.nan, 1.0, np.nan, -np.inf],
                        [np.nan, np.nan, np.nan, np.nan]])
