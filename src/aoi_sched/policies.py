@@ -509,9 +509,11 @@ def _optimal_sweep(cost: np.ndarray, probs: np.ndarray, m: int):
             if tv is None:
                 tv = q
             else:
-                np.less(q, tv, out=better)  # strict: ties keep the earliest subset
-                np.copyto(tv, q, where=better)
-                best_arg[better] = ai
+                # strict: ties keep the earliest subset; subsets come in index
+                # order, so a better one's index is the largest yet
+                np.less(q, tv, out=better)
+                np.minimum(tv, q, out=tv)
+                np.maximum(best_arg, better * np.int16(ai), out=best_arg)
         return tv, best_arg.ravel()
 
     return sweep
@@ -540,53 +542,73 @@ def _policy_product(
     coords: np.ndarray, subsets: list[tuple[int, ...]], probs: np.ndarray,
     action_table: np.ndarray,
 ):
-    """Product ``(v, out) -> out = P v`` with a fixed policy's transition
-    matrix, plus the state order it works in (position -> flat state).
+    """Product ``(v, out) -> out = P v`` with a policy's transition matrix,
+    the state order it works in (position -> flat state), and ``rekey``,
+    which moves the product to another action table's policy.
 
-    Values live on the states ordered by action (a stable sort), so each
-    subset's states form one slice. The slice is cut into blocks of at most
-    ``_BLOCK`` states; per block, a ``(2^M, block)`` intp array holds each
-    state's successor position under each success/failure pattern of the
-    subset, built from ``coords`` (see :func:`_coordinate_rows`). A product
-    is then, per block, one gather into a scratch shared by all blocks and
-    one dot with the patterns' probabilities.
+    ``action_table`` fixes the layout: values live on the states ordered by
+    its actions (a stable sort), so each subset's states form one slice. The
+    slice is cut into blocks of at most ``_BLOCK`` states; per block, a
+    ``(2^M, block)`` intp array holds each state's successor position under
+    each success/failure pattern of the subset, built from ``coords`` (see
+    :func:`_coordinate_rows`). A product is then, per block, one gather into
+    a scratch shared by all blocks and one dot with the patterns'
+    probabilities. ``rekey(table)`` keeps the layout: the states whose
+    action in ``table`` differs from the layout's get successor rows of their
+    own, in blocks whose values overwrite the layout's, so a re-key costs
+    work in proportion to those states.
     """
     order = np.argsort(action_table, kind="stable")
     pos = np.empty(order.size, dtype=np.intp)  # intp rows gather without a cast
     pos[order] = np.arange(order.size)
     n, probs = coords.shape[0] - 1, probs.tolist()
     patterns = list(itertools.product((True, False), repeat=len(subsets[0])))
+    # per subset, one weight per success/failure pattern, in itertools.product order
+    weights = [np.array([math.prod(probs[i] if hit else 1.0 - probs[i]
+                                   for i, hit in zip(subset, hits)) for hits in patterns])
+               for subset in subsets]
     scratch = np.empty(len(patterns) * min(_BLOCK, order.size))
-    blocks, lo = [], 0
-    for subset, count in zip(subsets, np.bincount(action_table, minlength=len(subsets))):
-        # one weight per success/failure pattern, in itertools.product order
-        weights = np.array([
-            math.prod(probs[i] if hit else 1.0 - probs[i] for i, hit in zip(subset, hits))
-            for hits in patterns
-        ])
-        for a in range(lo, lo + count, _BLOCK):
-            states = order[a : min(a + _BLOCK, lo + count)]
-            succ = np.empty((len(patterns), states.size), dtype=np.intp)
-            succ[-1] = coords[n].take(states)  # no sensor hit
-            span = 1
-            # a hit resets sensor i, dropping its term; each pattern with i hit
-            # sits `span` rows before its twin with i idle (product order)
-            for i in reversed(subset):
-                grown = coords[i].take(states)
-                np.subtract(succ[-span:], grown, out=succ[-2 * span : -span])
-                span *= 2
-            rows = pos.take(succ, mode="wrap")
-            gathered = scratch[: rows.size].reshape(rows.shape)
-            blocks.append((slice(a, a + states.size), rows, weights, gathered))
-        lo += count
+    values = np.empty(min(_BLOCK, order.size))  # a patch block's products
+
+    def blocks(states: np.ndarray, actions: np.ndarray):
+        # (first index, block of states, successor positions, weights,
+        # gather scratch) per block of `states`, which are sorted by `actions`
+        bounds = np.searchsorted(actions, np.arange(len(subsets) + 1))
+        for a, subset in enumerate(subsets):
+            for lo in range(bounds[a], bounds[a + 1], _BLOCK):
+                part = states[lo : min(lo + _BLOCK, bounds[a + 1])]
+                succ = np.empty((len(patterns), part.size), dtype=np.intp)
+                succ[-1] = coords[n].take(part)  # no sensor hit
+                span = 1
+                # a hit resets sensor i, dropping its term; each pattern with i
+                # hit sits `span` rows before its twin with i idle (product order)
+                for i in reversed(subset):
+                    np.subtract(succ[-span:], coords[i].take(part),
+                                out=succ[-2 * span : -span])
+                    span *= 2
+                rows = pos.take(succ, mode="wrap")
+                yield lo, part, rows, weights[a], scratch[: rows.size].reshape(rows.shape)
+
+    layout = [(slice(lo, lo + part.size), rows, w, gathered)
+              for lo, part, rows, w, gathered in blocks(order, action_table[order])]
+    patches: list = []
 
     def product(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        for part, rows, weights, gathered in blocks:
+        for part, rows, w, gathered in layout:
             v.take(rows, out=gathered, mode="wrap")  # rows are in range
-            np.dot(weights, gathered, out=out[part])
+            np.dot(w, gathered, out=out[part])
+        for targets, rows, w, gathered in patches:
+            v.take(rows, out=gathered, mode="wrap")
+            out[targets] = np.dot(w, gathered, out=values[: targets.size])
         return out
 
-    return product, order
+    def rekey(table: np.ndarray) -> None:
+        moved = np.flatnonzero(table != action_table)
+        moved = moved[np.argsort(table[moved], kind="stable")]
+        patches[:] = [(pos[part], rows, w, gathered)
+                      for _, part, rows, w, gathered in blocks(moved, table[moved])]
+
+    return product, order, rekey
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -615,7 +637,7 @@ def _bicgstab(apply, b: np.ndarray, x: np.ndarray, tol: float, left) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite -> restart
         while True:
             np.subtract(b, apply(x, r), out=r)
-            span = float(np.ptp(r))
+            span = float(r.max() - r.min())  # np.ptp without its Python layers
             if span < tol:
                 return x, r
             if not span < best or left() < 3:
@@ -637,7 +659,7 @@ def _bicgstab(apply, b: np.ndarray, x: np.ndarray, tol: float, left) -> tuple:
                 alpha = rho / r0v
                 x += np.multiply(p, alpha, out=t)  # t is free until apply(r, t)
                 r -= np.multiply(v, alpha, out=t)
-                if not np.ptp(r) >= tol:
+                if not r.max() - r.min() >= tol:
                     break
                 apply(r, t)
                 tt = _dot(t, t)
@@ -647,7 +669,7 @@ def _bicgstab(apply, b: np.ndarray, x: np.ndarray, tol: float, left) -> tuple:
                 p -= np.multiply(v, omega, out=v)  # v is free from here on
                 x += np.multiply(r, omega, out=v)
                 r -= np.multiply(t, omega, out=t)
-                if not np.ptp(r) >= tol:
+                if not r.max() - r.min() >= tol:
                     break
                 rho_next = _dot(r0, r)
                 p *= (rho_next / rho) * (alpha / omega)
@@ -667,11 +689,12 @@ def joint_value_iteration(
     Each cost table holds AoI 0..cap (slot 0 unused) and AoI saturates at
     that cap. A policy is evaluated by solving the unichain equations ``h +
     g - P h = c`` with ``h(1,...,1) = 0`` by BiCGSTAB, whose product ``P h``
-    gathers each state's 2^M successor values through index rows built per
-    policy from coordinate rows computed once per call (see
-    :func:`_policy_product`). The solve stops once the span of its true
-    residual, ``T_pi h - h - g``, is below the tolerance, and ``g`` plus the
-    residual's midpoint is the policy's average cost. Evaluating a fixed
+    gathers each state's 2^M successor values through index rows (see
+    :func:`_policy_product`). A call builds one layout of those rows, from
+    its first table, and values stay in that layout's state order for the
+    whole call. The solve stops once the span of its true residual, ``T_pi
+    h - h - g``, is below the tolerance, and ``g`` plus the residual's
+    midpoint is the policy's average cost. Evaluating a fixed
     ``action_table`` is that one solve, to ``_DP_TOL``.
 
     Without ``action_table``, policy iteration starts from the myopic table
@@ -679,11 +702,14 @@ def joint_value_iteration(
     + E[V(next)]`` for every schedule-exactly-M subset, sharing the partial
     expectation of each active/passive prefix across subsets. A state
     switches only if its best subset beats its current one by more than
-    ``0.1 * _DP_TOL``. Policies are evaluated to a residual span of
-    ``_DP_LOOSE_TOL`` until no state switches, then to ``_DP_TOL``. The
-    result comes from the last sweep: its argmin (ties keep the earliest
-    subset), and the midpoint and span of the bracket ``min/max(T h - h)``
-    of the optimal average cost, which must be below ``_DP_TOL``.
+    ``0.1 * _DP_TOL``. An improvement re-keys the product: only the states
+    whose subset differs from the layout's get new successor rows, and a
+    table that did not change keeps its product as it is. Policies are
+    evaluated to a residual span of ``_DP_LOOSE_TOL`` until no state
+    switches, then to ``_DP_TOL``. The result comes from the last sweep: its
+    argmin (ties keep the earliest subset), and the midpoint and span of the
+    bracket ``min/max(T h - h)`` of the optimal average cost, which must be
+    below ``_DP_TOL``.
 
     ``sweeps`` counts kernel applications (gather products plus Bellman
     sweeps), at most ``_DP_MAX_KERNELS``. A policy whose chain has more
@@ -697,60 +723,61 @@ def joint_value_iteration(
     _check_size(n, m, cap)
     subsets = list(itertools.combinations(range(n), m))
     cost = _joint_cost_tensor(cost_tables, cap)
-    coords = _coordinate_rows(cost.shape)
-    used = 0
+    if action_table is None:
+        bellman = _optimal_sweep(cost, probs, m)
+        table = bellman(cost)[1]
+        used = 1
+    else:
+        table = np.asarray(action_table).reshape(cost.size)
+        used = 0
+    product, order, rekey = _policy_product(_coordinate_rows(cost.shape), subsets, probs,
+                                            table)
+    origin = int(np.flatnonzero(order == 0)[0])  # AoI (1,...,1) is flat state 0
 
     def left() -> int:
         return _DP_MAX_KERNELS - used
 
-    def evaluate(table: np.ndarray, x: np.ndarray, tol: float):
-        # x holds h on the flat states, except at AoI (1,...,1), flat
-        # state 0, where h is 0 and x carries the gain g
-        product, order = _policy_product(coords, subsets, probs, table)
-        origin = int(np.flatnonzero(order == 0)[0])
+    def apply(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # y holds h in the layout's order, except at the origin, where h is
+        # 0 and y carries the gain g
+        nonlocal used
+        used += 1
+        gain = y[origin]
+        y[origin] = 0.0  # y is h for the product
+        product(y, out)
+        np.subtract(y, out, out=out)
+        out += gain
+        y[origin] = gain
+        return out
 
-        def apply(y: np.ndarray, out: np.ndarray) -> np.ndarray:
-            nonlocal used
-            used += 1
-            gain = y[origin]
-            y[origin] = 0.0  # y is h for the product
-            product(y, out)
-            np.subtract(y, out, out=out)
-            out += gain
-            y[origin] = gain
-            return out
-
-        # x is permuted in place, and the right-hand side then takes the
-        # residual back to the flat states
-        b = cost.ravel()[order]
-        x, r = _bicgstab(apply, b, np.take(x, order, out=x), tol, left)
-        x[order], b[order] = x, r
-        return x, b
-
+    x = np.zeros(cost.size)
     if action_table is not None:
-        table = np.asarray(action_table).reshape(cost.size)
-        x, r = evaluate(table, np.zeros(cost.size), _DP_TOL)
+        del rekey  # frees what re-keying keeps: the positions and coordinate rows
+        x, r = _bicgstab(apply, cost.ravel()[order], x, _DP_TOL, left)
         lo, hi = float(r.min()), float(r.max())
         return DpSolution(action_table=table, subsets=subsets,
-                          average_cost=float(x[0]) + 0.5 * (lo + hi), delta_cap=cap,
+                          average_cost=float(x[origin]) + 0.5 * (lo + hi), delta_cap=cap,
                           n=n, span=hi - lo, sweeps=used)
-    bellman = _optimal_sweep(cost, probs, m)
-    table = bellman(cost)[1]
-    used = 1
-    x, tol = np.zeros(cost.size), _DP_LOOSE_TOL
+    h = np.empty(cost.size)  # flat states
+    tol = _DP_LOOSE_TOL
     while True:
-        x, r = evaluate(table, x, tol)
-        h = x.copy()
-        h[0] = 0.0
+        x, r = _bicgstab(apply, cost.ravel()[order], x, tol, left)
+        h[order], r[order] = x, r  # to the flat states
+        gain, h[0] = h[0], 0.0
         tv, best = bellman(h.reshape(cost.shape))
         used += 1
         tv = tv.ravel()
-        switch = tv < r + h + x[0] - 0.1 * _DP_TOL  # r + h + g = cost + P h
+        r += h
+        r += gain  # r + h + g = cost + P h
+        r -= 0.1 * _DP_TOL
+        switch = tv < r
+        tv -= h  # T h - h, whose min and max bracket the optimal average cost
+        lo, hi = float(tv.min()), float(tv.max())
+        del r, tv  # free before the next solve and sweep
         if switch.any():
             table = np.where(switch, best, table)
+            rekey(table)
             continue
-        gap = tv - h
-        lo, hi = float(gap.min()), float(gap.max())
         if hi - lo < _DP_TOL:
             return DpSolution(action_table=best, subsets=subsets,
                               average_cost=0.5 * (lo + hi), delta_cap=cap, n=n,
@@ -786,17 +813,39 @@ def dp_optimal_policy(
 def policy_action_table(
     policy: Policy, n: int, delta_cap: int, subsets: list[tuple[int, ...]]
 ) -> np.ndarray:
-    """Evaluate a policy on every joint state and encode its chosen subsets."""
-    grids = np.indices((delta_cap,) * n).reshape(n, -1).T + 1
-    mask = policy.decide_batch(grids.astype(np.int64))
-    bits = mask @ (1 << np.arange(n))
-    lut = np.full(1 << n, -1, dtype=np.int16)
-    for ai, s in enumerate(subsets):
-        lut[sum(1 << i for i in s)] = ai
-    out = lut[bits]
-    if np.any(out < 0):
-        raise ValueError("policy returned a subset outside the schedule-M catalogue")
-    return out
+    """Evaluate a policy on every joint state and encode its chosen subsets.
+
+    A key-ranked policy is asked for its keys once, on a ``(delta_cap, n)``
+    AoI matrix whose column i holds AoI 1..delta_cap for sensor i. A
+    sensor's key does not depend on the other sensors' AoI, and keys are
+    distinct, so at each joint state the schedule, its M largest keys, is
+    the unique M-subset with the largest key sum. Any other policy decides on
+    every joint state through ``decide_batch``.
+    """
+    shape = (delta_cap,) * n
+    keys = policy._keys(np.repeat(np.arange(1, delta_cap + 1)[:, None], n, axis=1))
+    if keys is None:
+        grids = np.indices(shape).reshape(n, -1).T + 1
+        mask = policy.decide_batch(grids.astype(np.int64))
+        bits = mask @ (1 << np.arange(n))
+        lut = np.full(1 << n, -1, dtype=np.int16)
+        for ai, s in enumerate(subsets):
+            lut[sum(1 << i for i in s)] = ai
+        out = lut[bits]
+        if np.any(out < 0):
+            raise ValueError("policy returned a subset outside the schedule-M catalogue")
+        return out
+    # column i of the keys, shaped to broadcast along axis i of the joint grid
+    cols = [keys[:, i].reshape((delta_cap,) + (1,) * (n - 1 - i)) for i in range(n)]
+    best = np.full(shape, np.iinfo(np.int64).min)
+    better = np.empty(shape, dtype=bool)
+    table = np.zeros(shape, dtype=np.int16)
+    for ai, subset in enumerate(subsets):  # a better subset's index is the largest yet
+        total = sum(cols[i] for i in subset)
+        np.greater(total, best, out=better)
+        np.maximum(best, total, out=best)
+        np.maximum(table, better * np.int16(ai), out=table)
+    return table.ravel()
 
 
 def evaluate_policy_average_cost(
@@ -811,15 +860,19 @@ def evaluate_policy_average_cost(
 
     Shares the DP's state space and cost tables, so optimal-policy costs
     from :func:`dp_optimal_policy` are directly comparable (and provably no
-    larger, up to the DP tolerance ``_DP_TOL``). Sizes are checked before
-    the policy decides on every joint state. A policy whose chain has more
-    than one closed class has no single average cost: the evaluation then
-    raises ``ConvergenceError`` with its residual span.
+    larger, up to the DP tolerance ``_DP_TOL``). Sizes, and the policy's own
+    sensor count and budget, are checked before the policy decides on every
+    joint state. A policy whose chain has more than one closed class has no
+    single average cost: the evaluation then raises ``ConvergenceError``
+    with its residual span.
     """
-    _check_size(len(plants), m, delta_cap)
+    n = len(plants)
+    _check_size(n, m, delta_cap)
+    if (policy.n, policy.m) != (n, m):
+        raise ValueError(f"policy schedules {policy.m} of {policy.n} sensors, "
+                         f"but the chain has budget {m} and {n} sensors")
     cps = [characteristic_params(pl, ss) for pl, ss in zip(plants, filters)]
     tables = metric_cost_tables(cost, plants, filters, cps, delta_cap)
-    n = len(plants)
     subsets = list(itertools.combinations(range(n), m))
     table = policy_action_table(policy, n, delta_cap, subsets)
     probs = [pl.p for pl in plants]

@@ -548,11 +548,24 @@ class TestJointDp:
         subsets = list(itertools.combinations(range(n), m))
         table = rng.integers(len(subsets), size=cap**n).astype(np.int16)
         v = rng.standard_normal(cap**n)
-        product, order = policies._policy_product(
+        product, order, rekey = policies._policy_product(
             policies._coordinate_rows((cap,) * n), subsets, probs, table)
-        got = product(v[order], np.empty_like(v))
-        want = (self._dense_transition(probs, subsets, table, cap) @ v)[order]
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+        def check(current):
+            got = product(v[order], np.empty_like(v))
+            want = (self._dense_transition(probs, subsets, current, cap) @ v)[order]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+        check(table)
+        # a re-key keeps the layout of `table`; the switched states include
+        # the origin (flat state 0), both sides of a block boundary, and
+        # more states per new subset than one block holds
+        switched = table.copy()
+        flip = np.union1d([0, order[6], order[7]], rng.choice(cap**n, 30, replace=False))
+        switched[flip] = (switched[flip] + 1) % len(subsets)
+        for current in (switched, table.copy(), switched):  # and back, and again
+            rekey(current)
+            check(current)
 
     def test_evaluation_peak_memory(self):
         # one lightweight evaluation at (M, N) = (2, 3), cap 25: successor
@@ -613,6 +626,9 @@ class TestJointDp:
             def decide_batch(self, deltas):
                 pytest.fail(f"decide_batch ran on {len(deltas)} joint states")
 
+            def _keys(self, deltas, out=None, index=None):
+                pytest.fail(f"_keys ran on {len(deltas)} AoI rows")
+
         # sizes are checked before the policy sees the 127^3 joint grid
         plants, filters = plants[:3], filters[:3]
         with pytest.raises(ResourceBudgetError, match="127\\^3 exceeds budget"):
@@ -624,6 +640,59 @@ class TestJointDp:
         with pytest.raises(ValueError, match="delta_cap=0"):
             evaluate_policy_average_cost(MustNotDecide(3, 1), plants, 1,
                                          delta_cap=0, filters=filters)
+        # a policy sized for other sensors or another budget never decides
+        with pytest.raises(ValueError, match=r"^policy schedules 1 of 3 sensors, but the "
+                           r"chain has budget 1 and 2 sensors$"):
+            evaluate_policy_average_cost(MustNotDecide(3, 1), plants[:2], 1,
+                                         delta_cap=20, filters=filters[:2])
+        with pytest.raises(ValueError, match=r"^policy schedules 1 of 3 sensors, but the "
+                           r"chain has budget 2 and 3 sensors$"):
+            evaluate_policy_average_cost(MustNotDecide(3, 1), plants, 2,
+                                         delta_cap=20, filters=filters)
+
+    @staticmethod
+    def _decided_table(policy, n, cap, subsets):
+        # the decide_batch encoding: the subset index of each joint state's mask
+        index = {subset: ai for ai, subset in enumerate(subsets)}
+        mask = policy.decide_batch(np.indices((cap,) * n).reshape(n, -1).T + 1)
+        return np.array([index[tuple(np.flatnonzero(row))] for row in mask], dtype=np.int16)
+
+    @pytest.mark.parametrize("kind", ["lightweight", "aoi-greedy", "voi-greedy",
+                                      "aoi-whittle", "voi-whittle"])
+    def test_key_built_action_table_is_the_decided_one(self, kind):
+        # sensors 3 and 4 repeat the models of sensors 0 and 1; a VoI-Whittle
+        # cap of 4 makes the table extrapolate past it
+        plants, filters, cps = _ensemble(3, 37)
+        plants, filters, cps = plants + plants[:2], filters + filters[:2], cps + cps[:2]
+        n, m, cap = 5, 2, 6
+        subsets = list(itertools.combinations(range(n), m))
+        spec = PolicySpec(kind, voi_delta_cap=4)
+        got = policies.policy_action_table(spec.make(plants, filters, cps, m), n, cap, subsets)
+        want = self._decided_table(spec.make(plants, filters, cps, m), n, cap, subsets)
+        assert got.dtype == np.int16 and np.array_equal(got, want)
+
+    def test_key_built_action_table_of_saturated_indexes(self):
+        # sensors 0 and 1 have infinite indexes from AoI 21 and 20 on: there
+        # the lowest index wins, even against an older sensor
+        p = 1.0 - 2.0**-53
+        cps = [CharParams(1e14, 1.0), CharParams(1e15, 1.0), CharParams(1.44, 1.0)]
+        n, cap = 3, 24
+        subsets = [(0,), (1,), (2,)]
+        pol = LightweightPolicy(cps, [p, p, 0.9], 1)
+        got = policies.policy_action_table(pol, n, cap, subsets)
+        want = self._decided_table(LightweightPolicy(cps, [p, p, 0.9], 1), n, cap, subsets)
+        assert np.array_equal(got, want)
+        assert got.reshape((cap,) * n)[22 - 1, 24 - 1, 0] == 0
+
+    def test_action_table_of_a_policy_without_keys_is_decided(self):
+        # DpTablePolicy ranks no keys, so its table comes from decide_batch
+        plants, filters, _ = _ensemble(3, 38)
+        sol = dp_optimal_policy(plants, 2, delta_cap=7, filters=filters)
+        pol = DpTablePolicy(sol)
+        assert pol._keys(np.ones((7, 3), dtype=np.int64)) is None
+        got = policies.policy_action_table(pol, 3, 7, sol.subsets)
+        assert np.array_equal(got, sol.action_table)
+        assert np.array_equal(got, self._decided_table(pol, 3, 7, sol.subsets))
 
 
 def test_sensor_state_and_decision_types():
