@@ -45,6 +45,17 @@ def sufficient_stability(plant: PlantModel, q_star_i: float) -> bool:
     return rho * rho * (1.0 - q_star_i * plant.p) < 1.0
 
 
+def _sensor_arrays(m: int, *columns) -> list[np.ndarray]:
+    """Per-sensor inputs as float arrays of one length N >= 1, budget m >= 1."""
+    arrays = [np.asarray(c, dtype=float) for c in columns]
+    if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 1 or not arrays[0].size:
+        raise ValueError(f"per-sensor inputs of shapes {[a.shape for a in arrays]} are not "
+                         "non-empty 1-D sequences of one length")
+    if not m >= 1:
+        raise ValueError(f"budget m={m} must be at least 1")
+    return arrays
+
+
 # ---------------------------------------------------------------------------
 # randomized stationary policy optimization (water-filling)
 # ---------------------------------------------------------------------------
@@ -60,9 +71,7 @@ def optimize_randomized_q(alphas, betas, probs, m: int) -> tuple[np.ndarray, flo
     q_i(lam) clamps the unconstrained stationarity point into
     [q_i^min + _Q_EPS, 1] and a bisection on lam matches the budget.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    betas = np.asarray(betas, dtype=float)
-    probs = np.asarray(probs, dtype=float)
+    alphas, betas, probs = _sensor_arrays(m, alphas, betas, probs)
     n = alphas.shape[0]
     q_min = (1.0 - 1.0 / alphas) / probs
     if np.any(q_min + _Q_EPS >= 1.0):
@@ -119,18 +128,29 @@ def optimize_randomized_q(alphas, betas, probs, m: int) -> tuple[np.ndarray, flo
 # ---------------------------------------------------------------------------
 
 
-def _relaxed_terms(alphas, betas, probs):
-    """Sensor i's average cost (at zero price) and attempt rate at threshold d."""
-    fns = [AoiFunction(float(a), float(b), float(p))
-           for a, b, p in zip(alphas, betas, probs)]
+class _RelaxedTerms:
+    """Each sensor's average cost (at zero price) and attempt rate at the
+    thresholds 1..D: rows of two (N, D) tables of the scalar closed forms,
+    Python floats, since numpy's ``power`` can differ in the last bit."""
 
-    def cost(i: int, d: int) -> float:
-        return threshold_average_cost(fns[i], ThresholdPolicy(d), 0.0)
+    def __init__(self, alphas, betas, probs):
+        self.fns = [AoiFunction(*map(float, abp)) for abp in zip(alphas, betas, probs)]
+        self.cost = self.rate = np.empty((len(self.fns), 0))
+        self.grow()
 
-    def rate(i: int, d: int) -> float:
-        return threshold_transmission_rate(fns[i].p, ThresholdPolicy(d))
+    def grow(self) -> None:
+        """Double D (to 16 from empty), for a search that walks past it."""
+        pols = [ThresholdPolicy(d) for d in
+                range(self.cost.shape[1] + 1, max(16, 2 * self.cost.shape[1]) + 1)]
+        self.cost = np.hstack([self.cost, [[threshold_average_cost(fn, tp, 0.0)
+                                            for tp in pols] for fn in self.fns]])
+        self.rate = np.hstack([self.rate, [[threshold_transmission_rate(fn.p, tp)
+                                            for tp in pols] for fn in self.fns]])
 
-    return cost, rate
+    def at(self, i: int, d: int) -> tuple[float, float]:
+        while d > self.cost.shape[1]:
+            self.grow()
+        return self.cost.item(i, d - 1), self.rate.item(i, d - 1)
 
 
 def _exact_threshold_search(
@@ -145,10 +165,10 @@ def _exact_threshold_search(
     running-incumbent prune is exhaustive.
     """
     n = alphas.shape[0]
-    cost, rate = _relaxed_terms(alphas, betas, probs)
+    terms = _RelaxedTerms(alphas, betas, probs)
     best_thr = list(incumbent)
-    best_val = sum(cost(i, best_thr[i]) for i in range(n))
-    base = [cost(i, 1) for i in range(n)]
+    best_val = sum(terms.at(i, best_thr[i])[0] for i in range(n))
+    base = [terms.at(i, 1)[0] for i in range(n)]
     suffix_min = np.concatenate([np.cumsum(base[::-1])[::-1], [0.0]])
 
     def dfs(i: int, partial: float, load: float, chosen: list[int]) -> None:
@@ -160,11 +180,12 @@ def _exact_threshold_search(
             return
         d = 1
         while True:
-            val = partial + cost(i, d)
+            cost, rate = terms.at(i, d)
+            val = partial + cost
             if val + suffix_min[i + 1] >= best_val:
                 break  # terms increase with d: no larger threshold can win
             chosen.append(d)
-            dfs(i + 1, val, load + rate(i, d), chosen)
+            dfs(i + 1, val, load + rate, chosen)
             chosen.pop()
             d += 1
 
@@ -184,32 +205,32 @@ def _dual_threshold_search(
     fits the budget, so they are always feasible.
     """
     n = alphas.shape[0]
-    cost, rate = _relaxed_terms(alphas, betas, probs)
-
-    def per_sensor(i: int, lam: float) -> tuple[float, int]:
-        best, best_d = math.inf, 1
-        d = 1
-        while True:
-            t = cost(i, d)
-            val = t + lam * rate(i, d)
-            if val < best:
-                best, best_d = val, d
-            if t >= best:  # the lam-free part alone already exceeds the incumbent
-                return best, best_d
-            d += 1
+    terms = _RelaxedTerms(alphas, betas, probs)
+    sensors = np.arange(n)
 
     def dual(lam: float) -> tuple[float, float, list[int]]:
-        vals, ds = zip(*(per_sensor(i, lam) for i in range(n)))
-        load = sum(rate(i, ds[i]) for i in range(n))
-        return sum(vals) - lam * m, load, list(ds)
+        # per sensor, walk d up while tracking the best cost + lam * rate, and
+        # stop at the first d whose lam-free part alone reaches that best
+        vals = terms.cost + lam * terms.rate
+        best = np.minimum.accumulate(vals, axis=1)
+        stops = terms.cost >= best
+        stop = stops.argmax(axis=1)
+        if not stops[sensors, stop].all():
+            terms.grow()
+            return dual(lam)
+        best = best[sensors, stop]
+        ds = (vals == best[:, None]).argmax(axis=1)  # the first minimizer
+        # sums in sensor order over Python floats: numpy's pairwise sum rounds otherwise
+        load = sum(terms.rate[sensors, ds].tolist())
+        return sum(best.tolist()) - lam * m, load, (ds + 1).tolist()
 
     lam_lo, lam_hi = 0.0, 1.0
-    while dual(lam_hi)[1] > m:
+    while (hi := dual(lam_hi))[1] > m:
         lam_hi *= 4.0
         if lam_hi > 1e300:
             raise FeasibilityError("dual search failed to bracket the multiplier")
     best_value = dual(0.0)[0]
-    best_thr = dual(lam_hi)[2]
+    best_thr = hi[2]
     for _ in range(100):
         lam = 0.5 * (lam_lo + lam_hi)
         value, load, ds = dual(lam)
@@ -235,9 +256,7 @@ def lower_bound_J(alphas, betas, probs, m: int) -> tuple[float, list[int]]:
     integer minimizers (the deterministic DMDP solution) when the ensemble
     is small enough to search exactly (N <= 6).
     """
-    alphas = np.asarray(alphas, dtype=float)
-    betas = np.asarray(betas, dtype=float)
-    probs = np.asarray(probs, dtype=float)
+    alphas, betas, probs = _sensor_arrays(m, alphas, betas, probs)
     unstable = alphas * (1.0 - probs) >= 1.0
     if np.any(unstable):
         raise StabilityError(
@@ -319,10 +338,7 @@ def upper_bound_J(alphas, betas, probs, m: int, q_star) -> UpperBoundParts:
     coefficients l1, l2 are chosen so that minimizing the drift reproduces
     the index policy, and the randomized marginals q* bound the drift.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    betas = np.asarray(betas, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    q_star = np.asarray(q_star, dtype=float)
+    alphas, betas, probs, q_star = _sensor_arrays(m, alphas, betas, probs, q_star)
     if float(np.sum((1.0 / probs) * (1.0 - 1.0 / alphas))) >= m:
         raise FeasibilityError(
             "existence condition fails: no randomized policy stabilizes the "

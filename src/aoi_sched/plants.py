@@ -26,6 +26,7 @@ re-channeled by ``with_channel`` shares the original's filter.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -332,17 +333,35 @@ def prediction_error_cov(
     return _aged_cov(p1, plant.A, plant.Q, delta)
 
 
-def _trace_table(p1: np.ndarray, a: np.ndarray, q: np.ndarray, max_delta: int) -> np.ndarray:
-    """Traces for delta = 1..max_delta; index 0 is unused (set to 0). The
-    first trace to overflow float64 and every later one read ``inf``."""
-    out = np.zeros(max_delta + 1)
-    cov = p1
-    out[1] = np.trace(cov)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for d in range(2, max_delta + 1):
-            cov = a @ cov @ a.T + q
-            out[d] = np.trace(cov)
-    out[np.logical_or.accumulate(~np.isfinite(out))] = np.inf
+def trace_tables(
+    plants: list[PlantModel], filters: list[SteadyStateFilter], max_delta: int,
+    prediction: bool = False,
+) -> np.ndarray:
+    """``error_trace_table`` of each (plant, filter) pair, or with
+    ``prediction`` its ``prediction_trace_table``, as the rows of one array.
+
+    Each run of consecutive plants of one state dimension ages as one
+    ``(k, n, n)`` stack, whose slices take the products and diagonal sums of
+    a one-plant table, so every row has the same bits. Column 0 is unused
+    (0); the first trace to overflow float64 and every later one read ``inf``.
+    """
+    rows = []
+    for _, run in itertools.groupby(zip(plants, filters), key=lambda pair: pair[0].n):
+        run = list(run)
+        a, q = np.stack([pl.A for pl, _ in run]), np.stack([pl.Q for pl, _ in run])
+        a_t = a.transpose(0, 2, 1)
+        cov = a @ np.stack([ss.posterior_cov for _, ss in run]) @ a_t
+        if prediction:
+            cov = cov + q
+        tab = np.zeros((len(run), max_delta + 1))
+        tab[:, 1] = cov.trace(axis1=1, axis2=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for d in range(2, max_delta + 1):
+                cov = a @ cov @ a_t + q
+                tab[:, d] = cov.trace(axis1=1, axis2=2)
+        rows.append(tab)
+    out = np.vstack(rows)
+    out[np.logical_or.accumulate(~np.isfinite(out), axis=1)] = np.inf
     return out
 
 
@@ -351,8 +370,7 @@ def error_trace_table(
 ) -> np.ndarray:
     """Tr(error_cov_from_aoi) for delta = 1..max_delta as a lookup table: the
     cost behind the VoI-greedy and VoI-Whittle scores."""
-    p1 = plant.A @ ss.posterior_cov @ plant.A.T
-    return _trace_table(p1, plant.A, plant.Q, max_delta)
+    return trace_tables([plant], [ss], max_delta)[0]
 
 
 def prediction_trace_table(
@@ -360,8 +378,7 @@ def prediction_trace_table(
 ) -> np.ndarray:
     """Tr(prediction_error_cov) for delta = 1..max_delta as a lookup table:
     the ``trace`` cost of the covariance simulation and of the joint-chain DP."""
-    p1 = plant.A @ ss.posterior_cov @ plant.A.T + plant.Q
-    return _trace_table(p1, plant.A, plant.Q, max_delta)
+    return trace_tables([plant], [ss], max_delta, prediction=True)[0]
 
 
 def scalar_error_bound(cp: CharParams, delta: int) -> float:

@@ -39,8 +39,7 @@ from .plants import (
     PlantModel,
     SteadyStateFilter,
     characteristic_params,
-    error_trace_table,
-    prediction_trace_table,
+    trace_tables,
 )
 
 POLICY_KINDS = (
@@ -71,8 +70,7 @@ def metric_cost_tables(
     if metric == "aoi-function":
         return [aoi_cost_table(cp.alpha, cp.beta, max_delta) for cp in char_params]
     if metric == "trace":
-        return [prediction_trace_table(pl, ss, max_delta)
-                for pl, ss in zip(plants, filters)]
+        return list(trace_tables(plants, filters, max_delta, prediction=True))
     raise ValueError(f"metric must be one of {', '.join(COST_METRICS)}, got {metric!r}")
 
 
@@ -284,11 +282,9 @@ class VoiGreedyPolicy(_ScoreTablePolicy):
         super().__init__(list(zip(plants, filters)), m, lambda pair: tuple(map(id, pair)))
 
     def _rows(self, max_delta: int) -> np.ndarray:
-        rows = []  # column 0, never read, holds 0
-        for pl, ss in self.models:
-            tr = error_trace_table(pl, ss, max_delta + 1)
-            rows.append(pl.p * (tr[1:] - tr[1]))
-        return np.vstack(rows)
+        plants, filters = zip(*self.models)
+        tr = trace_tables(plants, filters, max_delta + 1)  # rows: column 0, never read, is 0
+        return np.array([pl.p for pl in plants])[:, None] * (tr[:, 1:] - tr[:, 1:2])
 
 
 class AoiWhittlePolicy(_ScoreTablePolicy):
@@ -335,8 +331,7 @@ class VoiWhittlePolicy(_ScoreTablePolicy):
             raise ValueError(f"delta_cap={delta_cap} must be at least 2")
         self.delta_cap = delta_cap
         self.use_cache = use_cache
-        self._costs = [error_trace_table(pl, ss, delta_cap + _VOI_TAIL)[1:]
-                       for pl, ss in self.models]
+        self._costs = trace_tables(*zip(*self.models), delta_cap + _VOI_TAIL)[:, 1:]
 
     def _fill(self, rows: np.ndarray | None, deltas: np.ndarray) -> np.ndarray | None:
         cap, dmax = self.delta_cap, int(deltas.max())

@@ -1,7 +1,11 @@
 """Randomized-policy optimization, lower/upper bounds, stability verdicts."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aoi_sched import (
     AoiFunction,
@@ -20,6 +24,7 @@ from aoi_sched import (
     steady_state_filter,
     sufficient_stability,
     threshold_average_cost,
+    threshold_transmission_rate,
     upper_bound_J,
 )
 from aoi_sched.bounds import _dual_threshold_search, _exact_threshold_search
@@ -137,6 +142,128 @@ class TestLowerBound:
             assert from_dual == from_far
 
 
+def _scalar_terms(alphas, betas, probs):
+    fns = [AoiFunction(float(a), float(b), float(p)) for a, b, p in zip(alphas, betas, probs)]
+
+    def cost(i, d):
+        return threshold_average_cost(fns[i], ThresholdPolicy(d), 0.0)
+
+    def rate(i, d):
+        return threshold_transmission_rate(fns[i].p, ThresholdPolicy(d))
+
+    return cost, rate
+
+
+def _scalar_dual_search(alphas, betas, probs, m):
+    """Reference: the dual search as a scalar walk over thresholds, one
+    closed-form call per (sensor, threshold) it visits."""
+    n = len(alphas)
+    cost, rate = _scalar_terms(alphas, betas, probs)
+
+    def per_sensor(i, lam):
+        best, best_d = math.inf, 1
+        d = 1
+        while True:
+            t = cost(i, d)
+            val = t + lam * rate(i, d)
+            if val < best:
+                best, best_d = val, d
+            if t >= best:
+                return best, best_d
+            d += 1
+
+    def dual(lam):
+        vals, ds = zip(*(per_sensor(i, lam) for i in range(n)))
+        return sum(vals) - lam * m, sum(rate(i, ds[i]) for i in range(n)), list(ds)
+
+    lam_lo, lam_hi = 0.0, 1.0
+    while dual(lam_hi)[1] > m:
+        lam_hi *= 4.0
+    best_value, best_thr = dual(0.0)[0], dual(lam_hi)[2]
+    for _ in range(100):
+        lam = 0.5 * (lam_lo + lam_hi)
+        value, load, ds = dual(lam)
+        best_value = max(best_value, value)
+        if load > m:
+            lam_lo = lam
+        else:
+            lam_hi, best_thr = lam, ds
+    return best_value, best_thr
+
+
+def _scalar_exact_search(alphas, betas, probs, m, incumbent):
+    """Reference: the exact depth-first search on scalar closed-form calls."""
+    n = len(alphas)
+    cost, rate = _scalar_terms(alphas, betas, probs)
+    best = [sum(cost(i, incumbent[i]) for i in range(n)), list(incumbent)]
+    base = [cost(i, 1) for i in range(n)]
+    suffix_min = np.concatenate([np.cumsum(base[::-1])[::-1], [0.0]])
+
+    def dfs(i, partial, load, chosen):
+        if i == n:
+            if load <= m and partial < best[0]:
+                best[:] = partial, list(chosen)
+            return
+        d = 1
+        while partial + cost(i, d) + suffix_min[i + 1] < best[0]:
+            chosen.append(d)
+            dfs(i + 1, partial + cost(i, d), load + rate(i, d), chosen)
+            chosen.pop()
+            d += 1
+
+    dfs(0, 0.0, 0.0, [])
+    return best[0], best[1]
+
+
+@st.composite
+def _relaxed_problems(draw):
+    """Stable sensors (alpha >= 1.1, alpha (1 - p) < 1, p up to 1) and a
+    budget m in 1..N. The first h < m sensors have beta in 1e306..1e308, so
+    their costs overflow to inf at the first few thresholds; the others keep
+    the multiplier bracket finite."""
+    n = draw(st.integers(1, 8))
+    h = draw(st.integers(0, n - 1))
+    m = draw(st.integers(h + 1, n))
+    probs = draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n))
+    alphas = [1.1 + draw(st.floats(0.0, 1.0)) * (min(3.0, 0.95 / max(1.0 - p, 1e-9)) - 1.1)
+              for p in probs]
+    betas = [10.0 ** draw(st.floats(306.0, 308.0) if i < h else st.floats(-3.0, 6.0))
+             for i in range(n)]
+    return np.array(alphas), np.array(betas), np.array(probs), m
+
+
+# sensor 0 costs inf from the first threshold; in the second, from the second
+_OVERFLOWS = [([2.0, 1.5], [1e308, 1.0], [1.0, 0.9], 2),
+              ([2.0, 1.3, 1.6], [5e307, 2.0, 0.5], [1.0, 0.8, 0.95], 2)]
+
+
+@settings(max_examples=30)
+@given(_relaxed_problems())
+@example((np.array(_OVERFLOWS[0][0]), np.array(_OVERFLOWS[0][1]), np.array(_OVERFLOWS[0][2]), 2))
+@example((np.array(_OVERFLOWS[1][0]), np.array(_OVERFLOWS[1][1]), np.array(_OVERFLOWS[1][2]), 2))
+def test_threshold_searches_match_the_scalar_walk(problem):
+    # the tabulated searches reproduce the scalar walk bit for bit: the same
+    # float.hex values and the same thresholds. The exact search runs to
+    # N = 3 here: its time grows steeply with N (lower_bound_J uses it to N = 6).
+    # Overflowing costs make the exact search's suffix sums warn on both sides
+    with np.errstate(over="ignore"):
+        dual_value, dual_thr = _dual_threshold_search(*problem)
+        ref_value, ref_thr = _scalar_dual_search(*problem)
+        assert (float.hex(dual_value), dual_thr) == (float.hex(ref_value), ref_thr)
+        if len(dual_thr) <= 3:
+            exact_value, exact_thr = _exact_threshold_search(*problem, dual_thr)
+            ref_value, ref_thr = _scalar_exact_search(*problem, ref_thr)
+            assert (float.hex(exact_value), exact_thr) == (float.hex(ref_value), ref_thr)
+
+
+@pytest.mark.parametrize("problem", _OVERFLOWS)
+def test_overflow_examples_reach_inf(problem):
+    alphas, betas, probs, _ = problem
+    fn = AoiFunction(alphas[0], betas[0], probs[0])
+    costs = [threshold_average_cost(fn, ThresholdPolicy(d), 0.0) for d in (1, 2)]
+    assert math.isinf(costs[1]) and math.isinf(costs[0]) == (problem is _OVERFLOWS[0])
+
+
 class TestLowerBoundOrigin:
     def test_scalar_reduces_to_min_eigen_form(self, scalar_plant, scalar_filter):
         value, thr, zetas = lower_bound_J_origin([scalar_plant], [scalar_filter], 1)
@@ -164,6 +291,34 @@ class TestLowerBoundOrigin:
         ss = steady_state_filter(pl)
         with pytest.raises(UnsupportedPlantError):
             lower_bound_J_origin([pl], [ss], 1)
+
+
+_SENSORS = ([1.2, 1.3, 1.4], [1.0, 1.0, 1.0], [0.9, 0.9, 0.9])
+
+
+def _upper(alphas, betas, probs, m):
+    return upper_bound_J(alphas, betas, probs, m, [0.5] * len(alphas))
+
+
+@pytest.mark.parametrize("bound", [lower_bound_J, optimize_randomized_q, _upper])
+@pytest.mark.parametrize("args", [
+    (*_SENSORS[:2], [0.9], 1),  # one p for three sensors
+    ([], [], [], 1),
+    (*_SENSORS, 0),
+], ids=["mismatched", "no-sensors", "m=0"])
+def test_bad_input_fails_before_any_search(monkeypatch, bound, args):
+    # a typed error up front: no threshold table is built, and nothing
+    # broadcasts a single p over every sensor
+    import aoi_sched.bounds as bounds
+
+    monkeypatch.setattr(bounds, "_RelaxedTerms", None)
+    with pytest.raises(ValueError, match="per-sensor inputs|budget m=0"):
+        bound(*args)
+
+
+def test_upper_bound_rejects_q_star_of_another_length():
+    with pytest.raises(ValueError, match="per-sensor inputs"):
+        upper_bound_J(*_SENSORS, 1, [0.5, 0.5])
 
 
 class TestUpperBound:

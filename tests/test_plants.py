@@ -259,6 +259,60 @@ class TestPredictionErrorCov:
                 np.trace(prediction_error_cov(scalar_plant, scalar_filter, d)))
 
 
+def _one_plant_traces(plant, ss, max_delta, prediction):
+    """Reference: the one-plant trace recursion, one 2-D product chain and
+    one ``np.trace`` per AoI."""
+    cov = plant.A @ ss.posterior_cov @ plant.A.T
+    if prediction:
+        cov = cov + plant.Q
+    out = np.zeros(max_delta + 1)
+    out[1] = np.trace(cov)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(2, max_delta + 1):
+            cov = plant.A @ cov @ plant.A.T + plant.Q
+            out[d] = np.trace(cov)
+    out[np.logical_or.accumulate(~np.isfinite(out))] = np.inf
+    return out
+
+
+def _plants_of_dims(dims, seed, rho=(1.05, 1.3)):
+    """One plant per entry of ``dims``, of that state dimension, fully
+    measured so that the filter converges at any rho."""
+    plants = [generate_ensemble(1, n, n, rho, seed=seed + k)[0] for k, n in enumerate(dims)]
+    return plants, [steady_state_filter(pl) for pl in plants]
+
+
+class TestStackedTraceTables:
+    """``trace_tables`` ages runs of one state dimension as one stack, and
+    every row keeps the bits of the one-plant recursion."""
+
+    def _check(self, plants, filters, max_delta):
+        for prediction in (False, True):
+            rows = plants_mod.trace_tables(plants, filters, max_delta, prediction)
+            assert rows.shape == (len(plants), max_delta + 1)
+            for i, (pl, ss) in enumerate(zip(plants, filters)):
+                ref = _one_plant_traces(pl, ss, max_delta, prediction)
+                assert rows[i].tobytes() == ref.tobytes(), (i, pl.n, prediction)
+            one = prediction_trace_table if prediction else error_trace_table
+            assert one(plants[0], filters[0], max_delta).tobytes() == rows[0].tobytes()
+        return rows
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 9])
+    def test_one_dimension(self, n):
+        # 9 > 8 also covers numpy's blocked summation of a long diagonal
+        self._check(*_plants_of_dims([n] * 4, 700 + n), 60)
+
+    def test_mixed_dimensions(self):
+        self._check(*_plants_of_dims([1, 2, 2, 3, 1, 6, 6, 3], 720), 60)
+
+    def test_rows_that_overflow_read_inf(self):
+        plants, filters = _plants_of_dims([3, 2, 3, 3], 740, rho=(5.0, 6.0))
+        plants[1:2], filters[1:2] = _plants_of_dims([2], 745)
+        rows = self._check(plants, filters, 500)
+        assert np.isinf(rows[[0, 2, 3], -1]).all() and np.isfinite(rows[1]).all()
+        assert not np.isnan(rows).any()
+
+
 class TestScalarErrorBound:
     def test_single_term(self):
         assert scalar_error_bound(CharParams(2.0, 1.0), 1) == pytest.approx(2.0)

@@ -317,11 +317,22 @@ class TestRoundRobin:
         assert pol.clone().cursor == 0  # a clone starts a fresh cycle
 
 
+def _spy(monkeypatch, calls, name):
+    """Record each call of ``policies.<name>`` as (name, rows it returned)."""
+    real = getattr(policies, name)
+
+    def spy(*args, **kw):
+        out = real(*args, **kw)
+        calls.append((name, len(out) if np.ndim(out) == 2 else 1))
+        return out
+
+    monkeypatch.setattr(policies, name, spy)
+
+
 def test_score_rows_built_once_per_distinct_sensor_model(monkeypatch):
     # 3 plants cycled to N=60 are 3 sensor models: the table policies build
-    # 3 score rows, not 60, and score each sensor as its own row would
-    import aoi_sched.policies as policies
-
+    # 3 score rows, not 60 (VoI-greedy's trace rows in one stacked build),
+    # and score each sensor as its own row would
     plants, filters, cps = (x * 20 for x in _ensemble(3, 38))
     probs = [pl.p for pl in plants]
     deltas = np.random.default_rng(38).integers(1, 30, size=(4, 60))
@@ -332,35 +343,31 @@ def test_score_rows_built_once_per_distinct_sensor_model(monkeypatch):
     greedy_ref = np.vstack([pl.p * (tr[1:] - tr[1])
                             for pl, tr in zip(plants, traces)])[sensors, deltas]
     calls = []
-    for name in ("whittle_index_table", "error_trace_table"):
-        real = getattr(policies, name)
-        monkeypatch.setattr(policies, name,
-                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    for name in ("whittle_index_table", "trace_tables"):
+        _spy(monkeypatch, calls, name)
     light = _float_scores(LightweightPolicy(cps, probs, 30), deltas)
     greedy = _float_scores(VoiGreedyPolicy(plants, filters, 30), deltas)
-    assert calls == ["whittle_index_table"] * 3 + ["error_trace_table"] * 3
+    assert calls == [("whittle_index_table", 1)] * 3 + [("trace_tables", 3)]
     assert light.tobytes() == light_ref.tobytes()
     assert greedy.tobytes() == greedy_ref.tobytes()
 
 
 def test_voi_whittle_fills_one_row_per_distinct_plant(monkeypatch):
-    # 3 plants cycled to N=12 are 3 sensor models: VoI-Whittle builds 3
-    # trace tables, not 12, calls the oracle once per (distinct plant, AoI)
-    # it reads, and scores each sensor as its plant alone would
+    # 3 plants cycled to N=12 are 3 sensor models: VoI-Whittle builds one
+    # stack of 3 trace rows, not 12, calls the oracle once per (distinct
+    # plant, AoI) it reads, and scores each sensor as its plant alone would
     plants, filters, _ = (x * 4 for x in _ensemble(3, 39))
     cap = 6
     deltas = np.random.default_rng(39).integers(1, 10, size=(5, 12))
     wanted = {(i % 3, min(d, cap)) for (_, i), d in np.ndenumerate(deltas)}
     wanted |= {(i % 3, cap - 1) for (_, i), d in np.ndenumerate(deltas) if d > cap}
     calls = []
-    for name in ("error_trace_table", "numeric_whittle_index"):
-        real = getattr(policies, name)
-        monkeypatch.setattr(policies, name, lambda *args, real=real, name=name, **kw:
-                            calls.append(name) or real(*args, **kw))
+    for name in ("trace_tables", "numeric_whittle_index"):
+        _spy(monkeypatch, calls, name)
     pol = VoiWhittlePolicy(plants, filters, 6, delta_cap=cap, use_cache=True)
     scores = _float_scores(pol, deltas)
-    assert calls.count("error_trace_table") == 3
-    assert calls.count("numeric_whittle_index") == len(wanted)
+    assert [c for c in calls if c[0] == "trace_tables"] == [("trace_tables", 3)]
+    assert calls.count(("numeric_whittle_index", 1)) == len(wanted)
     for j in range(3):
         alone = VoiWhittlePolicy(plants[j:j + 1], filters[j:j + 1], 1, cap, True)
         column = deltas[:, j::3].reshape(-1, 1)
