@@ -169,7 +169,8 @@ def _exact_threshold_search(
     best_thr = list(incumbent)
     best_val = sum(terms.at(i, best_thr[i])[0] for i in range(n))
     base = [terms.at(i, 1)[0] for i in range(n)]
-    suffix_min = np.concatenate([np.cumsum(base[::-1])[::-1], [0.0]])
+    with np.errstate(over="ignore"):  # sums past float64's range prune as inf
+        suffix_min = np.concatenate([np.cumsum(base[::-1])[::-1], [0.0]]).tolist()
 
     def dfs(i: int, partial: float, load: float, chosen: list[int]) -> None:
         nonlocal best_val, best_thr

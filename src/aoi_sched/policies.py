@@ -6,11 +6,12 @@ M for the index policies, since costs increase with AoI and idling a slot
 never helps). Ties are always broken toward the lowest sensor index so
 decision sequences are deterministic and testable.
 
-Every top-M policy selects on an int64 key that has no ties: AoI-greedy on
-``N * delta - i``, the score-table policies on ``rank * N - i``, where rank
-is the dense rank of the sensor's score in the policy's table, ranked once
-each time the table is built, grown or written into. A decision is then one
-partition per row, and the key alone carries the lowest-index rule.
+Every top-M policy selects on an int32 key (int64 if a key passes 2^31 - 1)
+that has no ties: AoI-greedy on ``N * delta - i``, the score-table policies
+on ``rank * N - i``, where rank is the dense rank of the sensor's score in
+the policy's table, ranked once each time the table is built, grown or
+written into. A decision is then one partition per row, and the key alone
+carries the lowest-index rule.
 
 Batch variants operate on a (runs, N) AoI matrix and return a boolean
 schedule mask; the Monte Carlo engine is vectorized across independent
@@ -84,15 +85,26 @@ class Decision:
         return i in self.scheduled
 
 
+_KEY32_LIMIT = 2**31  # keys below this bound are int32, larger ones int64
+
+
+def _view(buf: np.ndarray | None, dtype) -> np.ndarray | None:
+    """The leading bytes of 8-byte scratch ``buf`` as a contiguous array of
+    ``dtype`` and ``buf``'s shape (None stays None)."""
+    if buf is None or buf.dtype == dtype:
+        return buf
+    return buf.reshape(-1).view(dtype)[:buf.size].reshape(buf.shape)
+
+
 def _top_m_mask(keys: np.ndarray, m: int, neg: np.ndarray | None = None) -> np.ndarray:
     """Boolean mask of the m largest keys per row, in O(N) per row.
 
-    Keys are int64 and distinct within a row (a score-table policy's ``rank
-    * N - i``, AoI-greedy's ``N * delta - i``), so exactly m are set, with
-    no tie to break. ``neg``, if given, is (b, n) int64 scratch. The mask is
-    always a new array.
+    Keys are int32 or int64 and distinct within a row (a score-table
+    policy's ``rank * N - i``, AoI-greedy's ``N * delta - i``), so exactly m
+    are set, with no tie to break. ``neg``, if given, is (b, n) 8-byte
+    scratch. The mask is always a new array.
     """
-    neg = np.negative(keys, out=neg)
+    neg = np.negative(keys, out=_view(neg, keys.dtype))
     neg.partition(m - 1, axis=1)
     return keys >= -neg[:, m - 1, None]
 
@@ -112,12 +124,14 @@ def _rank_keys(rows: np.ndarray, of) -> tuple[np.ndarray, np.ndarray, np.ndarray
     keys = rank[of]
     keys *= n
     keys -= np.arange(n)[:, None]
+    if keys.max() < _KEY32_LIMIT:  # every key is at least 1 - n
+        keys = keys.astype(np.int32)
     return rows, keys.ravel(), np.arange(n) * rows.shape[1]
 
 
 class Policy:
     """Uniform decision interface; subclasses fill in ``_keys`` (a top-M
-    policy ranked by int64 keys) or ``decide_batch`` (any other)."""
+    policy ranked by integer keys) or ``decide_batch`` (any other)."""
 
     name = "policy"
     _scratch: list[np.ndarray] | None = None  # a clone's reusable (b, n) pair
@@ -139,9 +153,9 @@ class Policy:
         return self._scratch[0].view(dtype), self._scratch[1].view(dtype)
 
     def _keys(self, deltas: np.ndarray, out=None, index=None) -> np.ndarray | None:
-        """Tie-free int64 keys of a (b, n) AoI batch or one (n,) vector whose
-        M largest per row are the schedule (None: no keys, decide by mask).
-        ``out`` (for the keys) and ``index``: int64 scratch shaped as ``deltas``."""
+        """Tie-free int32 or int64 keys of a (b, n) AoI batch or one (n,) vector
+        whose M largest per row are the schedule (None: no keys, decide by mask).
+        ``out`` (int32 keys fill its leading bytes) and ``index``: int64 scratch."""
         return None
 
     def decide_batch(self, deltas: np.ndarray) -> np.ndarray:
@@ -225,7 +239,7 @@ class _ScoreTablePolicy(Policy):
             self._lock.release()
         # the keys cover every AoI asked for, so no index is clipped
         index = np.add(deltas, slot[2], out=index, dtype=np.int64)  # any int AoI
-        return slot[1].take(index, out=out, mode="clip")
+        return slot[1].take(index, out=_view(out, slot[1].dtype), mode="clip")
 
 
 class LightweightPolicy(_ScoreTablePolicy):
@@ -262,12 +276,13 @@ class AoiGreedyPolicy(Policy):
 
     def __init__(self, n: int, m: int):
         super().__init__(n, m)
-        self._order = np.arange(n)
+        self._order = np.arange(n, dtype=np.int32)
 
     def _keys(self, deltas: np.ndarray, out=None, index=None) -> np.ndarray:
         # the key n * delta - i is unique in its row and ranks the older
         # sensor first, then the lower index: no ties to break
-        key = np.multiply(deltas, self.n, out=out, dtype=np.int64)
+        dtype = np.int64 if int(deltas.max()) * self.n >= _KEY32_LIMIT else np.int32
+        key = np.multiply(deltas, self.n, out=_view(out, dtype), dtype=dtype)
         key -= self._order
         return key
 
@@ -830,7 +845,9 @@ def policy_action_table(
         if np.any(out < 0):
             raise ValueError("policy returned a subset outside the schedule-M catalogue")
         return out
-    # column i of the keys, shaped to broadcast along axis i of the joint grid
+    # column i of the keys (int64: a sum of M int32 keys would wrap), shaped
+    # to broadcast along axis i of the joint grid
+    keys = keys.astype(np.int64)
     cols = [keys[:, i].reshape((delta_cap,) + (1,) * (n - 1 - i)) for i in range(n)]
     best = np.full(shape, np.iinfo(np.int64).min)
     better = np.empty(shape, dtype=bool)

@@ -186,12 +186,14 @@ def _run_blocks(plants, proto, config: SimConfig, stride: int, make_step) -> Sim
     ``diverged``: they stop accumulating and are left out of the mean.
 
     Outside the trajectory kernel, a step allocates no (b, n) array but the
-    policy's mask: the channel draw, the cost gather, the histogram clip and
-    the policy clone's scratch share two block buffers, and the AoI vector
-    is updated in place. Attempts and successes are counted per (run,
-    sensor) by in-place adds of the bool masks into uint8 counters, which
-    are summed into the block's int64 totals every ``_FLUSH`` (255)
-    measured steps, before they can wrap, and at the horizon.
+    policy's mask: the channel draw, the cost gather and the policy clone's
+    scratch share two block buffers, and the AoI vector is updated in place.
+    The histogram counts the AoI matrix as it is, and folds the counts past
+    its last bin into that bin only on a step whose AoI reaches past it.
+    Attempts and successes are counted per (run, sensor) by in-place adds of
+    the bool masks into uint8 counters, which are summed into the block's
+    int64 totals every ``_FLUSH`` (255) measured steps, before they can
+    wrap, and at the horizon.
     """
     n = len(plants)
     if proto.n != n:
@@ -204,7 +206,7 @@ def _run_blocks(plants, proto, config: SimConfig, stride: int, make_step) -> Sim
     def one_block(args) -> _BlockStats:
         bi, b = args
         values = np.empty((b, n))  # the channel draw, then the step's costs
-        index = np.empty((b, n), dtype=np.int64)  # cost-gather index, histogram clip
+        index = np.empty((b, n), dtype=np.int64)  # cost-gather index
         # the policy clone's scratch too: decide_batch runs while neither is in use
         policy = proto.clone(scratch=(values, index))
         policy.rng = _philox(config.seed, stride * bi + 1)
@@ -242,8 +244,10 @@ def _run_blocks(plants, proto, config: SimConfig, stride: int, make_step) -> Sim
                     tried.fill(0)
                     won.fill(0)
                 cost_acc += np.where(diverged, 0.0, step_cost)
-                np.minimum(deltas, _HIST_BINS, out=index)
-                hist += np.bincount(index.ravel(), minlength=_HIST_BINS + 1)
+                counts = np.bincount(deltas.ravel(), minlength=_HIST_BINS + 1)
+                if counts.size > _HIST_BINS + 1:  # some AoI passed the last bin
+                    counts[_HIST_BINS] = counts[_HIST_BINS:].sum()
+                hist += counts[:_HIST_BINS + 1]
             t5 = tick()
             phase_s[0] += t1 - t0
             phase_s[1] += t2 - t1
@@ -326,8 +330,8 @@ def run_trajectory_sim(
     proto = policy_spec.make(plants, filters, cps, m)
     chol_p = [np.linalg.cholesky(ss.posterior_cov) for ss in filters]
 
-    def stack_t(mats):  # each slice a transposed view, as ``M.T`` is per plant
-        return np.stack(mats).transpose(0, 2, 1)
+    def stack_t(mats):  # contiguous transposes: matmul reads them faster than views
+        return np.ascontiguousarray(np.stack(mats).transpose(0, 2, 1))
 
     groups = []  # (lo, hi, A^T, C^T, K^T, chol(Q)^T, chol(R)^T) per run of plants
     lo = 0

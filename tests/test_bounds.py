@@ -113,6 +113,14 @@ class TestLowerBound:
         load = sum(1.0 / (d * p + 1 - p) for d, p in zip(thr, probs))
         assert load <= 2.0 + 1e-12
 
+    def test_overflowing_prune_sums_do_not_warn(self):
+        # two threshold-1 costs near float64's limit sum to inf in the exact
+        # search's prune sums, an inf the search handles by design: under
+        # RuntimeWarning as an error (the suite's setting) it runs through
+        value, thresholds = lower_bound_J([1.1, 1.1, 1.1], [1e308, 1e308, 1.0],
+                                          [1.0, 1.0, 1.0], 3)
+        assert value == math.inf and thresholds == [1, 1, 1]
+
     def test_dual_below_exact(self):
         rng = np.random.default_rng(42)
         alphas = rng.uniform(1.1, 1.5, 7).tolist()
@@ -245,7 +253,7 @@ def test_threshold_searches_match_the_scalar_walk(problem):
     # the tabulated searches reproduce the scalar walk bit for bit: the same
     # float.hex values and the same thresholds. The exact search runs to
     # N = 3 here: its time grows steeply with N (lower_bound_J uses it to N = 6).
-    # Overflowing costs make the exact search's suffix sums warn on both sides
+    # Overflowing costs make the reference's suffix sums warn
     with np.errstate(over="ignore"):
         dual_value, dual_thr = _dual_threshold_search(*problem)
         ref_value, ref_thr = _scalar_dual_search(*problem)

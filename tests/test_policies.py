@@ -701,6 +701,22 @@ class TestJointDp:
         assert np.array_equal(got, sol.action_table)
         assert np.array_equal(got, self._decided_table(pol, 3, 7, sol.subsets))
 
+    def test_action_table_sums_int32_keys_without_wrapping(self):
+        # distinct int32 keys, half just below 2^31 - 1 and half small: two
+        # large keys sum past the int32 range, so the subset sums must be
+        # taken in int64 for the two largest to win
+        n, m, cap = 4, 2, 5
+        keys = np.concatenate([2**31 - 1 - np.arange(10), np.arange(10)])
+        table = np.random.default_rng(5).permutation(keys).reshape(cap, n)
+
+        class NearLimit(Policy):
+            def _keys(self, deltas, out=None, index=None):
+                return table.astype(np.int32)[deltas - 1, np.arange(n)]
+
+        subsets = list(itertools.combinations(range(n), m))
+        got = policies.policy_action_table(NearLimit(n, m), n, cap, subsets)
+        assert np.array_equal(got, self._decided_table(NearLimit(n, m), n, cap, subsets))
+
 
 def test_sensor_state_and_decision_types():
     # a sensor's scheduling state is its AoI, a positive int
@@ -844,6 +860,61 @@ def test_aoi_greedy_key_matches_top_m_mask(rows, n, data):
         pol = AoiGreedyPolicy(n, m)
         assert np.array_equal(pol.decide_batch(deltas), expect), m
         assert np.array_equal(pol.clone().decide_batch(deltas), expect), m
+
+
+@pytest.mark.parametrize("kind", ["lightweight", "aoi-greedy", "voi-greedy", "aoi-whittle",
+                                  "voi-whittle"])
+def test_int64_keys_decide_as_int32_keys(kind, monkeypatch):
+    # with the int32 bound patched down to 0 every policy ranks int64 keys;
+    # its masks, direct and from a clone writing into lent scratch, and its
+    # single-vector decisions must be the int32 path's
+    plants, filters, cps = (x * 3 for x in _ensemble(4, 39))
+    deltas = np.random.default_rng(39).integers(1, 90, (24, 12))
+    deltas[0] = 7  # every sensor at one AoI: ties across the copies
+
+    def decisions():
+        pol = PolicySpec(kind, voi_delta_cap=6).make(plants, filters, cps, 5)
+        lent = (np.empty(deltas.shape), np.empty(deltas.shape, dtype=np.int64))
+        width = pol._keys(deltas).dtype
+        return width, (pol.decide_batch(deltas), pol.clone(scratch=lent).decide_batch(deltas),
+                       [pol.decide(row) for row in deltas])
+
+    width32, narrow = decisions()
+    monkeypatch.setattr(policies, "_KEY32_LIMIT", 0)
+    width64, wide = decisions()
+    assert (width32, width64) == (np.int32, np.int64)
+    assert all(np.array_equal(a, b) for a, b in zip(narrow[:2], wide[:2]))
+    assert narrow[2] == wide[2]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_aoi_greedy_keys_widen_past_the_int32_range(dtype):
+    # n * delta reaches 2^31 in the second batch (2 * 2^30), so its keys are
+    # int64; the first batch's largest key, 2^31 - 2, is still int32. Both
+    # rank as the int64 keys n * delta - i do, ties toward the lower index.
+    pol = AoiGreedyPolicy(2, 1)
+    for top, width in ((2**30 - 1, np.int32), (2**30, np.int64)):
+        deltas = np.array([[top, top], [top - 1, top], [3, top], [top, 1]], dtype=dtype)
+        keys = pol._keys(deltas)
+        wide = deltas.astype(np.int64) * 2 - np.arange(2)
+        assert keys.dtype == width and np.array_equal(keys, wide)
+        expect = _argsort_reference(wide.astype(float), 1)
+        assert np.array_equal(pol.decide_batch(deltas), expect)
+        assert np.array_equal(pol.clone().decide_batch(deltas), expect)
+        assert [pol.decide(row).scheduled for row in deltas] == [(0,), (1,), (1,), (0,)]
+
+
+@pytest.mark.parametrize("kind", ["lightweight", "aoi-greedy"])
+def test_int32_keys_fill_a_clones_lent_scratch(kind):
+    # a clone writes its 4-byte keys into the leading bytes of the first
+    # lent 8-byte buffer, not into an array of its own
+    plants, filters, cps = _ensemble(6, 31)
+    lent = (np.empty((5, 6)), np.empty((5, 6), dtype=np.int64))
+    pol = PolicySpec(kind).make(plants, filters, cps, 3).clone(scratch=lent)
+    deltas = np.random.default_rng(4).integers(1, 9, (5, 6))
+    keys = pol._keys(deltas, *pol._buffers(deltas.shape, np.int64))
+    assert keys.dtype == np.int32 and keys.flags.c_contiguous
+    assert keys.ctypes.data == lent[0].ctypes.data
 
 
 @pytest.mark.parametrize("kind", ["lightweight", "aoi-greedy", "voi-greedy", "aoi-whittle"])

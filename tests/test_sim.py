@@ -289,6 +289,29 @@ class TestCovarianceSim:
         cfg = SimConfig(horizon=2000, runs=50, seed=5, metric="aoi-function", warmup=1999)
         assert run_covariance_sim([pl], PolicySpec("aoi-greedy"), 1, cfg).diverged_runs == 50
 
+    def test_histogram_past_the_last_bin_matches_clip_and_count(self, monkeypatch):
+        # slow channels over a long horizon take AoI far past the last bin;
+        # the histogram must equal the reference count of every measured
+        # step's AoI, clipped at the last bin, recorded after each update
+        plants = [PlantModel(A=[[1.001]], C=[[1.0]], Q=[[1.0]], R=[[1.0]], p=p)
+                  for p in (0.004, 0.01)]
+        cfg = SimConfig(horizon=3000, runs=20, seed=9, warmup=100)
+        bins = sim._HIST_BINS
+        ref = np.zeros(bins + 1, dtype=np.int64)
+        steps = []
+        real = sim._age
+
+        def counting(deltas, gamma, lost=None):
+            real(deltas, gamma, lost)
+            steps.append(int(deltas.max()))
+            if len(steps) > cfg.warmup_steps:
+                ref[:] += np.bincount(np.minimum(deltas, bins).ravel(), minlength=bins + 1)
+
+        monkeypatch.setattr(sim, "_age", counting)
+        rep = run_covariance_sim(plants, PolicySpec("aoi-greedy"), 1, cfg)
+        assert len(steps) == cfg.horizon and max(steps) > 2 * bins
+        assert ref[bins] > 0 and rep.aoi_histogram == ref.tolist()
+
     def test_stationary_histogram_matches_threshold_law(self, scalar09):
         dth = 3
         spec = _FixedPolicySpec(_SingleSensorThreshold(dth))
