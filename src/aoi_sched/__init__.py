@@ -39,12 +39,10 @@ from .plants import (
     PlantModel,
     SteadyStateFilter,
     characteristic_params,
-    error_cov_from_aoi,
     error_trace_table,
     generate_ensemble,
     generate_plant,
     load_ensemble,
-    prediction_error_cov,
     prediction_trace_table,
     save_ensemble,
     scalar_error_bound,

@@ -267,10 +267,7 @@ def characteristic_params(plant: PlantModel, ss: SteadyStateFilter) -> CharParam
     alpha = rho(A)^2 and beta = max(Tr(A Pbar A^T) / alpha, Tr(Q)), the
     smallest scale for which both AoI trace inequalities hold with that rate.
     """
-    rho = plant.rho
-    if rho <= 1.0:
-        raise PlantInvariantError("characteristic parameters need rho(A) > 1")
-    alpha = rho * rho
+    alpha = plant.rho * plant.rho
     pbar = ss.posterior_cov
     beta = max(float(np.trace(plant.A @ pbar @ plant.A.T)) / alpha,
                float(np.trace(plant.Q)))
@@ -293,44 +290,6 @@ def filters_and_params(
             solved[id(pl)] = ss, characteristic_params(pl, ss)
     pairs = [solved[id(pl)] for pl in plants]
     return [ss for ss, _ in pairs], [cp for _, cp in pairs]
-
-
-def _aged_cov(p1: np.ndarray, a: np.ndarray, q: np.ndarray, delta: int) -> np.ndarray:
-    cov = p1
-    for _ in range(delta - 1):
-        cov = a @ cov @ a.T + q
-    return 0.5 * (cov + cov.T)
-
-
-def error_cov_from_aoi(
-    plant: PlantModel, ss: SteadyStateFilter, delta: int
-) -> np.ndarray:
-    """Remote error covariance at AoI ``delta`` under the model recursion.
-
-    Seeds at A Pbar A^T for delta = 1 and ages by P -> A P A^T + Q per extra
-    step of staleness. This is the covariance the analytical layer (AoI
-    bound, VoI scores, lower bounds) is built on.
-    """
-    if delta < 1:
-        raise ValueError("delta must be a positive integer")
-    p1 = plant.A @ ss.posterior_cov @ plant.A.T
-    return _aged_cov(p1, plant.A, plant.Q, delta)
-
-
-def prediction_error_cov(
-    plant: PlantModel, ss: SteadyStateFilter, delta: int
-) -> np.ndarray:
-    """Error covariance of the one-step-prediction remote estimator.
-
-    On a delivery the estimator holds A xhat_local(t-1|t-1), whose error is
-    A e_post A^T + Q; aging adds one A (.) A^T + Q layer per missed step.
-    This is what a trajectory-level simulation of the estimator realizes,
-    and what the simulator's trace metric reports.
-    """
-    if delta < 1:
-        raise ValueError("delta must be a positive integer")
-    p1 = plant.A @ ss.posterior_cov @ plant.A.T + plant.Q
-    return _aged_cov(p1, plant.A, plant.Q, delta)
 
 
 def trace_tables(
@@ -368,23 +327,29 @@ def trace_tables(
 def error_trace_table(
     plant: PlantModel, ss: SteadyStateFilter, max_delta: int
 ) -> np.ndarray:
-    """Tr(error_cov_from_aoi) for delta = 1..max_delta as a lookup table: the
-    cost behind the VoI-greedy and VoI-Whittle scores."""
+    """Error trace for delta = 1..max_delta as a lookup table: the trace of
+    the covariance seeded at A Pbar A^T for delta = 1 and aged by P -> A P
+    A^T + Q per extra step, the cost behind the VoI-greedy and VoI-Whittle
+    scores and the one the analytical layer (AoI bound, lower bounds) is
+    built on."""
     return trace_tables([plant], [ss], max_delta)[0]
 
 
 def prediction_trace_table(
     plant: PlantModel, ss: SteadyStateFilter, max_delta: int
 ) -> np.ndarray:
-    """Tr(prediction_error_cov) for delta = 1..max_delta as a lookup table:
-    the ``trace`` cost of the covariance simulation and of the joint-chain DP."""
+    """Prediction trace for delta = 1..max_delta as a lookup table: the error
+    trace's recursion seeded at A Pbar A^T + Q, the error of the one-step
+    prediction a remote estimator holds after a delivery. It is the
+    ``trace`` cost of the covariance simulation and of the joint-chain DP,
+    and what a trajectory-level simulation realizes."""
     return trace_tables([plant], [ss], max_delta, prediction=True)[0]
 
 
 def scalar_error_bound(cp: CharParams, delta: int) -> float:
     """Cumulative geometric bound sum_{k=1..delta} beta * alpha^k.
 
-    Upper-bounds the trace of error_cov_from_aoi at the same AoI.
+    Upper-bounds the error trace (``error_trace_table``) at the same AoI.
     """
     if delta < 1:
         raise ValueError("delta must be a positive integer")

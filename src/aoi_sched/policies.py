@@ -479,14 +479,29 @@ def _expected_next_each(w: np.ndarray, probs: np.ndarray, m: int, axis: int = 0)
         yield from _expected_next_each(_axis_step(w, axis, None), probs, m, axis + 1)
 
 
-def _joint_cost_tensor(cost_tables: list[np.ndarray], cap: int) -> np.ndarray:
-    n = len(cost_tables)
-    cost = np.zeros((cap,) * n)
-    for i, tab in enumerate(cost_tables):
-        shape = [1] * n
-        shape[i] = cap
-        cost = cost + tab[1 : cap + 1].reshape(shape)
-    return cost
+def _along(vec: np.ndarray, i: int, n: int) -> np.ndarray:
+    """``vec`` shaped to broadcast along axis ``i`` of an ``n``-axis joint grid."""
+    return vec.reshape((-1,) + (1,) * (n - 1 - i))
+
+
+def _argmin_subsets(values) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise minimum over the arrays the iterator ``values`` yields, one
+    per subset in catalogue order, and its int16 argmin. The first array has
+    the full shape and is overwritten."""
+    best = next(values)
+    arg = np.zeros(best.shape, dtype=np.int16)
+    better = np.empty(best.shape, dtype=bool)
+    for ai, q in enumerate(values, 1):  # a better subset's index is the largest yet
+        np.less(q, best, out=better)  # strict: ties keep the earliest subset
+        np.minimum(best, q, out=best)
+        np.maximum(arg, better * np.int16(ai), out=arg)
+    return best, arg
+
+
+def _bellman(v: np.ndarray, cost: np.ndarray, probs: np.ndarray, m: int):
+    """Bellman sweep ``v -> (min over subsets of cost + E[V(next)], argmin)``, flat."""
+    tv, arg = _argmin_subsets(np.add(q, cost, out=q) for q in _expected_next_each(v, probs, m))
+    return tv.ravel(), arg.ravel()
 
 
 _DP_TOL = 1e-9  # span of the Bellman bracket at which the DP stops
@@ -507,28 +522,6 @@ def _check_size(n: int, m: int, cap: int) -> None:
         )
 
 
-def _optimal_sweep(cost: np.ndarray, probs: np.ndarray, m: int):
-    """Bellman sweep ``v -> (min over subsets of cost + E[V(next)], argmin)``."""
-
-    def sweep(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        best_arg = np.zeros(v.shape, dtype=np.int16)
-        better = np.empty(v.shape, dtype=bool)
-        tv = None
-        for ai, q in enumerate(_expected_next_each(v, probs, m)):
-            q += cost
-            if tv is None:
-                tv = q
-            else:
-                # strict: ties keep the earliest subset; subsets come in index
-                # order, so a better one's index is the largest yet
-                np.less(q, tv, out=better)
-                np.minimum(tv, q, out=tv)
-                np.maximum(best_arg, better * np.int16(ai), out=best_arg)
-        return tv, best_arg.ravel()
-
-    return sweep
-
-
 def _coordinate_rows(shape: tuple[int, ...]) -> np.ndarray:
     """Per-sensor terms of each flat state's all-idle successor, as int32.
 
@@ -541,9 +534,7 @@ def _coordinate_rows(shape: tuple[int, ...]) -> np.ndarray:
     rows = np.empty((n + 1, cap**n), dtype=np.int32)
     grown = np.minimum(np.arange(1, cap + 1), cap - 1)
     for i in range(n):
-        axis = [1] * n
-        axis[i] = cap
-        rows[i].reshape(shape)[...] = (grown * cap ** (n - 1 - i)).reshape(axis)
+        rows[i].reshape(shape)[...] = _along(grown * cap ** (n - 1 - i), i, n)
     np.sum(rows[:n], axis=0, out=rows[n])
     return rows
 
@@ -732,10 +723,10 @@ def joint_value_iteration(
     cap = len(cost_tables[0]) - 1
     _check_size(n, m, cap)
     subsets = list(itertools.combinations(range(n), m))
-    cost = _joint_cost_tensor(cost_tables, cap)
+    cost = sum((_along(tab[1 : cap + 1], i, n) for i, tab in enumerate(cost_tables)),
+               np.zeros((cap,) * n))
     if action_table is None:
-        bellman = _optimal_sweep(cost, probs, m)
-        table = bellman(cost)[1]
+        table = _bellman(cost, cost, probs, m)[1]
         used = 1
     else:
         table = np.asarray(action_table).reshape(cost.size)
@@ -774,9 +765,8 @@ def joint_value_iteration(
         x, r = _bicgstab(apply, cost.ravel()[order], x, tol, left)
         h[order], r[order] = x, r  # to the flat states
         gain, h[0] = h[0], 0.0
-        tv, best = bellman(h.reshape(cost.shape))
+        tv, best = _bellman(h.reshape(cost.shape), cost, probs, m)
         used += 1
-        tv = tv.ravel()
         r += h
         r += gain  # r + h + g = cost + P h
         r -= 0.1 * _DP_TOL
@@ -820,10 +810,9 @@ def dp_optimal_policy(
     return joint_value_iteration(tables, [pl.p for pl in plants], m)
 
 
-def policy_action_table(
-    policy: Policy, n: int, delta_cap: int, subsets: list[tuple[int, ...]]
-) -> np.ndarray:
-    """Evaluate a policy on every joint state and encode its chosen subsets.
+def policy_action_table(policy: Policy, delta_cap: int) -> np.ndarray:
+    """Evaluate a policy on every joint state and encode each chosen subset by
+    its index in ``itertools.combinations(range(policy.n), policy.m)``.
 
     A key-ranked policy is asked for its keys once, on a ``(delta_cap, n)``
     AoI matrix whose column i holds AoI 1..delta_cap for sensor i. A
@@ -832,7 +821,9 @@ def policy_action_table(
     the unique M-subset with the largest key sum. Any other policy decides on
     every joint state through ``decide_batch``.
     """
+    n = policy.n
     shape = (delta_cap,) * n
+    subsets = list(itertools.combinations(range(n), policy.m))
     keys = policy._keys(np.repeat(np.arange(1, delta_cap + 1)[:, None], n, axis=1))
     if keys is None:
         grids = np.indices(shape).reshape(n, -1).T + 1
@@ -845,19 +836,10 @@ def policy_action_table(
         if np.any(out < 0):
             raise ValueError("policy returned a subset outside the schedule-M catalogue")
         return out
-    # column i of the keys (int64: a sum of M int32 keys would wrap), shaped
-    # to broadcast along axis i of the joint grid
-    keys = keys.astype(np.int64)
-    cols = [keys[:, i].reshape((delta_cap,) + (1,) * (n - 1 - i)) for i in range(n)]
-    best = np.full(shape, np.iinfo(np.int64).min)
-    better = np.empty(shape, dtype=bool)
-    table = np.zeros(shape, dtype=np.int16)
-    for ai, subset in enumerate(subsets):  # a better subset's index is the largest yet
-        total = sum(cols[i] for i in subset)
-        np.greater(total, best, out=better)
-        np.maximum(best, total, out=best)
-        np.maximum(table, better * np.int16(ai), out=table)
-    return table.ravel()
+    # negated int64 key sums (M int32 keys may wrap): the top M minimize them
+    cols = [_along(-keys[:, i].astype(np.int64), i, n) for i in range(n)]
+    zero = np.zeros(shape, dtype=np.int64)
+    return _argmin_subsets(sum((cols[i] for i in s), zero) for s in subsets)[1].ravel()
 
 
 def evaluate_policy_average_cost(
@@ -874,19 +856,22 @@ def evaluate_policy_average_cost(
     from :func:`dp_optimal_policy` are directly comparable (and provably no
     larger, up to the DP tolerance ``_DP_TOL``). Sizes, and the policy's own
     sensor count and budget, are checked before the policy decides on every
-    joint state. A policy whose chain has more than one closed class has no
-    single average cost: the evaluation then raises ``ConvergenceError``
-    with its residual span.
+    joint state; round-robin and randomized policies, which do not decide
+    from the AoI state alone, raise ``ValueError``. A policy whose chain has
+    more than one closed class has no single average cost: the evaluation
+    then raises ``ConvergenceError`` with its residual span.
     """
     n = len(plants)
     _check_size(n, m, delta_cap)
     if (policy.n, policy.m) != (n, m):
         raise ValueError(f"policy schedules {policy.m} of {policy.n} sensors, "
                          f"but the chain has budget {m} and {n} sensors")
+    if isinstance(policy, (RoundRobinPolicy, RandomizedStationaryPolicy)):
+        raise ValueError(f"{policy.name} policy does not decide from the AoI state "
+                         "alone, so it has no action table on the joint chain")
     cps = [characteristic_params(pl, ss) for pl, ss in zip(plants, filters)]
     tables = metric_cost_tables(cost, plants, filters, cps, delta_cap)
-    subsets = list(itertools.combinations(range(n), m))
-    table = policy_action_table(policy, n, delta_cap, subsets)
+    table = policy_action_table(policy, delta_cap)
     probs = [pl.p for pl in plants]
     return joint_value_iteration(tables, probs, m, action_table=table).average_cost
 

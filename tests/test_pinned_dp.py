@@ -9,7 +9,6 @@ the file again (``python tests/test_pinned_dp.py --record``) and says why.
 """
 
 import hashlib
-import itertools
 import json
 import pathlib
 import sys
@@ -39,8 +38,7 @@ def _outputs(m, n, cap):
     cps = [characteristic_params(pl, ss) for pl, ss in zip(plants, filters)]
     probs = [pl.p for pl in plants]
     sol = dp_optimal_policy(plants, m, delta_cap=cap, filters=filters)
-    subsets = list(itertools.combinations(range(n), m))
-    ours_table = policy_action_table(LightweightPolicy(cps, probs, m), n, cap, subsets)
+    ours_table = policy_action_table(LightweightPolicy(cps, probs, m), cap)
     ours = evaluate_policy_average_cost(LightweightPolicy(cps, probs, m), plants, m,
                                         delta_cap=cap, filters=filters)
 

@@ -581,9 +581,8 @@ class TestJointDp:
         # copying kernel did (17.04 x cap^N x 8 bytes), would cross the bound.
         m, n, cap = 2, 3, 25
         plants, filters, cps = _ensemble(n, 6000 + 997 * m + 31 * n, rho=(1.05, 1.2))
-        subsets = list(itertools.combinations(range(n), m))
         probs = [pl.p for pl in plants]
-        table = policies.policy_action_table(LightweightPolicy(cps, probs, m), n, cap, subsets)
+        table = policies.policy_action_table(LightweightPolicy(cps, probs, m), cap)
         tables = policies.metric_cost_tables("aoi-function", plants, filters, cps, cap)
         policies.joint_value_iteration(tables, probs, m, action_table=table)  # warm
         tracemalloc.start()
@@ -623,11 +622,24 @@ class TestJointDp:
             outputs.append(done.stdout)
         assert outputs[0] == outputs[1] and outputs[0].count(" ") == 2
 
-    def test_state_budget_guard(self):
+    def test_state_budget_guard(self, monkeypatch):
         # the DP allocates at most 2,000,000 joint states
         plants, filters, _ = _ensemble(4, 35)
         with pytest.raises(ResourceBudgetError, match="50\\^4 exceeds budget 2000000"):
             dp_optimal_policy(plants, 2, delta_cap=50, filters=filters)
+
+        def must_not_build(*args, **kwargs):
+            pytest.fail("built cost tables")
+
+        # the solve checks the cap before its N x (cap + 1) cost tables: a cap
+        # far past the budget would allocate them first, and a negative one
+        # would fail inside the table builder
+        with monkeypatch.context() as patched:
+            patched.setattr(policies, "metric_cost_tables", must_not_build)
+            with pytest.raises(ResourceBudgetError, match="1000000000\\^4 exceeds budget"):
+                dp_optimal_policy(plants, 2, delta_cap=10**9, filters=filters)
+            with pytest.raises(ValueError, match="delta_cap=-1 must be at least 1"):
+                dp_optimal_policy(plants, 2, delta_cap=-1, filters=filters)
 
         class MustNotDecide(AoiGreedyPolicy):
             def decide_batch(self, deltas):
@@ -657,6 +669,25 @@ class TestJointDp:
             evaluate_policy_average_cost(MustNotDecide(3, 1), plants, 2,
                                          delta_cap=20, filters=filters)
 
+    @pytest.mark.parametrize("kind", ["round-robin", "randomized"])
+    def test_evaluation_rejects_policies_that_do_not_decide_from_aoi(self, monkeypatch, kind):
+        # a round-robin cursor and a randomized draw have no stationary action
+        # table: on these plants at cap 6 the chain would value round-robin
+        # as "always sensor 0" (168.0; the optimum is 56.0, a simulation
+        # reads 61.7), and a randomized policy would fail for want of an rng
+        plants = generate_ensemble(3, 2, 2, (1.05, 1.2), seed=5, p_range=(0.8, 1.0))
+        filters = [steady_state_filter(pl) for pl in plants]
+        cps = [characteristic_params(pl, ss) for pl, ss in zip(plants, filters)]
+        pol = PolicySpec(kind).make(plants, filters, cps, 1)
+
+        def must_not_run(*args, **kwargs):
+            pytest.fail("built an action table")
+
+        monkeypatch.setattr(policies, "policy_action_table", must_not_run)
+        with pytest.raises(ValueError, match=f"^{kind} policy does not decide from the "
+                           "AoI state alone"):
+            evaluate_policy_average_cost(pol, plants, 1, delta_cap=6, filters=filters)
+
     @staticmethod
     def _decided_table(policy, n, cap, subsets):
         # the decide_batch encoding: the subset index of each joint state's mask
@@ -674,7 +705,7 @@ class TestJointDp:
         n, m, cap = 5, 2, 6
         subsets = list(itertools.combinations(range(n), m))
         spec = PolicySpec(kind, voi_delta_cap=4)
-        got = policies.policy_action_table(spec.make(plants, filters, cps, m), n, cap, subsets)
+        got = policies.policy_action_table(spec.make(plants, filters, cps, m), cap)
         want = self._decided_table(spec.make(plants, filters, cps, m), n, cap, subsets)
         assert got.dtype == np.int16 and np.array_equal(got, want)
 
@@ -686,7 +717,7 @@ class TestJointDp:
         n, cap = 3, 24
         subsets = [(0,), (1,), (2,)]
         pol = LightweightPolicy(cps, [p, p, 0.9], 1)
-        got = policies.policy_action_table(pol, n, cap, subsets)
+        got = policies.policy_action_table(pol, cap)
         want = self._decided_table(LightweightPolicy(cps, [p, p, 0.9], 1), n, cap, subsets)
         assert np.array_equal(got, want)
         assert got.reshape((cap,) * n)[22 - 1, 24 - 1, 0] == 0
@@ -697,7 +728,7 @@ class TestJointDp:
         sol = dp_optimal_policy(plants, 2, delta_cap=7, filters=filters)
         pol = DpTablePolicy(sol)
         assert pol._keys(np.ones((7, 3), dtype=np.int64)) is None
-        got = policies.policy_action_table(pol, 3, 7, sol.subsets)
+        got = policies.policy_action_table(pol, 7)
         assert np.array_equal(got, sol.action_table)
         assert np.array_equal(got, self._decided_table(pol, 3, 7, sol.subsets))
 
@@ -714,7 +745,7 @@ class TestJointDp:
                 return table.astype(np.int32)[deltas - 1, np.arange(n)]
 
         subsets = list(itertools.combinations(range(n), m))
-        got = policies.policy_action_table(NearLimit(n, m), n, cap, subsets)
+        got = policies.policy_action_table(NearLimit(n, m), cap)
         assert np.array_equal(got, self._decided_table(NearLimit(n, m), n, cap, subsets))
 
 
