@@ -70,6 +70,8 @@ def _pow(alpha: float, delta: float) -> float:
 
 def aoi_cost_table(alpha: float, beta: float, max_delta: int) -> np.ndarray:
     """beta * alpha^delta for delta = 0..max_delta: slot 0 zero, overflow inf."""
+    if max_delta < 1:
+        raise ValueError(f"AoI cap max_delta={max_delta} must be at least 1")
     with np.errstate(over="ignore"):
         tab = beta * np.power(alpha, np.arange(max_delta + 1, dtype=float))
     tab[0] = 0.0

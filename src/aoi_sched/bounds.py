@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -162,7 +162,10 @@ def _exact_threshold_search(
     Starts from the feasible threshold vector ``incumbent``. Valid because
     each per-sensor term strictly increases with its integer threshold while
     its budget usage strictly decreases, so a depth-first search with a
-    running-incumbent prune is exhaustive.
+    running-incumbent prune is exhaustive. A threshold whose running load
+    already exceeds M is skipped, not its larger ones: every later sensor
+    adds positive load, so no completion of it fits the budget, but a larger
+    threshold has a lower rate and may.
     """
     n = alphas.shape[0]
     terms = _RelaxedTerms(alphas, betas, probs)
@@ -185,9 +188,10 @@ def _exact_threshold_search(
             val = partial + cost
             if val + suffix_min[i + 1] >= best_val:
                 break  # terms increase with d: no larger threshold can win
-            chosen.append(d)
-            dfs(i + 1, val, load + rate, chosen)
-            chosen.pop()
+            if load + rate <= m:
+                chosen.append(d)
+                dfs(i + 1, val, load + rate, chosen)
+                chosen.pop()
             d += 1
 
     dfs(0, 0.0, 0.0, [])
@@ -381,29 +385,30 @@ def upper_bound_J(alphas, betas, probs, m: int, q_star) -> UpperBoundParts:
 
 @dataclass
 class BoundsReport:
-    """Bounds, optimal marginals, thresholds and stability verdicts."""
+    """Bounds, optimal marginals, thresholds and stability verdicts; a bound
+    that does not exist for the ensemble stays None, and ``notes`` says why."""
 
     m: int
     alphas: list[float]
     betas: list[float]
     probs: list[float]
     necessary_stable: list[bool]
-    sufficient_stable: list[bool] | None
-    lower_J: float | None
-    thresholds_star: list[int] | None
-    lower_J_origin: float | None
-    origin_thresholds: list[int] | None
-    zetas: list[float] | None
-    upper_J: float | None
-    q_star: list[float] | None
-    q_objective: float | None
-    l1: list[float] | None
-    l2: list[float] | None
-    eta: list[float] | None
-    s_const: list[float] | None
-    delta_tilde: list[int] | None
-    c_const: list[float] | None
-    notes: list[str]
+    sufficient_stable: list[bool] | None = None
+    lower_J: float | None = None
+    thresholds_star: list[int] | None = None
+    lower_J_origin: float | None = None
+    origin_thresholds: list[int] | None = None
+    zetas: list[float] | None = None
+    upper_J: float | None = None
+    q_star: list[float] | None = None
+    q_objective: float | None = None
+    l1: list[float] | None = None
+    l2: list[float] | None = None
+    eta: list[float] | None = None
+    s_const: list[float] | None = None
+    delta_tilde: list[int] | None = None
+    c_const: list[float] | None = None
+    notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         d = dict(self.__dict__)
@@ -426,22 +431,13 @@ def compute_bounds_report(
     alphas = [cp.alpha for cp in char_params]
     betas = [cp.beta for cp in char_params]
     probs = [pl.p for pl in plants]
-    notes: list[str] = []
     necessary = [necessary_stability(pl) for pl in plants]
-
-    report = BoundsReport(
-        m=m, alphas=alphas, betas=betas, probs=probs,
-        necessary_stable=necessary, sufficient_stable=None,
-        lower_J=None, thresholds_star=None,
-        lower_J_origin=None, origin_thresholds=None, zetas=None,
-        upper_J=None, q_star=None, q_objective=None,
-        l1=None, l2=None, eta=None, s_const=None, delta_tilde=None,
-        c_const=None, notes=notes,
-    )
+    report = BoundsReport(m=m, alphas=alphas, betas=betas, probs=probs,
+                          necessary_stable=necessary)
 
     if not all(necessary):
         bad = [i for i, ok in enumerate(necessary) if not ok]
-        notes.append(
+        report.notes.append(
             f"sensors {bad} fail the necessary stability condition "
             "rho^2 (1-p) < 1: estimation error diverges under every policy, "
             "so the bounds are not computed"
@@ -458,7 +454,7 @@ def compute_bounds_report(
         report.origin_thresholds = [int(d) for d in thr_origin]
         report.zetas = zetas
     except UnsupportedPlantError as exc:
-        notes.append(str(exc))
+        report.notes.append(str(exc))
 
     try:
         q_star, q_obj = optimize_randomized_q(alphas, betas, probs, m)
@@ -476,5 +472,5 @@ def compute_bounds_report(
         report.delta_tilde = [int(d) for d in parts.delta_tilde]
         report.c_const = parts.c_terms.tolist()
     except FeasibilityError as exc:
-        notes.append(str(exc))
+        report.notes.append(str(exc))
     return report

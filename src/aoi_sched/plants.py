@@ -304,6 +304,8 @@ def trace_tables(
     a one-plant table, so every row has the same bits. Column 0 is unused
     (0); the first trace to overflow float64 and every later one read ``inf``.
     """
+    if max_delta < 1:
+        raise ValueError(f"AoI cap max_delta={max_delta} must be at least 1")
     rows = []
     for _, run in itertools.groupby(zip(plants, filters), key=lambda pair: pair[0].n):
         run = list(run)
@@ -433,32 +435,12 @@ def generate_ensemble(
     rho_range: tuple[float, float],
     seed: int | np.random.SeedSequence,
     p_range: tuple[float, float] | None = None,
-    dynamics: str = "dense",
 ) -> list[PlantModel]:
     rng = np.random.default_rng(seed)
     return [
-        generate_plant(n, m, rho_range, rng, p_range=p_range, dynamics=dynamics)
+        generate_plant(n, m, rho_range, rng, p_range=p_range)
         for _ in range(count)
     ]
-
-
-def ensemble_to_dict(plants: list[PlantModel]) -> dict:
-    return {"schema_version": SCHEMA_VERSION,
-            "plants": [pl.to_dict() for pl in plants]}
-
-
-def ensemble_from_dict(doc: dict) -> list[PlantModel]:
-    """The plants of an ``ensemble_to_dict`` document, at least one."""
-    plants = doc.get("plants") if isinstance(doc, dict) else None
-    if not isinstance(plants, list) or not plants:
-        raise ValueError('an ensemble must be an object with a non-empty "plants" list')
-    out = []
-    for i, d in enumerate(plants):
-        try:
-            out.append(PlantModel.from_dict(d))
-        except ValueError as exc:
-            raise type(exc)(f"plant {i}: {exc}") from None
-    return out
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -481,14 +463,25 @@ def write_atomic(path: str, text: str) -> None:
 
 def save_ensemble(path: str, plants: list[PlantModel]) -> None:
     """Write a plant ensemble as JSON (atomically: temp file then rename)."""
-    write_atomic(path, json.dumps(ensemble_to_dict(plants), indent=1) + "\n")
+    doc = {"schema_version": SCHEMA_VERSION, "plants": [pl.to_dict() for pl in plants]}
+    write_atomic(path, json.dumps(doc, indent=1) + "\n")
 
 
 def load_ensemble(path: str) -> list[PlantModel]:
-    """The ensemble saved at ``path``; a file that is not one raises
-    ``ValueError`` naming the file and what is wrong with it."""
+    """The ensemble saved at ``path``, at least one plant; a file that is not
+    one raises ``ValueError`` naming the file and what is wrong with it."""
     with open(path) as fh:
         try:
-            return ensemble_from_dict(json.load(fh))
+            doc = json.load(fh)
+            plants = doc.get("plants") if isinstance(doc, dict) else None
+            if not isinstance(plants, list) or not plants:
+                raise ValueError('an ensemble must be an object with a non-empty "plants" list')
+            out = []
+            for i, d in enumerate(plants):
+                try:
+                    out.append(PlantModel.from_dict(d))
+                except ValueError as exc:
+                    raise type(exc)(f"plant {i}: {exc}") from None
+            return out
         except ValueError as exc:  # bad JSON or UTF-8 too
             raise ValueError(f"{path}: {exc}") from exc

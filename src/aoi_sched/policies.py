@@ -63,15 +63,16 @@ def metric_cost_tables(
     filters: list[SteadyStateFilter],
     char_params: list[CharParams],
     max_delta: int,
-) -> list[np.ndarray]:
-    """Per-sensor cost of ``metric`` at AoI 0..max_delta (slot 0 unused): the
-    AoI cost function, or the prediction-error trace. The covariance
-    simulation and the joint-chain DP both read it, so they share one cost.
+) -> np.ndarray:
+    """Cost of ``metric`` at AoI 0..max_delta (slot 0 unused), one row per
+    sensor: the AoI cost function, or the prediction-error trace. The
+    covariance simulation and the joint-chain DP both read it, so they
+    share one cost.
     """
     if metric == "aoi-function":
-        return [aoi_cost_table(cp.alpha, cp.beta, max_delta) for cp in char_params]
+        return np.array([aoi_cost_table(cp.alpha, cp.beta, max_delta) for cp in char_params])
     if metric == "trace":
-        return list(trace_tables(plants, filters, max_delta, prediction=True))
+        return trace_tables(plants, filters, max_delta, prediction=True)
     raise ValueError(f"metric must be one of {', '.join(COST_METRICS)}, got {metric!r}")
 
 
@@ -679,7 +680,7 @@ def _bicgstab(apply, b: np.ndarray, x: np.ndarray, tol: float, left) -> tuple:
 
 
 def joint_value_iteration(
-    cost_tables: list[np.ndarray],
+    cost_tables: np.ndarray,
     probs,
     m: int,
     action_table: np.ndarray | None = None,
@@ -826,8 +827,9 @@ def policy_action_table(policy: Policy, delta_cap: int) -> np.ndarray:
     subsets = list(itertools.combinations(range(n), policy.m))
     keys = policy._keys(np.repeat(np.arange(1, delta_cap + 1)[:, None], n, axis=1))
     if keys is None:
+        # np.indices is int64 on numpy 2, int32 on numpy 1 under Windows: cast only then
         grids = np.indices(shape).reshape(n, -1).T + 1
-        mask = policy.decide_batch(grids.astype(np.int64))
+        mask = policy.decide_batch(grids.astype(np.int64, copy=False))
         bits = mask @ (1 << np.arange(n))
         lut = np.full(1 << n, -1, dtype=np.int16)
         for ai, s in enumerate(subsets):
@@ -955,10 +957,8 @@ class PolicySpec:
                 betas = [cp.beta for cp in char_params]
                 q, _ = optimize_randomized_q(alphas, betas, probs, m)
             return RandomizedStationaryPolicy(np.asarray(q), m)
-        if self.kind == "dp":
-            sol = dp_optimal_policy(plants, m, self.delta_cap, filters, cost=self.dp_cost)
-            return DpTablePolicy(sol)
-        raise ValueError(f"unknown policy kind {self.kind!r}")
+        sol = dp_optimal_policy(plants, m, self.delta_cap, filters, cost=self.dp_cost)
+        return DpTablePolicy(sol)
 
 
 _FLAGS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}

@@ -144,8 +144,7 @@ def _aggregate(blocks: list[_BlockStats], policy_name, config) -> SimReport:
     else:
         mean_j, ci = math.inf, math.nan
     denom = (config.horizon - config.warmup_steps) * config.runs
-    with np.errstate(invalid="ignore", divide="ignore"):
-        success_rate = np.where(attempts > 0, successes / np.maximum(attempts, 1), 0.0)
+    success_rate = np.where(attempts > 0, successes / np.maximum(attempts, 1), 0.0)
     return SimReport(
         policy=policy_name,
         metric=config.metric,
@@ -287,8 +286,8 @@ def run_covariance_sim(
     accumulated after warmup.
     """
     filters, cps = filters_and_params(plants)
-    tabs = np.vstack(  # one row per sensor, over AoI 0..horizon + 1
-        metric_cost_tables(config.metric, plants, filters, cps, config.horizon + 1))
+    # one row per sensor, over AoI 0..horizon + 1
+    tabs = metric_cost_tables(config.metric, plants, filters, cps, config.horizon + 1)
     proto = policy_spec.make(plants, filters, cps, m)
     flat, offsets = tabs.ravel(), np.arange(len(plants)) * tabs.shape[1]
 
@@ -328,12 +327,11 @@ def run_trajectory_sim(
     cfg = replace(config, metric="squared-error")
     filters, cps = filters_and_params(plants)
     proto = policy_spec.make(plants, filters, cps, m)
-    chol_p = [np.linalg.cholesky(ss.posterior_cov) for ss in filters]
 
     def stack_t(mats):  # contiguous transposes: matmul reads them faster than views
         return np.ascontiguousarray(np.stack(mats).transpose(0, 2, 1))
 
-    groups = []  # (lo, hi, A^T, C^T, K^T, chol(Q)^T, chol(R)^T) per run of plants
+    groups = []  # (lo, hi, A^T, C^T, K^T, chol(Q)^T, chol(R)^T, chol(Pbar)^T) per run
     lo = 0
     for _, run in itertools.groupby(plants, key=lambda pl: (pl.n, pl.m)):
         run = list(run)
@@ -341,17 +339,15 @@ def run_trajectory_sim(
         groups.append((lo, hi, stack_t([pl.A for pl in run]), stack_t([pl.C for pl in run]),
                        stack_t([ss.gain for ss in filters[lo:hi]]),
                        stack_t([np.linalg.cholesky(pl.Q) for pl in run]),
-                       stack_t([np.linalg.cholesky(pl.R) for pl in run])))
+                       stack_t([np.linalg.cholesky(pl.R) for pl in run]),
+                       stack_t([np.linalg.cholesky(ss.posterior_cov) for ss in filters[lo:hi]])))
         lo = hi
 
     def make_step(bi, b, diverged):
         noise = _philox(cfg.seed, 3 * bi + 2)
-        e_init = [noise.standard_normal((b, pl.n)) @ chol_p[i].T
-                  for i, pl in enumerate(plants)]
-        d_init = [noise.standard_normal((b, pl.n)) @ chol_p[i].T
-                  for i, pl in enumerate(plants)]
-        e_loc = [np.stack(e_init[g[0]:g[1]]) for g in groups]
-        d_rem = [np.stack(d_init[g[0]:g[1]]) for g in groups]
+        # the local start errors of every stack, then the remote ones
+        e_loc, d_rem = [[noise.standard_normal((hi - lo, b, a_t.shape[1])) @ lp_t
+                         for lo, hi, a_t, *_, lp_t in groups] for _ in range(2)]
         draw = np.empty(b * sum(pl.n + pl.m for pl in plants))
         views = []  # per group: its w and v blocks in ``draw``, and a row record
         at = 0
@@ -367,7 +363,7 @@ def run_trajectory_sim(
         def step(gamma, deltas, index, values):
             frozen = diverged.any()
             noise.standard_normal(out=draw)
-            for g, (lo, hi, a_t, c_t, k_t, lq_t, lr_t) in enumerate(groups):
+            for g, (lo, hi, a_t, c_t, k_t, lq_t, lr_t, _) in enumerate(groups):
                 w_raw, v_raw, row = views[g]
                 w = w_raw @ lq_t
                 pred = e_loc[g] @ a_t
@@ -503,8 +499,9 @@ def run_sweep(
         raise ValueError(f"unknown sweep kind {kind!r}")
     if kind == "scale" and m is not None:
         raise ValueError(f"a scale sweep takes M = N/2 at each point, not m={m}")
-    if kind == "scale" and min(values, default=1) < 1:
-        raise ValueError(f"a scale sweep point is a sensor count N >= 1, got N={min(values):g}")
+    bad = [v for v in values if not (v >= 1 and v.is_integer())] if kind == "scale" else []
+    if bad:  # N is a whole number of sensors: 2.5 would run N = 2
+        raise ValueError(f"a scale sweep point is a sensor count N >= 1, got N={bad[0]:g}")
     if kind == "heterogeneity" and not all(0.0 <= v <= 1.0 for v in values):
         raise ValueError(f"heterogeneity fractions must lie in [0, 1], got {values}")
     rows: list[SweepRow] = []

@@ -54,6 +54,13 @@ def test_cost_table():
     assert np.isfinite(big[181]) and big[182:].tolist() == [math.inf] * 9
 
 
+@pytest.mark.parametrize("max_delta", [0, -1])
+def test_cost_table_rejects_cap_below_one(max_delta):
+    # a negative cap ended in an IndexError on slot 0
+    with pytest.raises(ValueError, match=f"^AoI cap max_delta={max_delta} must be at least 1$"):
+        aoi_cost_table(1.2, 1.0, max_delta)
+
+
 def test_overflow_gives_inf_at_any_aoi():
     # 50^190 overflows float64 well below AoI 200: the scalar closed forms
     # return inf there, as the index table does

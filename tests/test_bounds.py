@@ -27,6 +27,7 @@ from aoi_sched import (
     threshold_transmission_rate,
     upper_bound_J,
 )
+from aoi_sched import bounds
 from aoi_sched.bounds import _dual_threshold_search, _exact_threshold_search
 
 
@@ -120,6 +121,27 @@ class TestLowerBound:
         value, thresholds = lower_bound_J([1.1, 1.1, 1.1], [1e308, 1e308, 1.0],
                                           [1.0, 1.0, 1.0], 3)
         assert value == math.inf and thresholds == [1, 1, 1]
+
+    def test_exact_search_skips_thresholds_over_budget(self, monkeypatch):
+        # a tight budget (N = 6, M = 1): thresholds whose running load is
+        # already above M are skipped, so the search looks up about 213,000
+        # terms, where exploring their subtrees looked up 4,434,939 and took
+        # seconds; the optimum is the one that full search found
+        lookups = []
+        at = bounds._RelaxedTerms.at
+
+        def counted(self, i, d):
+            lookups.append(i)
+            return at(self, i, d)
+
+        monkeypatch.setattr(bounds._RelaxedTerms, "at", counted)
+        value, thresholds = lower_bound_J(
+            [2.5216, 1.2647, 1.9091, 1.8538, 1.4841, 1.6188],
+            [0.8059, 825472.2, 0.2411, 29939.77, 0.0361, 189.41],
+            [0.8859, 0.8303, 0.7839, 0.9391, 0.876, 0.4253], 1)
+        assert value.hex() == "0x1.9c28047d944ecp+20"
+        assert thresholds == [13, 3, 19, 4, 34, 12]
+        assert len(lookups) < 500_000
 
     def test_dual_below_exact(self):
         rng = np.random.default_rng(42)

@@ -361,6 +361,15 @@ def test_simulate_rejects_scale_point_below_one(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_simulate_rejects_fractional_scale_point(tmp_path, capsys):
+    # 2:3:3 steps through 2, 2.5 and 3; the 2.5 row simulated N = 2
+    rc = run_cli("simulate", "--generate", "2", "--sweep", "scale:2:3:3",
+                 "--runs", "10", "--horizon", "10", "--out", str(tmp_path / "r"))
+    assert rc == 1
+    assert "a scale sweep point is a sensor count N >= 1, got N=2.5" in _one_line_error(capsys)
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_simulate_rejects_policy_for_another_ensemble(tmp_path, capsys):
     # q gives one marginal, the ensemble has three sensors
     rc = run_cli("simulate", "--generate", "3", "--m", "1",

@@ -304,6 +304,15 @@ class TestStackedTraceTables:
             assert one(plants[0], filters[0], max_delta).tobytes() == rows[0].tobytes()
         return rows
 
+    @pytest.mark.parametrize("max_delta", [0, -1])
+    def test_rejects_cap_below_one(self, max_delta):
+        # no AoI 1 column to seed: both ended in an IndexError
+        plants, filters = _plants_of_dims([2, 2], 710)
+        for prediction in (False, True):
+            with pytest.raises(ValueError, match=f"^AoI cap max_delta={max_delta} must be at "
+                                                 "least 1$"):
+                plants_mod.trace_tables(plants, filters, max_delta, prediction)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 9])
     def test_one_dimension(self, n):
         # 9 > 8 also covers numpy's blocked summation of a long diagonal

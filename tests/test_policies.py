@@ -732,6 +732,22 @@ class TestJointDp:
         assert np.array_equal(got, sol.action_table)
         assert np.array_equal(got, self._decided_table(pol, 3, 7, sol.subsets))
 
+    def test_action_table_of_a_policy_without_keys_copies_no_grid(self):
+        # the int64 AoI grid of every joint state is (cap^N, N); building it
+        # and DpTablePolicy's clipped copy take about 2.6 grids at the peak,
+        # and casting the already int64 grid once more took 3.6
+        plants, filters, _ = _ensemble(3, 38)
+        pol = DpTablePolicy(dp_optimal_policy(plants, 1, delta_cap=20, filters=filters))
+        n, cap = 3, 60
+        policies.policy_action_table(pol, cap)  # warm
+        tracemalloc.start()
+        try:
+            policies.policy_action_table(pol, cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * cap**n * n * 8
+
     def test_action_table_sums_int32_keys_without_wrapping(self):
         # distinct int32 keys, half just below 2^31 - 1 and half small: two
         # large keys sum past the int32 range, so the subset sums must be

@@ -497,11 +497,14 @@ class TestSweeps:
     @pytest.mark.parametrize("kind,values,m,message", [
         ("scale", [2, 4], 1, "a scale sweep takes M = N/2 at each point, not m=1"),
         ("scale", [2, 0.5], None, r"a scale sweep point is a sensor count N >= 1, got N=0.5"),
+        # N = int(value) would run N = 2 at both points
+        ("scale", [2, 2.5], None, r"a scale sweep point is a sensor count N >= 1, got N=2.5"),
+        ("scale", [2.9], None, r"a scale sweep point is a sensor count N >= 1, got N=2.9"),
         ("heterogeneity", [0.5, 1.01], None,
          r"heterogeneity fractions must lie in \[0, 1\], got \[0.5, 1.01\]"),
         ("heterogeneity", [-0.1], 1, r"fractions must lie in \[0, 1\], got \[-0.1\]"),
-    ], ids=["scale-with-m", "scale-below-1", "heterogeneity-above-1",
-            "heterogeneity-below-0"])
+    ], ids=["scale-with-m", "scale-below-1", "scale-not-integer", "scale-not-integer-alone",
+            "heterogeneity-above-1", "heterogeneity-below-0"])
     def test_rejects_before_simulating(self, monkeypatch, kind, values, m, message):
         def must_not_run(*args, **kwargs):
             pytest.fail("simulated a sweep it should have refused")
