@@ -16,18 +16,22 @@ the error trace by a geometric AoI function, and a seeded random plant
 generator used by the experiment harness.
 
 Everything plant-specific is worked out once per plant object: a
-``PlantModel`` keeps rho(A) from its validation, and ``steady_state_filter``
-solves the Riccati iteration on the first call for a plant and keeps the
-result on it, so every later caller (simulation, sweep point, DP, bounds)
-shares that one read-only filter. Equal but distinct plant objects are
-solved separately, and so is a copy or an unpickled plant; a plant
-re-channeled by ``with_channel`` shares the original's filter.
+``PlantModel`` keeps rho(A) from its validation, and its Riccati iteration
+is solved the first time a filter is asked of it and kept on it, so every
+later caller (simulation, sweep point, DP, bounds) shares that one
+read-only filter. ``generate_ensemble`` and ``filters_and_params`` solve
+the unsolved plant objects of their list as one stacked iteration per
+(n, m) shape, to the bits a one-plant iteration gives. Equal but distinct
+plant objects are solved separately, and so is a copy or an unpickled
+plant; a plant re-channeled by ``with_channel`` shares the original's
+filter.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 import os
 from dataclasses import dataclass, field, replace
 
@@ -81,7 +85,9 @@ def controllability_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _check_spd(m: np.ndarray, name: str) -> None:
-    if not np.allclose(m, m.T, atol=1e-10, rtol=1e-8):
+    # np.allclose(m, m.T, atol=1e-10, rtol=1e-8) on a finite matrix, without
+    # its inf/nan handling
+    if not np.all(np.abs(m - m.T) <= 1e-10 + 1e-8 * np.abs(m.T)):
         raise PlantInvariantError(f"{name} is not symmetric")
     if float(np.min(np.linalg.eigvalsh(m))) <= 0.0:
         raise PlantInvariantError(f"{name} is not positive definite")
@@ -198,13 +204,11 @@ def steady_state_filter(plant: PlantModel) -> SteadyStateFilter:
     A frozen ``PlantModel`` with read-only arrays always has one fixed
     point, so later calls on the same object return the same filter object.
     """
-    ss = plant._filter
-    if ss is None:
+    if plant._filter is None:
         # threads solving one plant at once only repeat deterministic work;
         # the last one's equal filter is kept
-        ss = _riccati_fixed_point(plant)
-        object.__setattr__(plant, "_filter", ss)
-    return ss
+        _solve_filters([plant])
+    return plant._filter
 
 
 def with_channel(plant: PlantModel, p: float) -> PlantModel:
@@ -218,33 +222,72 @@ def with_channel(plant: PlantModel, p: float) -> PlantModel:
     return out
 
 
-def _riccati_fixed_point(plant: PlantModel) -> SteadyStateFilter:
-    """Fixed point of the Riccati recursion by plain iteration from P = Q.
+def _solve_filters(plants: list[PlantModel]) -> None:
+    """Solve and keep the filter of every distinct unsolved plant object in
+    ``plants``, one ``_riccati_fixed_points`` stack per (n, m) shape.
 
-    Each sweep runs predict / gain / update and re-symmetrizes the result;
-    iteration stops once successive posteriors differ by less than
-    ``_RICCATI_TOL`` in max-abs norm, or fails after ``_RICCATI_MAX_ITERS``.
-    Non-convergence signals a plant whose detectability or stabilizability
-    is numerically broken.
+    The shapes are grouped by a stable sort, so a one-shape list is solved
+    in its own order. A plant whose iteration does not converge stays
+    unsolved; once every other plant has kept its filter,
+    ``ConvergenceError`` names the first such plant's position in ``plants``.
     """
-    a, c, q, r = plant.A, plant.C, plant.Q, plant.R
+    shape = operator.attrgetter("n", "m")
+    todo = sorted({id(pl): pl for pl in plants if pl._filter is None}.values(), key=shape)
+    for _, group in itertools.groupby(todo, key=shape):
+        group = list(group)
+        for pl, ss in zip(group, _riccati_fixed_points(group)):
+            if ss is not None:
+                object.__setattr__(pl, "_filter", ss)
+    unsolved = [i for i, pl in enumerate(plants) if pl._filter is None]
+    if unsolved:
+        raise ConvergenceError(f"Riccati iteration of plant {unsolved[0]} did not converge "
+                               f"within {_RICCATI_MAX_ITERS} iterations")
+
+
+def _riccati_fixed_points(plants: list[PlantModel]) -> list[SteadyStateFilter | None]:
+    """Fixed points of the Riccati recursions of plants of one (n, m) shape,
+    by plain iteration from P = Q, stacked as ``(k, ., .)`` arrays.
+
+    Each sweep runs predict / gain / update and re-symmetrizes the result.
+    A plant leaves the stack at the sweep where its successive posteriors
+    first differ by less than ``_RICCATI_TOL`` in max-abs norm; every slice
+    takes a one-plant iteration's products, so its filter has that
+    iteration's bits and ``iterations``. A plant still in the stack after
+    ``_RICCATI_MAX_ITERS`` sweeps gets ``None``: non-convergence signals a
+    plant whose detectability or stabilizability is numerically broken.
+    """
+    def gain_of(prior, c, r):
+        c_t = c.transpose(0, 2, 1)
+        return np.linalg.solve((c @ prior @ c_t + r).transpose(0, 2, 1),
+                               (prior @ c_t).transpose(0, 2, 1)).transpose(0, 2, 1)
+
+    out: list[SteadyStateFilter | None] = [None] * len(plants)
+    live = np.arange(len(plants))
+    a, c, q, r = (np.stack([getattr(pl, name) for pl in plants]) for name in "ACQR")
     post = q.copy()
     for it in range(1, _RICCATI_MAX_ITERS + 1):
-        prior = a @ post @ a.T + q
-        gain = np.linalg.solve((c @ prior @ c.T + r).T, (prior @ c.T).T).T
+        prior = a @ post @ a.transpose(0, 2, 1) + q
+        gain = gain_of(prior, c, r)
         new_post = prior - gain @ c @ prior
-        new_post = 0.5 * (new_post + new_post.T)
-        if float(np.max(np.abs(new_post - post))) < _RICCATI_TOL:
-            prior = a @ new_post @ a.T + q
-            prior = 0.5 * (prior + prior.T)
-            gain = np.linalg.solve((c @ prior @ c.T + r).T, (prior @ c.T).T).T
-            for arr in (new_post, prior, gain):
-                arr.setflags(write=False)
-            return SteadyStateFilter(new_post, prior, gain, it)
+        new_post = 0.5 * (new_post + new_post.transpose(0, 2, 1))
+        done = np.max(np.abs(new_post - post), axis=(1, 2)) < _RICCATI_TOL
         post = new_post
-    raise ConvergenceError(
-        f"Riccati iteration did not converge within {_RICCATI_MAX_ITERS} iterations"
-    )
+        if not done.any():
+            continue
+        fin = np.flatnonzero(done)
+        a_f, post_f = a[fin], post[fin]
+        prior = a_f @ post_f @ a_f.transpose(0, 2, 1) + q[fin]
+        prior = 0.5 * (prior + prior.transpose(0, 2, 1))
+        gain = gain_of(prior, c[fin], r[fin])
+        for arr in (post_f, prior, gain):
+            arr.setflags(write=False)
+        for j, i in enumerate(live[fin].tolist()):
+            out[i] = SteadyStateFilter(post_f[j], prior[j], gain[j], it)
+        keep = ~done
+        live, a, c, q, r, post = live[keep], a[keep], c[keep], q[keep], r[keep], post[keep]
+        if not live.size:
+            break
+    return out
 
 
 @dataclass(frozen=True)
@@ -281,8 +324,10 @@ def filters_and_params(
 
     The filters are each plant object's own (see ``steady_state_filter``);
     positions that hold one object share its filter and its parameters,
-    which are worked out once per distinct object.
+    which are worked out once per distinct object. The unsolved objects are
+    solved together first (``_solve_filters``).
     """
+    _solve_filters(plants)
     solved: dict[int, tuple[SteadyStateFilter, CharParams]] = {}
     for pl in plants:
         if id(pl) not in solved:
@@ -436,11 +481,15 @@ def generate_ensemble(
     seed: int | np.random.SeedSequence,
     p_range: tuple[float, float] | None = None,
 ) -> list[PlantModel]:
+    """``count`` validated plants drawn by ``generate_plant`` from one
+    seeded stream, with their steady-state filters already solved (one
+    stacked iteration), so ``steady_state_filter`` on any of them returns
+    at once. A plant whose iteration does not converge raises
+    ``ConvergenceError`` here."""
     rng = np.random.default_rng(seed)
-    return [
-        generate_plant(n, m, rho_range, rng, p_range=p_range)
-        for _ in range(count)
-    ]
+    plants = [generate_plant(n, m, rho_range, rng, p_range=p_range) for _ in range(count)]
+    _solve_filters(plants)
+    return plants
 
 
 def write_atomic(path: str, text: str) -> None:

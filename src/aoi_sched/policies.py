@@ -317,6 +317,34 @@ class AoiWhittlePolicy(_ScoreTablePolicy):
         return 0.5 * p * d * (d + 2.0 / p - 1.0)
 
 
+def _voi_index_hints(costs: np.ndarray, p: np.ndarray, cap: int) -> np.ndarray:
+    """Whittle index at AoI 1..``cap`` of each row of a truncated cost table
+    among threshold policies, VoI-Whittle's first price for its oracle.
+
+    Row i holds the costs f(1..K) of a channel with success probability
+    ``p[i]``. A threshold-d policy idles through AoI 1..d-1 and then
+    transmits until a delivery: its cycle lasts L(d) = d - 1 + 1/p and costs
+    S(d) = f(1) + ... + f(d-1) + T(d), with the tail T(d) = f(d) + (1-p)
+    T(d+1) and T(K) = f(K)/p at the truncation. The price that ties
+    thresholds d and d+1 is W(d) = p (p T(d+1) L(d) - S(d)). Column 0 is
+    unused (0); a row that overflows holds ``inf`` or ``nan`` there, and the
+    oracle refuses such a row anyway.
+    """
+    n, k = costs.shape
+    tail = np.empty_like(costs)
+    index = np.zeros((n, cap + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        tail[:, -1] = costs[:, -1] / p
+        for j in range(k - 2, -1, -1):
+            tail[:, j] = costs[:, j] + (1.0 - p) * tail[:, j + 1]
+        before = np.zeros((n, cap))
+        np.cumsum(costs[:, :cap - 1], axis=1, out=before[:, 1:])
+        p = p[:, None]
+        span = np.arange(cap) + 1.0 / p
+        index[:, 1:] = p * (p * tail[:, 1:cap + 1] * span - (before + tail[:, :cap]))
+    return index
+
+
 class VoiWhittlePolicy(_ScoreTablePolicy):
     """Numeric Whittle index on the trace-of-covariance cost.
 
@@ -348,6 +376,8 @@ class VoiWhittlePolicy(_ScoreTablePolicy):
         self.delta_cap = delta_cap
         self.use_cache = use_cache
         self._costs = trace_tables(*zip(*self.models), delta_cap + _VOI_TAIL)[:, 1:]
+        self._hints = _voi_index_hints(self._costs, np.array([pl.p for pl, _ in self.models]),
+                                       delta_cap)
 
     def _fill(self, rows: np.ndarray | None, deltas: np.ndarray) -> np.ndarray | None:
         cap, dmax = self.delta_cap, int(deltas.max())
@@ -364,8 +394,8 @@ class VoiWhittlePolicy(_ScoreTablePolicy):
         need[of, np.minimum(deltas, cap)] = need[of[past], cap - 1] = True
         fill = np.nonzero(need & np.isnan(table[:, :cap + 1]))
         for r, d in zip(*fill):
-            costs, p = self._costs[r], self.models[r][0].p
-            table[r, d] = numeric_whittle_index(costs, p, int(d), bracket_hint=p * costs[d])
+            table[r, d] = numeric_whittle_index(self._costs[r], self.models[r][0].p, int(d),
+                                                bracket_hint=self._hints[r, d])
         extrapolate = [(r, d) for r, d in zip(of[past].tolist(), deltas[past].tolist())
                        if math.isnan(table[r, d])]
         for r, d in extrapolate:  # Python floats: numpy's power can differ in the last bit

@@ -23,13 +23,14 @@ def scalar_filter(scalar_plant):
 
 @pytest.fixture
 def riccati_solves(monkeypatch):
-    """Plants the Riccati iteration runs on during the test, in call order."""
+    """Plants the stacked Riccati iteration runs on during the test, in
+    call order and, within one call, in stack order."""
     import aoi_sched.plants as plants_mod
 
     solved = []
-    real = plants_mod._riccati_fixed_point
-    monkeypatch.setattr(plants_mod, "_riccati_fixed_point",
-                        lambda pl: solved.append(pl) or real(pl))
+    real = plants_mod._riccati_fixed_points
+    monkeypatch.setattr(plants_mod, "_riccati_fixed_points",
+                        lambda pls: solved.extend(pls) or real(pls))
     return solved
 
 

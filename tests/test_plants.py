@@ -1,6 +1,7 @@
 """Plant model, filter fixed point, characteristic parameters, generation."""
 
 import copy
+import itertools
 import json
 import pickle
 import re
@@ -28,6 +29,7 @@ from aoi_sched import (
     spectral_radius,
     steady_state_filter,
 )
+from aoi_sched.plants import filters_and_params
 
 
 def test_spectral_radius_identity():
@@ -153,6 +155,110 @@ class TestSteadyStateFilter:
     def test_rho_kept_from_validation(self):
         pl = generate_plant(4, 2, (1.05, 1.3), np.random.default_rng(5))
         assert pl.rho == spectral_radius(pl.A)
+
+
+def _reference_filter(plant):
+    """The per-plant Riccati iteration the stacked solver replaces: from
+    P = Q, predict / gain / update / symmetrize until successive posteriors
+    differ by less than ``_RICCATI_TOL``; None after ``_RICCATI_MAX_ITERS``."""
+    a, c, q, r = plant.A, plant.C, plant.Q, plant.R
+    post = q.copy()
+    for it in range(1, plants_mod._RICCATI_MAX_ITERS + 1):
+        prior = a @ post @ a.T + q
+        gain = np.linalg.solve((c @ prior @ c.T + r).T, (prior @ c.T).T).T
+        new_post = prior - gain @ c @ prior
+        new_post = 0.5 * (new_post + new_post.T)
+        if float(np.max(np.abs(new_post - post))) < plants_mod._RICCATI_TOL:
+            prior = a @ new_post @ a.T + q
+            prior = 0.5 * (prior + prior.T)
+            gain = np.linalg.solve((c @ prior @ c.T + r).T, (prior @ c.T).T).T
+            return new_post, prior, gain, it
+        post = new_post
+    return None
+
+
+def _assert_reference_bits(plant, ss):
+    post, prior, gain, iterations = _reference_filter(plant)
+    assert ss.posterior_cov.tobytes() == post.tobytes()
+    assert ss.prior_cov.tobytes() == prior.tobytes()
+    assert ss.gain.tobytes() == gain.tobytes()
+    assert ss.iterations == iterations
+
+
+# one scalar stack: a perfect measurement settles in 2 sweeps, a noisy
+# one of a weakly unstable plant takes 305
+_FAST = dict(A=[[1.2]], C=[[1.0]], Q=[[1.0]], R=[[1e-12]], p=0.9)
+_SLOW = dict(A=[[1.05]], C=[[1.0]], Q=[[1e-3]], R=[[100.0]], p=0.9)
+
+
+class TestStackedRiccati:
+    def test_generated_ensemble_matches_reference(self, riccati_solves):
+        plants = generate_ensemble(20, 3, 3, (1.05, 1.3), seed=28)
+        # one stack, in the ensemble's order, solved at generation
+        assert [id(pl) for pl in riccati_solves] == [id(pl) for pl in plants]
+        for pl in plants:
+            assert pl._filter is not None
+            _assert_reference_bits(pl, steady_state_filter(pl))
+        assert len({pl._filter.iterations for pl in plants}) > 1
+
+    def test_interleaved_shapes_match_reference(self, riccati_solves):
+        rng = np.random.default_rng(28)
+        shapes = [(1, 1), (2, 1), (4, 2), (2, 1), (1, 1), (4, 2), (4, 2), (1, 1), (2, 1)]
+        plants = [generate_plant(n, m, (1.05, 1.3), rng) for n, m in shapes]
+        plants.append(plants[1])  # a repeated object is solved once
+        filters, _ = filters_and_params(plants)
+        # one stack per shape, each in list order
+        assert [(pl.n, pl.m) for pl in riccati_solves] == sorted(shapes)
+        assert len(riccati_solves) == len({id(pl) for pl in plants})
+        assert filters[-1] is filters[1]
+        for pl, ss in zip(plants, filters):
+            assert ss is pl._filter
+            _assert_reference_bits(pl, ss)
+
+    def test_fast_and_slow_plants_in_one_stack(self):
+        fast, slow = PlantModel(**_FAST), PlantModel(**_SLOW)
+        filters, _ = filters_and_params([slow, fast])
+        assert filters[1].iterations <= 10 and filters[0].iterations >= 100
+        for pl, ss in zip([slow, fast], filters):
+            _assert_reference_bits(pl, ss)
+
+    @patch.object(plants_mod, "_RICCATI_MAX_ITERS", 50)
+    def test_nonconvergence_keeps_converged_filters(self):
+        fast, slow = PlantModel(**_FAST), PlantModel(**_SLOW)
+        with pytest.raises(ConvergenceError, match="^Riccati iteration of plant 2 did not "
+                                                    "converge within 50 iterations$"):
+            filters_and_params([fast, fast, slow])
+        assert slow._filter is None
+        _assert_reference_bits(fast, fast._filter)
+
+
+def _symmetric_by_check(m):
+    try:
+        plants_mod._check_spd(m, "M")
+    except PlantInvariantError as exc:
+        return "not symmetric" not in str(exc)
+    return True
+
+
+def test_symmetry_check_agrees_with_allclose():
+    rng = np.random.default_rng(28)
+    verdicts = set()
+    for n in (1, 2, 3, 5):
+        for scale in (1e-6, 1.0, 1e6):
+            g = rng.standard_normal((n, n)) * scale
+            base = g @ g.T + 1e-3 * np.eye(n)
+            for factor in (0.0, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0):
+                for i, j in itertools.product(range(n), repeat=2):
+                    m = base.copy()
+                    m[i, j] += factor * (1e-10 + 1e-8 * abs(base[j, i]))
+                    expected = bool(np.allclose(m, m.T, atol=1e-10, rtol=1e-8))
+                    assert _symmetric_by_check(m) == expected, (n, scale, factor, i, j)
+                    verdicts.add(expected)
+                m = base + factor * 1e-8 * rng.standard_normal((n, n)) * scale
+                expected = bool(np.allclose(m, m.T, atol=1e-10, rtol=1e-8))
+                assert _symmetric_by_check(m) == expected
+                verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 class TestCharacteristicParams:

@@ -44,7 +44,13 @@ from aoi_sched import (
     whittle_index_table,
 )
 from aoi_sched import policies
-from aoi_sched.policies import _VOI_TAIL, POLICY_KINDS, Policy, _ScoreTablePolicy
+from aoi_sched.policies import (
+    _VOI_TAIL,
+    POLICY_KINDS,
+    Policy,
+    _ScoreTablePolicy,
+    _voi_index_hints,
+)
 
 
 def _float_scores(pol, deltas):
@@ -244,9 +250,10 @@ class TestVoiWhittle:
         assert got.tobytes() == _float_scores(cached, deltas).tobytes()  # warm table
         for i, (pl, ss) in enumerate(zip(plants, filters)):
             costs = error_trace_table(pl, ss, cap + _VOI_TAIL)[1:]
+            hints = _voi_index_hints(costs[None], np.array([pl.p]), cap)[0]
 
             def oracle(d):
-                return numeric_whittle_index(costs, pl.p, d, bracket_hint=pl.p * costs[d])
+                return numeric_whittle_index(costs, pl.p, d, bracket_hint=hints[d])
 
             column = dict(zip(deltas[:, i].tolist(), got[:, i].tolist()))
             for d, w in column.items():
