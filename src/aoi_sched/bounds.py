@@ -134,7 +134,8 @@ class _RelaxedTerms:
     Python floats, since numpy's ``power`` can differ in the last bit."""
 
     def __init__(self, alphas, betas, probs):
-        self.fns = [AoiFunction(*map(float, abp)) for abp in zip(alphas, betas, probs)]
+        self.fns = [AoiFunction(*map(float, abp))
+                    for abp in zip(alphas, betas, probs, strict=True)]
         self.cost = self.rate = np.empty((len(self.fns), 0))
         self.grow()
 
@@ -292,7 +293,7 @@ def lower_bound_J_origin(
     eigenvector bases use the conjugate transpose.
     """
     alphas, betas, zetas = [], [], []
-    for idx, (pl, ss) in enumerate(zip(plants, filters)):
+    for idx, (pl, ss) in enumerate(zip(plants, filters, strict=True)):
         rho = pl.rho
         alpha = rho * rho
         if alpha * (1.0 - pl.p) >= 1.0:
@@ -428,6 +429,9 @@ def compute_bounds_report(
     """Evaluate every bound that exists for this ensemble, with reasons."""
     if not 1 <= m <= len(plants):
         raise ValueError(f"budget m={m} outside 1..{len(plants)}")
+    if not len(plants) == len(filters) == len(char_params):  # before any verdict
+        raise ValueError(f"{len(filters)} filters and {len(char_params)} parameter pairs "
+                         f"for {len(plants)} plants")
     alphas = [cp.alpha for cp in char_params]
     betas = [cp.beta for cp in char_params]
     probs = [pl.p for pl in plants]
@@ -461,7 +465,7 @@ def compute_bounds_report(
         report.q_star = [float(q) for q in q_star]
         report.q_objective = q_obj
         report.sufficient_stable = [
-            sufficient_stability(pl, float(q)) for pl, q in zip(plants, q_star)
+            sufficient_stability(pl, float(q)) for pl, q in zip(plants, q_star, strict=True)
         ]
         parts = upper_bound_J(alphas, betas, probs, m, q_star)
         report.upper_J = parts.value

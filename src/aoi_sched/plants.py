@@ -11,9 +11,9 @@ The remote estimator's error covariance depends on the state only through
 the age of information (AoI): the number of steps since the last delivery.
 
 This module provides the filter fixed point, the AoI-indexed error
-covariances, the scalar characteristic parameters (alpha, beta) that bound
-the error trace by a geometric AoI function, and a seeded random plant
-generator used by the experiment harness.
+covariances and cost tables, the scalar characteristic parameters (alpha,
+beta) that bound the error trace by a geometric AoI function, and a seeded
+random plant generator used by the experiment harness.
 
 Everything plant-specific is worked out once per plant object: a
 ``PlantModel`` keeps rho(A) from its validation, and its Riccati iteration
@@ -37,6 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .aoi import aoi_cost_table
 from .errors import ConvergenceError, GenerationError, PlantInvariantError
 
 SCHEMA_VERSION = 1
@@ -48,6 +49,7 @@ _STABILITY_MARGIN = 0.95
 _MAX_TRIES = 100  # draws per plant before generation gives up
 _RICCATI_TOL = 1e-10  # max-abs posterior change at which the Riccati iteration stops
 _RICCATI_MAX_ITERS = 100_000
+COST_METRICS = ("aoi-function", "trace")  # metrics with an AoI cost table
 
 
 def spectral_radius(a: np.ndarray) -> float:
@@ -328,13 +330,11 @@ def filters_and_params(
     solved together first (``_solve_filters``).
     """
     _solve_filters(plants)
-    solved: dict[int, tuple[SteadyStateFilter, CharParams]] = {}
+    params: dict[int, CharParams] = {}  # per distinct object
     for pl in plants:
-        if id(pl) not in solved:
-            ss = steady_state_filter(pl)
-            solved[id(pl)] = ss, characteristic_params(pl, ss)
-    pairs = [solved[id(pl)] for pl in plants]
-    return [ss for ss, _ in pairs], [cp for _, cp in pairs]
+        if id(pl) not in params:
+            params[id(pl)] = characteristic_params(pl, steady_state_filter(pl))
+    return [pl._filter for pl in plants], [params[id(pl)] for pl in plants]
 
 
 def trace_tables(
@@ -352,7 +352,8 @@ def trace_tables(
     if max_delta < 1:
         raise ValueError(f"AoI cap max_delta={max_delta} must be at least 1")
     rows = []
-    for _, run in itertools.groupby(zip(plants, filters), key=lambda pair: pair[0].n):
+    for _, run in itertools.groupby(zip(plants, filters, strict=True),
+                                    key=lambda pair: pair[0].n):
         run = list(run)
         a, q = np.stack([pl.A for pl, _ in run]), np.stack([pl.Q for pl, _ in run])
         a_t = a.transpose(0, 2, 1)
@@ -369,6 +370,25 @@ def trace_tables(
     out = np.vstack(rows)
     out[np.logical_or.accumulate(~np.isfinite(out), axis=1)] = np.inf
     return out
+
+
+def metric_cost_tables(
+    metric: str,
+    plants: list[PlantModel],
+    filters: list[SteadyStateFilter],
+    char_params: list[CharParams],
+    max_delta: int,
+) -> np.ndarray:
+    """Cost of ``metric`` at AoI 0..max_delta (slot 0 unused), one row per
+    sensor: the AoI cost function, or the prediction-error trace. The
+    covariance simulation and the joint-chain DP both read it, so they
+    share one cost.
+    """
+    if metric == "aoi-function":
+        return np.array([aoi_cost_table(cp.alpha, cp.beta, max_delta) for cp in char_params])
+    if metric == "trace":
+        return trace_tables(plants, filters, max_delta, prediction=True)
+    raise ValueError(f"metric must be one of {', '.join(COST_METRICS)}, got {metric!r}")
 
 
 def error_trace_table(

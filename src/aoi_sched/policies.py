@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aoi import AoiFunction, aoi_cost_table, numeric_whittle_index, whittle_index_table
+from .aoi import AoiFunction, numeric_whittle_index, whittle_index_table
 from .errors import (
     ConvergenceError,
     FeasibilityError,
@@ -36,10 +36,12 @@ from .errors import (
     StabilityError,
 )
 from .plants import (
+    COST_METRICS,
     CharParams,
     PlantModel,
     SteadyStateFilter,
     characteristic_params,
+    metric_cost_tables,
     trace_tables,
 )
 
@@ -54,26 +56,6 @@ POLICY_KINDS = (
     "dp",
 )
 _VOI_TAIL = 200  # AoI steps of trace cost past the voi-whittle cache cutoff
-COST_METRICS = ("aoi-function", "trace")  # metrics with an AoI cost table
-
-
-def metric_cost_tables(
-    metric: str,
-    plants: list[PlantModel],
-    filters: list[SteadyStateFilter],
-    char_params: list[CharParams],
-    max_delta: int,
-) -> np.ndarray:
-    """Cost of ``metric`` at AoI 0..max_delta (slot 0 unused), one row per
-    sensor: the AoI cost function, or the prediction-error trace. The
-    covariance simulation and the joint-chain DP both read it, so they
-    share one cost.
-    """
-    if metric == "aoi-function":
-        return np.array([aoi_cost_table(cp.alpha, cp.beta, max_delta) for cp in char_params])
-    if metric == "trace":
-        return trace_tables(plants, filters, max_delta, prediction=True)
-    raise ValueError(f"metric must be one of {', '.join(COST_METRICS)}, got {metric!r}")
 
 
 @dataclass(frozen=True)
@@ -258,7 +240,8 @@ class LightweightPolicy(_ScoreTablePolicy):
 
     def __init__(self, char_params: list[CharParams], probs, m: int):
         # AoiFunction hashes by value: equal parameters share a row
-        fns = [AoiFunction(cp.alpha, cp.beta, float(p)) for cp, p in zip(char_params, probs)]
+        fns = [AoiFunction(cp.alpha, cp.beta, float(p))
+               for cp, p in zip(char_params, probs, strict=True)]
         super().__init__(fns, m)
         for i, fn in enumerate(fns):
             if not fn.stable:
@@ -295,7 +278,8 @@ class VoiGreedyPolicy(_ScoreTablePolicy):
 
     def __init__(self, plants: list[PlantModel], filters: list[SteadyStateFilter], m: int):
         # one sensor model per (plant, filter) pair of objects
-        super().__init__(list(zip(plants, filters)), m, lambda pair: tuple(map(id, pair)))
+        super().__init__(list(zip(plants, filters, strict=True)), m,
+                         lambda pair: tuple(map(id, pair)))
 
     def _rows(self, max_delta: int) -> np.ndarray:
         plants, filters = zip(*self.models)
@@ -370,7 +354,8 @@ class VoiWhittlePolicy(_ScoreTablePolicy):
         delta_cap: int,
         use_cache: bool,
     ):
-        super().__init__(list(zip(plants, filters)), m, lambda pair: tuple(map(id, pair)))
+        super().__init__(list(zip(plants, filters, strict=True)), m,
+                         lambda pair: tuple(map(id, pair)))
         if delta_cap < 2:
             raise ValueError(f"delta_cap={delta_cap} must be at least 2")
         self.delta_cap = delta_cap
@@ -751,6 +736,8 @@ def joint_value_iteration(
     """
     probs = np.asarray(probs, dtype=float)
     n = len(cost_tables)
+    if probs.shape != (n,):
+        raise ValueError(f"channel rates of shape {probs.shape} for {n} cost rows")
     cap = len(cost_tables[0]) - 1
     _check_size(n, m, cap)
     subsets = list(itertools.combinations(range(n), m))
@@ -836,7 +823,7 @@ def dp_optimal_policy(
     applications.
     """
     _check_size(len(plants), m, delta_cap)
-    cps = [characteristic_params(pl, ss) for pl, ss in zip(plants, filters)]
+    cps = [characteristic_params(pl, ss) for pl, ss in zip(plants, filters, strict=True)]
     tables = metric_cost_tables(cost, plants, filters, cps, delta_cap)
     return joint_value_iteration(tables, [pl.p for pl in plants], m)
 
@@ -846,11 +833,11 @@ def policy_action_table(policy: Policy, delta_cap: int) -> np.ndarray:
     its index in ``itertools.combinations(range(policy.n), policy.m)``.
 
     A key-ranked policy is asked for its keys once, on a ``(delta_cap, n)``
-    AoI matrix whose column i holds AoI 1..delta_cap for sensor i. A
-    sensor's key does not depend on the other sensors' AoI, and keys are
-    distinct, so at each joint state the schedule, its M largest keys, is
-    the unique M-subset with the largest key sum. Any other policy decides on
-    every joint state through ``decide_batch``.
+    AoI matrix whose column i holds AoI 1..delta_cap for sensor i; any other
+    decides on every joint state, and each row must schedule exactly M. A
+    key depends on its sensor's AoI alone and keys are distinct, so at each
+    state the schedule is the unique M-subset with the largest sum of keys
+    (or of mask columns), which one subset reduction finds for both.
     """
     n = policy.n
     shape = (delta_cap,) * n
@@ -860,17 +847,12 @@ def policy_action_table(policy: Policy, delta_cap: int) -> np.ndarray:
         # np.indices is int64 on numpy 2, int32 on numpy 1 under Windows: cast only then
         grids = np.indices(shape).reshape(n, -1).T + 1
         mask = policy.decide_batch(grids.astype(np.int64, copy=False))
-        bits = mask @ (1 << np.arange(n))
-        lut = np.full(1 << n, -1, dtype=np.int16)
-        for ai, s in enumerate(subsets):
-            lut[sum(1 << i for i in s)] = ai
-        out = lut[bits]
-        if np.any(out < 0):
+        if np.any(mask.sum(axis=1) != policy.m):
             raise ValueError("policy returned a subset outside the schedule-M catalogue")
-        return out
-    # negated int64 key sums (M int32 keys may wrap): the top M minimize them
-    cols = [_along(-keys[:, i].astype(np.int64), i, n) for i in range(n)]
-    zero = np.zeros(shape, dtype=np.int64)
+        cols = -mask.T.astype(np.int8).reshape((n,) + shape)
+    else:  # int64 key sums: M int32 keys may wrap
+        cols = [_along(-keys[:, i].astype(np.int64), i, n) for i in range(n)]
+    zero = np.zeros(shape, dtype=cols[0].dtype)
     return _argmin_subsets(sum((cols[i] for i in s), zero) for s in subsets)[1].ravel()
 
 
@@ -901,7 +883,7 @@ def evaluate_policy_average_cost(
     if isinstance(policy, (RoundRobinPolicy, RandomizedStationaryPolicy)):
         raise ValueError(f"{policy.name} policy does not decide from the AoI state "
                          "alone, so it has no action table on the joint chain")
-    cps = [characteristic_params(pl, ss) for pl, ss in zip(plants, filters)]
+    cps = [characteristic_params(pl, ss) for pl, ss in zip(plants, filters, strict=True)]
     tables = metric_cost_tables(cost, plants, filters, cps, delta_cap)
     table = policy_action_table(policy, delta_cap)
     probs = [pl.p for pl in plants]
@@ -917,8 +899,7 @@ class DpTablePolicy(Policy):
         super().__init__(solution.n, len(solution.subsets[0]))
         self.solution = solution
         self._masks = np.zeros((len(solution.subsets), solution.n), dtype=bool)
-        for ai, subset in enumerate(solution.subsets):
-            self._masks[ai, list(subset)] = True
+        self._masks[np.arange(len(solution.subsets))[:, None], solution.subsets] = True
 
     def decide_batch(self, deltas: np.ndarray) -> np.ndarray:
         cap = self.solution.delta_cap

@@ -28,8 +28,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .plants import PlantModel, filters_and_params, with_channel, write_atomic
-from .policies import COST_METRICS, AoiGreedyPolicy, PolicySpec, metric_cost_tables
+from .plants import (COST_METRICS, PlantModel, filters_and_params, metric_cost_tables,
+                     with_channel, write_atomic)
+from .policies import AoiGreedyPolicy, PolicySpec
 
 METRICS = COST_METRICS + ("squared-error",)
 
@@ -283,8 +284,12 @@ def run_covariance_sim(
     Per step: the policy schedules up to M sensors on the current AoI
     vector, scheduled deliveries succeed i.i.d. with probability p_i, AoI
     resets on delivery and ages otherwise, and the post-update cost is
-    accumulated after warmup.
+    accumulated after warmup. The ``squared-error`` metric has no cost
+    table: it raises ``ValueError``, pointing to ``run_trajectory_sim``.
     """
+    if config.metric not in COST_METRICS:
+        raise ValueError(f"metric {config.metric!r} has no covariance cost table; "
+                         "run_trajectory_sim (or run_sim, which picks it) simulates it")
     filters, cps = filters_and_params(plants)
     # one row per sensor, over AoI 0..horizon + 1
     tabs = metric_cost_tables(config.metric, plants, filters, cps, config.horizon + 1)

@@ -37,6 +37,7 @@ from aoi_sched import (
     error_trace_table,
     evaluate_policy_average_cost,
     generate_ensemble,
+    lower_bound_J_origin,
     numeric_whittle_index,
     parse_policy,
     steady_state_filter,
@@ -44,6 +45,7 @@ from aoi_sched import (
     whittle_index_table,
 )
 from aoi_sched import policies
+from aoi_sched.aoi import aoi_cost_table
 from aoi_sched.policies import (
     _VOI_TAIL,
     POLICY_KINDS,
@@ -51,6 +53,7 @@ from aoi_sched.policies import (
     _ScoreTablePolicy,
     _voi_index_hints,
 )
+from aoi_sched.plants import trace_tables
 
 
 def _float_scores(pol, deltas):
@@ -770,6 +773,54 @@ class TestJointDp:
         subsets = list(itertools.combinations(range(n), m))
         got = policies.policy_action_table(NearLimit(n, m), cap)
         assert np.array_equal(got, self._decided_table(NearLimit(n, m), n, cap, subsets))
+
+    @pytest.mark.parametrize("count", [0, 2, 3])
+    def test_action_table_rejects_a_row_off_the_budget(self, count):
+        # every joint state schedules sensor 0 but the last, which schedules
+        # `count` sensors at M = 1: no subset of the catalogue is its schedule
+        class OffBudget(Policy):
+            def decide_batch(self, deltas):
+                mask = np.zeros(deltas.shape, dtype=bool)
+                mask[:, 0] = True
+                mask[-1] = np.arange(self.n) < count
+                return mask
+
+        with pytest.raises(ValueError, match="outside the schedule-M catalogue"):
+            policies.policy_action_table(OffBudget(3, 1), 4)
+
+
+# calls that join per-sensor lists: the list to give one of the wrong length, and the call
+_PER_SENSOR_CALLS = {
+    "dp_optimal_policy": ("filters", lambda a: dp_optimal_policy(a["plants"], 1, 6,
+                                                                 a["filters"])),
+    "evaluate_policy_average_cost": ("filters", lambda a: evaluate_policy_average_cost(
+        AoiGreedyPolicy(4, 1), a["plants"], 1, 6, a["filters"])),
+    "VoiGreedyPolicy": ("filters", lambda a: VoiGreedyPolicy(a["plants"], a["filters"], 1)),
+    "VoiWhittlePolicy": ("filters", lambda a: VoiWhittlePolicy(a["plants"], a["filters"], 1,
+                                                               40, True)),
+    "LightweightPolicy": ("probs", lambda a: LightweightPolicy(a["cps"], a["probs"], 1)),
+    "PolicySpec.make": ("cps", lambda a: PolicySpec("lightweight").make(
+        a["plants"], a["filters"], a["cps"], 1)),
+    "trace_tables": ("filters", lambda a: trace_tables(a["plants"], a["filters"], 5)),
+    "lower_bound_J_origin": ("filters", lambda a: lower_bound_J_origin(a["plants"],
+                                                                       a["filters"], 1)),
+    "joint_value_iteration": ("probs", lambda a: policies.joint_value_iteration(
+        np.array([aoi_cost_table(cp.alpha, cp.beta, 6) for cp in a["cps"]]), a["probs"], 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(_PER_SENSOR_CALLS))
+def test_per_sensor_list_of_the_wrong_length_raises(name):
+    # one sensor short or one too many: never a result for fewer sensors
+    plants, filters, cps = _ensemble(4, 3, rho=(1.05, 1.2), p_range=(0.85, 1.0))
+    args = {"plants": plants, "filters": filters, "cps": cps,
+            "probs": [pl.p for pl in plants]}
+    which, call = _PER_SENSOR_CALLS[name]
+    call(args)  # aligned lists run
+    for wrong in (args[which][:-1], args[which] + args[which][:1]):
+        with pytest.raises(ValueError, match=r"zip\(\) argument 2 is (shorter|longer) than "
+                           r"argument 1|channel rates of shape"):
+            call({**args, which: wrong})
 
 
 def test_sensor_state_and_decision_types():

@@ -712,6 +712,16 @@ def test_sweep_level_follows_metric(scalar09):
         assert chosen.stat_dict() == direct.stat_dict()
 
 
+def test_covariance_sim_names_the_runner_of_squared_error(monkeypatch, scalar09):
+    # squared-error has no cost table: the covariance level refuses it
+    # before any set-up, and points to the runners that simulate it
+    monkeypatch.setattr(sim, "filters_and_params",
+                        lambda plants: pytest.fail("set-up ran before the metric check"))
+    cfg = SimConfig(horizon=20, runs=20, seed=1, metric="squared-error")
+    with pytest.raises(ValueError, match=r"run_trajectory_sim \(or run_sim"):
+        run_covariance_sim([scalar09], PolicySpec("lightweight"), 1, cfg)
+
+
 @pytest.mark.parametrize("runner", [run_covariance_sim, run_trajectory_sim])
 def test_policy_sized_for_another_ensemble_rejected(runner):
     class MustNotDecide(Policy):
