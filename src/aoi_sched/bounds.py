@@ -153,28 +153,49 @@ class _RelaxedTerms:
             self.grow()
         return self.cost.item(i, d - 1), self.rate.item(i, d - 1)
 
+    def minima(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per sensor, the least cost + lam * rate over all thresholds and the
+        first threshold that reaches it: walk d up while tracking the best,
+        and stop at the first d whose lam-free part alone reaches that best."""
+        while True:
+            vals = self.cost + lam * self.rate
+            best = np.minimum.accumulate(vals, axis=1)
+            stops = self.cost >= best
+            if stops.any(axis=1).all():
+                break
+            self.grow()
+        best = best[np.arange(len(self.fns)), stops.argmax(axis=1)]
+        return best, (vals == best[:, None]).argmax(axis=1) + 1
+
 
 def _exact_threshold_search(
-    alphas: np.ndarray, betas: np.ndarray, probs: np.ndarray, m: int,
-    incumbent: list[int],
+    terms: _RelaxedTerms, m: int, incumbent: list[int], lam: float,
 ) -> tuple[float, list[int]]:
     """Exact integer minimization of the relaxed objective under the budget.
 
     Starts from the feasible threshold vector ``incumbent``. Valid because
     each per-sensor term strictly increases with its integer threshold while
-    its budget usage strictly decreases, so a depth-first search with a
-    running-incumbent prune is exhaustive. A threshold whose running load
-    already exceeds M is skipped, not its larger ones: every later sensor
-    adds positive load, so no completion of it fits the budget, but a larger
-    threshold has a lower rate and may.
+    its budget usage strictly decreases, so a depth-first search is
+    exhaustive under two branch-and-bound prunes: at any price mu >= 0, the
+    completions of a node at sensor i with running cost c and load l cost
+    at least c + S_mu[i] - mu (M - l), S_mu the suffix sums of
+    ``terms.minima(mu)``. Both mu = 0 and the dual's multiplier ``lam``
+    prune, the latter less a rounding margin, so results keep their bits. A
+    threshold whose running load already exceeds M is skipped, not its
+    larger ones: every later sensor adds positive load, so no completion of
+    it fits the budget, but a larger threshold has a lower rate and may.
     """
-    n = alphas.shape[0]
-    terms = _RelaxedTerms(alphas, betas, probs)
+    n = len(incumbent)
     best_thr = list(incumbent)
     best_val = sum(terms.at(i, best_thr[i])[0] for i in range(n))
-    base = [terms.at(i, 1)[0] for i in range(n)]
+    mins = [terms.minima(mu)[0].tolist() + [0.0] for mu in (0.0, lam)]
     with np.errstate(over="ignore"):  # sums past float64's range prune as inf
-        suffix_min = np.concatenate([np.cumsum(base[::-1])[::-1], [0.0]]).tolist()
+        suffix_min, suffix_lam = np.cumsum(np.array(mins)[:, ::-1], axis=1)[:, ::-1].tolist()
+
+    def beaten(val: float, load: float, i: int) -> bool:
+        # the price-lam bound reaches best_val (never where inf makes it nan)
+        s = suffix_lam[i]
+        return val + s - lam * (m - load) - 1e-12 * (val + s + lam * m) >= best_val
 
     def dfs(i: int, partial: float, load: float, chosen: list[int]) -> None:
         nonlocal best_val, best_thr
@@ -187,9 +208,9 @@ def _exact_threshold_search(
         while True:
             cost, rate = terms.at(i, d)
             val = partial + cost
-            if val + suffix_min[i + 1] >= best_val:
+            if val + suffix_min[i + 1] >= best_val or beaten(val, load, i + 1):
                 break  # terms increase with d: no larger threshold can win
-            if load + rate <= m:
+            if load + rate <= m and not beaten(val, load + rate, i + 1):
                 chosen.append(d)
                 dfs(i + 1, val, load + rate, chosen)
                 chosen.pop()
@@ -199,54 +220,42 @@ def _exact_threshold_search(
     return best_val, best_thr
 
 
-def _dual_threshold_search(
-    alphas: np.ndarray, betas: np.ndarray, probs: np.ndarray, m: int
-) -> tuple[float, list[int]]:
+def _dual_threshold_search(terms: _RelaxedTerms, m: int) -> tuple[float, list[int], float]:
     """Lagrangian-dual bound for larger ensembles.
 
     Bisects the budget multiplier; each inner problem is a one-dimensional
     integer minimization per sensor. The returned value is the dual optimum,
-    a (possibly slightly loose) valid lower bound on the relaxed problem; the
-    thresholds are the minimizers at the smallest multiplier seen whose load
-    fits the budget, so they are always feasible.
+    a (possibly slightly loose) valid lower bound on the relaxed problem,
+    with the multiplier that reached it; the thresholds are the minimizers
+    at the smallest multiplier seen whose load fits the budget, so they are
+    always feasible.
     """
-    n = alphas.shape[0]
-    terms = _RelaxedTerms(alphas, betas, probs)
-    sensors = np.arange(n)
+    sensors = np.arange(len(terms.fns))
 
     def dual(lam: float) -> tuple[float, float, list[int]]:
-        # per sensor, walk d up while tracking the best cost + lam * rate, and
-        # stop at the first d whose lam-free part alone reaches that best
-        vals = terms.cost + lam * terms.rate
-        best = np.minimum.accumulate(vals, axis=1)
-        stops = terms.cost >= best
-        stop = stops.argmax(axis=1)
-        if not stops[sensors, stop].all():
-            terms.grow()
-            return dual(lam)
-        best = best[sensors, stop]
-        ds = (vals == best[:, None]).argmax(axis=1)  # the first minimizer
+        best, ds = terms.minima(lam)
         # sums in sensor order over Python floats: numpy's pairwise sum rounds otherwise
-        load = sum(terms.rate[sensors, ds].tolist())
-        return sum(best.tolist()) - lam * m, load, (ds + 1).tolist()
+        load = sum(terms.rate[sensors, ds - 1].tolist())
+        return sum(best.tolist()) - lam * m, load, ds.tolist()
 
     lam_lo, lam_hi = 0.0, 1.0
     while (hi := dual(lam_hi))[1] > m:
         lam_hi *= 4.0
         if lam_hi > 1e300:
             raise FeasibilityError("dual search failed to bracket the multiplier")
-    best_value = dual(0.0)[0]
+    best_value, best_lam = dual(0.0)[0], 0.0
     best_thr = hi[2]
     for _ in range(100):
         lam = 0.5 * (lam_lo + lam_hi)
         value, load, ds = dual(lam)
-        best_value = max(best_value, value)
+        if value > best_value:
+            best_value, best_lam = value, lam
         if load > m:
             lam_lo = lam
         else:
             lam_hi = lam
             best_thr = ds
-    return best_value, best_thr
+    return best_value, best_thr, best_lam
 
 
 def lower_bound_J(alphas, betas, probs, m: int) -> tuple[float, list[int]]:
@@ -268,10 +277,10 @@ def lower_bound_J(alphas, betas, probs, m: int) -> tuple[float, list[int]]:
         raise StabilityError(
             f"sensors {np.flatnonzero(unstable).tolist()} violate alpha (1-p) < 1"
         )
-    dual_value, dual_thr = _dual_threshold_search(alphas, betas, probs, m)
+    terms = _RelaxedTerms(alphas, betas, probs)
+    dual_value, dual_thr, lam = _dual_threshold_search(terms, m)
     if alphas.shape[0] <= _EXACT_N_LIMIT:
-        primal_value, thresholds = _exact_threshold_search(
-            alphas, betas, probs, m, dual_thr)
+        primal_value, thresholds = _exact_threshold_search(terms, m, dual_thr, lam)
         if dual_value > primal_value + 1e-9 * max(1.0, abs(primal_value)):
             raise RuntimeError("dual bound exceeded the integer primal")
         return min(dual_value, primal_value), thresholds

@@ -946,6 +946,9 @@ class PolicySpec:
         char_params: list[CharParams],
         m: int,
     ) -> Policy:
+        if not len(plants) == len(filters) == len(char_params):  # whatever the kind reads
+            raise ValueError(f"{len(filters)} filters and {len(char_params)} parameter pairs "
+                             f"for {len(plants)} plants")
         probs = [pl.p for pl in plants]
         if self.kind == "lightweight":
             return LightweightPolicy(char_params, probs, m)

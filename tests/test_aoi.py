@@ -318,6 +318,33 @@ class TestWhittleOracle:
                 got = numeric_whittle_index(costs, p, d, bracket_hint=other)
                 assert got == pytest.approx(w, rel=1e-10), (d, other)
 
+    @pytest.mark.parametrize("costs, p, delta, index", [
+        # without a hint, a Newton step leaves the bracket while it is open,
+        # which widens it, and later steps leave the closed bracket
+        ([0.4, 4.1, 0.2, 0.8, 6.4, 4.4, 0.9], 0.89, 1, 0.445),
+        # from every hint, a Newton step leaves the closed bracket
+        ([7.9, 5.1, 7.3, 2.3, 2.0, 3.6, 1.8], 0.41, 4, -4.126338195),
+    ])
+    def test_fallback_steps_find_the_bisection_root(self, costs, p, delta, index):
+        # non-monotone costs, where Newton steps on the advantage overshoot;
+        # the root is the one a plain bisection on the advantage finds
+        costs = np.array(costs)
+        start = np.arange(costs.shape[0]) >= delta - 1
+
+        def advantage(w):
+            v, _ = _optimal_values(costs, p, w, start)
+            return w - p * (v[delta] - v[0])
+
+        lo, hi = -100.0, 100.0
+        assert advantage(lo) < 0.0 < advantage(hi)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if advantage(mid) < 0.0 else (lo, mid)
+        assert lo == pytest.approx(index, rel=1e-9)
+        for hint in (None, -8.5, 0.0, 20.0):
+            got = numeric_whittle_index(costs, p, delta, bracket_hint=hint)
+            assert got == pytest.approx(lo, rel=1e-9), hint
+
 
 @settings(max_examples=60)
 @given(alpha=st.floats(1.01, 2.5), rate=st.floats(0.0, 0.9), beta=st.floats(0.01, 100.0),

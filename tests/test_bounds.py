@@ -1,6 +1,7 @@
 """Randomized-policy optimization, lower/upper bounds, stability verdicts."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -128,9 +129,10 @@ class TestLowerBound:
 
     def test_exact_search_skips_thresholds_over_budget(self, monkeypatch):
         # a tight budget (N = 6, M = 1): thresholds whose running load is
-        # already above M are skipped, so the search looks up about 213,000
+        # already above M are skipped, so the search looked up 213,259
         # terms, where exploring their subtrees looked up 4,434,939 and took
-        # seconds; the optimum is the one that full search found
+        # seconds; the bound at the dual's multiplier cuts that to 764. The
+        # optimum is the one the full search found
         lookups = []
         at = bounds._RelaxedTerms.at
 
@@ -145,16 +147,16 @@ class TestLowerBound:
             [0.8859, 0.8303, 0.7839, 0.9391, 0.876, 0.4253], 1)
         assert value.hex() == "0x1.9c28047d944ecp+20"
         assert thresholds == [13, 3, 19, 4, 34, 12]
-        assert len(lookups) < 500_000
+        assert len(lookups) < 2_000
 
     def test_dual_below_exact(self):
         rng = np.random.default_rng(42)
         alphas = rng.uniform(1.1, 1.5, 7).tolist()
         betas = rng.uniform(0.3, 3.0, 7).tolist()
         probs = rng.uniform(0.85, 1.0, 7).tolist()
-        params = (np.array(alphas), np.array(betas), np.array(probs), 3)
-        dual, dual_thr = _dual_threshold_search(*params)
-        exact, _ = _exact_threshold_search(*params, dual_thr)
+        terms = bounds._RelaxedTerms(alphas, betas, probs)
+        dual, dual_thr, lam = _dual_threshold_search(terms, 3)
+        exact, _ = _exact_threshold_search(terms, 3, dual_thr, lam)
         assert dual <= exact + 1e-9
         assert dual >= 0.5 * exact  # sane, not vacuous
 
@@ -168,11 +170,12 @@ class TestLowerBound:
             alphas = rng.uniform(1.1, 1.6, n)
             betas = rng.uniform(0.3, 3.0, n)
             probs = rng.uniform(0.8, 1.0, n)
-            _, dual_thr = _dual_threshold_search(alphas, betas, probs, m)
+            terms = bounds._RelaxedTerms(alphas, betas, probs)
+            _, dual_thr, lam = _dual_threshold_search(terms, m)
             load = sum(1.0 / (d * p + 1 - p) for d, p in zip(dual_thr, probs))
             assert load <= m
-            from_dual = _exact_threshold_search(alphas, betas, probs, m, dual_thr)
-            from_far = _exact_threshold_search(alphas, betas, probs, m, [far] * n)
+            from_dual = _exact_threshold_search(terms, m, dual_thr, lam)
+            from_far = _exact_threshold_search(terms, m, [far] * n, lam)
             assert from_dual == from_far
 
 
@@ -278,14 +281,16 @@ _OVERFLOWS = [([2.0, 1.5], [1e308, 1.0], [1.0, 0.9], 2),
 def test_threshold_searches_match_the_scalar_walk(problem):
     # the tabulated searches reproduce the scalar walk bit for bit: the same
     # float.hex values and the same thresholds. The exact search runs to
-    # N = 3 here: its time grows steeply with N (lower_bound_J uses it to N = 6).
+    # N = 3 here: its reference prunes at price 0 alone, and its time grows
+    # steeply with N (lower_bound_J uses the exact search to N = 6).
     # Overflowing costs make the reference's suffix sums warn
     with np.errstate(over="ignore"):
-        dual_value, dual_thr = _dual_threshold_search(*problem)
+        terms = bounds._RelaxedTerms(*problem[:3])
+        dual_value, dual_thr, lam = _dual_threshold_search(terms, problem[3])
         ref_value, ref_thr = _scalar_dual_search(*problem)
         assert (float.hex(dual_value), dual_thr) == (float.hex(ref_value), ref_thr)
         if len(dual_thr) <= 3:
-            exact_value, exact_thr = _exact_threshold_search(*problem, dual_thr)
+            exact_value, exact_thr = _exact_threshold_search(terms, problem[3], dual_thr, lam)
             ref_value, ref_thr = _scalar_exact_search(*problem, ref_thr)
             assert (float.hex(exact_value), exact_thr) == (float.hex(ref_value), ref_thr)
 
@@ -296,6 +301,73 @@ def test_overflow_examples_reach_inf(problem):
     fn = AoiFunction(alphas[0], betas[0], probs[0])
     costs = [threshold_average_cost(fn, ThresholdPolicy(d), 0.0) for d in (1, 2)]
     assert math.isinf(costs[1]) and math.isinf(costs[0]) == (problem is _OVERFLOWS[0])
+
+
+def _exact_search_checked(alphas, betas, probs, m, seconds):
+    """Run the exact search from the dual's thresholds and multiplier, with
+    an alarm at ``seconds``; check that its thresholds fit the budget, its
+    value is theirs and at least the dual value, and no single +-1
+    threshold step gives a feasible, lower cost."""
+    def late(*_):
+        raise TimeoutError(f"the exact threshold search ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        terms = bounds._RelaxedTerms(alphas, betas, probs)
+        dual_value, dual_thr, lam = _dual_threshold_search(terms, m)
+        value, thr = _exact_threshold_search(terms, m, dual_thr, lam)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    cost, rate = _scalar_terms(alphas, betas, probs)
+    # sums in sensor order, as the search adds them; the dual is below the
+    # integer optimum up to rounding (they tie where the budget binds at
+    # integer thresholds)
+    assert sum(rate(i, d) for i, d in enumerate(thr)) <= m
+    assert value == sum(cost(i, d) for i, d in enumerate(thr))
+    assert dual_value <= value + 1e-12 * abs(value)
+    for i in range(len(thr)):
+        for step in (-1, 1):
+            other = [d + step * (j == i) for j, d in enumerate(thr)]
+            if other[i] >= 1 and sum(rate(j, d) for j, d in enumerate(other)) <= m:
+                assert sum(cost(j, d) for j, d in enumerate(other)) >= value
+
+
+def test_exact_search_bounded_by_the_dual_multiplier():
+    # N = 6, M = 1: pruned by the threshold-1 costs alone the search ran
+    # for over a minute; the bound at the dual's multiplier ends it in
+    # about 2 s on a 2-vCPU host
+    _exact_search_checked([1.8271, 2.1207, 2.1308, 1.0589, 1.1106, 1.281],
+                          [0.5118, 0.4224, 0.02464, 0.5466, 642.1, 122600.0],
+                          [0.657, 0.7139, 0.7379, 0.7045, 0.8109, 0.9551], 1, 30.0)
+
+
+@settings(max_examples=20)
+@given(st.data())
+def test_exact_search_optimal_at_four_to_six_sensors(data):
+    # alpha >= 1.3 and beta within three decades: at the corners of these
+    # ranges a search takes at most about 0.5 s, where alpha near 1.1 with
+    # betas four decades apart can still take over 10 s
+    n = data.draw(st.integers(4, 6))
+    m = data.draw(st.integers(1, n - 1))
+    probs = data.draw(st.lists(st.floats(0.4, 1.0), min_size=n, max_size=n))
+    alphas = [1.3 + data.draw(st.floats(0.0, 1.0)) * (min(2.6, 0.95 / max(1.0 - p, 1e-9)) - 1.3)
+              for p in probs]
+    betas = [10.0 ** data.draw(st.floats(-1.0, 2.0)) for _ in range(n)]
+    _exact_search_checked(alphas, betas, probs, m, 30.0)
+
+
+def test_lower_bound_builds_one_table(monkeypatch):
+    # the dual and the exact search read the same relaxed terms
+    built = []
+    init = bounds._RelaxedTerms.__init__
+    monkeypatch.setattr(bounds._RelaxedTerms, "__init__",
+                        lambda self, *abp: built.append(1) or init(self, *abp))
+    for n in (3, 8):
+        built.clear()
+        lower_bound_J([1.2 + 0.05 * i for i in range(n)], [1.0] * n, [0.9] * n, 2)
+        assert len(built) == 1
 
 
 class TestLowerBoundOrigin:

@@ -537,6 +537,20 @@ class TestGeneratePlant:
         with pytest.raises(PlantInvariantError, match=f"^{re.escape(message)}$"):
             PlantModel(**fields, p=0.5)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("A", np.ones((2, 3)), "A must be square"),
+        ("C", [[1.0, 1.0, 1.0]], "C shape (1, 3) incompatible with A"),
+        ("Q", np.eye(3), "Q/R dimensions incompatible with A/C"),
+        ("A", [[np.inf, 0.0], [0.0, 1.1]], "A has non-finite entries"),
+        # positive definite, but of numeric rank 1: the noise drives one mode
+        ("Q", np.diag([1.0, 1e-20]), "(A, sqrt(Q)) is not controllable"),
+    ], ids=["A-not-square", "C-width", "Q-size", "A-inf", "Q-rank-1"])
+    def test_constructor_names_the_broken_invariant(self, field, value, message):
+        fields = {"A": np.diag([1.2, 1.1]), "C": [[1.0, 1.0]], "Q": np.eye(2), "R": [[1.0]],
+                  field: value}
+        with pytest.raises(PlantInvariantError, match=f"^{re.escape(message)}$"):
+            PlantModel(**fields, p=0.5)
+
 
 def test_ensemble_json_roundtrip(tmp_path):
     plants = generate_ensemble(5, 3, 2, (1.05, 1.4), seed=11)

@@ -799,8 +799,6 @@ _PER_SENSOR_CALLS = {
     "VoiWhittlePolicy": ("filters", lambda a: VoiWhittlePolicy(a["plants"], a["filters"], 1,
                                                                40, True)),
     "LightweightPolicy": ("probs", lambda a: LightweightPolicy(a["cps"], a["probs"], 1)),
-    "PolicySpec.make": ("cps", lambda a: PolicySpec("lightweight").make(
-        a["plants"], a["filters"], a["cps"], 1)),
     "trace_tables": ("filters", lambda a: trace_tables(a["plants"], a["filters"], 5)),
     "lower_bound_J_origin": ("filters", lambda a: lower_bound_J_origin(a["plants"],
                                                                        a["filters"], 1)),
@@ -821,6 +819,21 @@ def test_per_sensor_list_of_the_wrong_length_raises(name):
         with pytest.raises(ValueError, match=r"zip\(\) argument 2 is (shorter|longer) than "
                            r"argument 1|channel rates of shape"):
             call({**args, which: wrong})
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_policy_spec_make_refuses_lists_of_another_length(kind):
+    # every kind checks both lists, also the kinds that never read them
+    plants, filters, cps = _ensemble(4, 3, rho=(1.05, 1.2), p_range=(0.85, 1.0))
+    spec = PolicySpec(kind, delta_cap=4, voi_delta_cap=6)
+    assert spec.make(plants, filters, cps, 2).n == 4
+    for wrong in (filters[:-1], filters + filters[:1]):
+        with pytest.raises(ValueError, match=rf"{len(wrong)} filters and 4 parameter pairs "
+                                             "for 4 plants"):
+            spec.make(plants, wrong, cps, 2)
+    for wrong in (cps[:-1], cps + cps[:1]):
+        with pytest.raises(ValueError, match=rf"4 filters and {len(wrong)} parameter pairs"):
+            spec.make(plants, filters, wrong, 2)
 
 
 def test_sensor_state_and_decision_types():
