@@ -2,9 +2,10 @@
 
 The long-run AoI cost of any feasible scheduler is sandwiched between
 
-  * a lower bound from the budget-relaxed problem: each sensor then runs an
-    optimal threshold policy, and the bound is the constrained minimum of
-    the resulting stationary average over integer thresholds; and
+  * a lower bound from the budget-relaxed problem: with the budget priced by
+    a Lagrange multiplier, each sensor runs its own optimal threshold
+    policy, and the bound is the Lagrangian dual's value, the relaxed
+    optimum (the least cost over integer thresholds can sit above it); and
   * an upper bound from a Lyapunov drift argument, driven by the optimal
     randomized stationary policy (schedule sensor i w.p. q_i each step).
 
@@ -30,7 +31,6 @@ _DEFECTIVE_COND = 1e8  # eigenvector basis above this condition number is treate
 _DELTA_TILDE_CAP = 10**6
 _Q_EPS = 1e-9  # smallest margin of a randomized rate above its stabilizing minimum
 _WATERFILL_TOL = 1e-13  # relative width at which the multiplier bisection stops
-_EXACT_N_LIMIT = 6  # largest ensemble whose integer thresholds are searched exactly
 
 
 def necessary_stability(plant: PlantModel) -> bool:
@@ -124,7 +124,7 @@ def optimize_randomized_q(alphas, betas, probs, m: int) -> tuple[np.ndarray, flo
 
 
 # ---------------------------------------------------------------------------
-# lower bound: threshold search over the relaxed per-sensor problem
+# lower bound: Lagrangian dual of the relaxed per-sensor threshold problem
 # ---------------------------------------------------------------------------
 
 
@@ -148,11 +148,6 @@ class _RelaxedTerms:
         self.rate = np.hstack([self.rate, [[threshold_transmission_rate(fn.p, tp)
                                             for tp in pols] for fn in self.fns]])
 
-    def at(self, i: int, d: int) -> tuple[float, float]:
-        while d > self.cost.shape[1]:
-            self.grow()
-        return self.cost.item(i, d - 1), self.rate.item(i, d - 1)
-
     def minima(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """Per sensor, the least cost + lam * rate over all thresholds and the
         first threshold that reaches it: walk d up while tracking the best,
@@ -168,67 +163,15 @@ class _RelaxedTerms:
         return best, (vals == best[:, None]).argmax(axis=1) + 1
 
 
-def _exact_threshold_search(
-    terms: _RelaxedTerms, m: int, incumbent: list[int], lam: float,
-) -> tuple[float, list[int]]:
-    """Exact integer minimization of the relaxed objective under the budget.
-
-    Starts from the feasible threshold vector ``incumbent``. Valid because
-    each per-sensor term strictly increases with its integer threshold while
-    its budget usage strictly decreases, so a depth-first search is
-    exhaustive under two branch-and-bound prunes: at any price mu >= 0, the
-    completions of a node at sensor i with running cost c and load l cost
-    at least c + S_mu[i] - mu (M - l), S_mu the suffix sums of
-    ``terms.minima(mu)``. Both mu = 0 and the dual's multiplier ``lam``
-    prune, the latter less a rounding margin, so results keep their bits. A
-    threshold whose running load already exceeds M is skipped, not its
-    larger ones: every later sensor adds positive load, so no completion of
-    it fits the budget, but a larger threshold has a lower rate and may.
-    """
-    n = len(incumbent)
-    best_thr = list(incumbent)
-    best_val = sum(terms.at(i, best_thr[i])[0] for i in range(n))
-    mins = [terms.minima(mu)[0].tolist() + [0.0] for mu in (0.0, lam)]
-    with np.errstate(over="ignore"):  # sums past float64's range prune as inf
-        suffix_min, suffix_lam = np.cumsum(np.array(mins)[:, ::-1], axis=1)[:, ::-1].tolist()
-
-    def beaten(val: float, load: float, i: int) -> bool:
-        # the price-lam bound reaches best_val (never where inf makes it nan)
-        s = suffix_lam[i]
-        return val + s - lam * (m - load) - 1e-12 * (val + s + lam * m) >= best_val
-
-    def dfs(i: int, partial: float, load: float, chosen: list[int]) -> None:
-        nonlocal best_val, best_thr
-        if i == n:
-            if load <= m and partial < best_val:
-                best_val = partial
-                best_thr = list(chosen)
-            return
-        d = 1
-        while True:
-            cost, rate = terms.at(i, d)
-            val = partial + cost
-            if val + suffix_min[i + 1] >= best_val or beaten(val, load, i + 1):
-                break  # terms increase with d: no larger threshold can win
-            if load + rate <= m and not beaten(val, load + rate, i + 1):
-                chosen.append(d)
-                dfs(i + 1, val, load + rate, chosen)
-                chosen.pop()
-            d += 1
-
-    dfs(0, 0.0, 0.0, [])
-    return best_val, best_thr
-
-
 def _dual_threshold_search(terms: _RelaxedTerms, m: int) -> tuple[float, list[int], float]:
-    """Lagrangian-dual bound for larger ensembles.
+    """Lagrangian-dual bound of the relaxed threshold problem, at every N.
 
     Bisects the budget multiplier; each inner problem is a one-dimensional
-    integer minimization per sensor. The returned value is the dual optimum,
-    a (possibly slightly loose) valid lower bound on the relaxed problem,
-    with the multiplier that reached it; the thresholds are the minimizers
-    at the smallest multiplier seen whose load fits the budget, so they are
-    always feasible.
+    integer minimization per sensor. The returned value is the largest dual
+    value seen, a (possibly slightly loose) valid lower bound on the relaxed
+    problem, with the multiplier that reached it; the thresholds are the
+    minimizers at the smallest multiplier seen whose load fits the budget,
+    so they are always feasible.
     """
     sensors = np.arange(len(terms.fns))
 
@@ -258,18 +201,19 @@ def _dual_threshold_search(terms: _RelaxedTerms, m: int) -> tuple[float, list[in
     return best_value, best_thr, best_lam
 
 
-def lower_bound_J(alphas, betas, probs, m: int) -> tuple[float, list[int]]:
+def lower_bound_J(alphas, betas, probs, m: int) -> tuple[float, list[int], float]:
     """Lower bound on the AoI-function cost of any feasible scheduler.
 
-    The bound is the Lagrangian-dual value of the per-sensor threshold
-    problem, which equals the true budget-relaxed optimum: the relaxed
-    problem's optimal policy may randomize between two adjacent integer
-    thresholds to meet the budget exactly, so the minimum over pure integer
-    thresholds sits slightly above the relaxed optimum and is NOT a valid
-    lower bound on scheduler performance (simulation exceeds it by up to a
-    couple of percent on tight instances). The reported thresholds are the
-    integer minimizers (the deterministic DMDP solution) when the ensemble
-    is small enough to search exactly (N <= 6).
+    Returns the Lagrangian-dual value of the per-sensor threshold problem,
+    which equals the true budget-relaxed optimum, the dual's feasible
+    thresholds, and its multiplier lam*. The relaxed problem's optimal
+    policy may randomize between two adjacent integer thresholds to meet
+    the budget exactly, so the minimum over pure integer thresholds sits
+    slightly above the relaxed optimum and is NOT a valid lower bound on
+    scheduler performance (simulation exceeds it by up to a couple of
+    percent on tight instances). lam* is the price of the budget in the
+    units of the lightweight index: at lam* each sensor's threshold is the
+    first AoI whose index reaches lam*.
     """
     alphas, betas, probs = _sensor_arrays(m, alphas, betas, probs)
     unstable = alphas * (1.0 - probs) >= 1.0
@@ -278,13 +222,12 @@ def lower_bound_J(alphas, betas, probs, m: int) -> tuple[float, list[int]]:
             f"sensors {np.flatnonzero(unstable).tolist()} violate alpha (1-p) < 1"
         )
     terms = _RelaxedTerms(alphas, betas, probs)
-    dual_value, dual_thr, lam = _dual_threshold_search(terms, m)
-    if alphas.shape[0] <= _EXACT_N_LIMIT:
-        primal_value, thresholds = _exact_threshold_search(terms, m, dual_thr, lam)
-        if dual_value > primal_value + 1e-9 * max(1.0, abs(primal_value)):
-            raise RuntimeError("dual bound exceeded the integer primal")
-        return min(dual_value, primal_value), thresholds
-    return dual_value, dual_thr
+    value, thresholds, lam = _dual_threshold_search(terms, m)
+    # weak duality: no dual value exceeds the cost of feasible thresholds
+    primal = sum(terms.cost[np.arange(len(thresholds)), np.subtract(thresholds, 1)].tolist())
+    if value > primal + 1e-9 * max(1.0, abs(primal)):
+        raise RuntimeError("dual bound exceeded the integer primal")
+    return value, thresholds, lam
 
 
 def lower_bound_J_origin(
@@ -324,7 +267,7 @@ def lower_bound_J_origin(
         betas.append(zeta * min(lam_q, lam_p))
         zetas.append(zeta)
     probs = [pl.p for pl in plants]
-    value, thr = lower_bound_J(alphas, betas, probs, m)
+    value, thr, _ = lower_bound_J(alphas, betas, probs, m)
     return value, thr, zetas
 
 
@@ -406,6 +349,7 @@ class BoundsReport:
     sufficient_stable: list[bool] | None = None
     lower_J: float | None = None
     thresholds_star: list[int] | None = None
+    lower_lambda: float | None = None
     lower_J_origin: float | None = None
     origin_thresholds: list[int] | None = None
     zetas: list[float] | None = None
@@ -457,9 +401,10 @@ def compute_bounds_report(
         )
         return report
 
-    lo, thr = lower_bound_J(alphas, betas, probs, m)
+    lo, thr, lam = lower_bound_J(alphas, betas, probs, m)
     report.lower_J = lo
     report.thresholds_star = [int(d) for d in thr]
+    report.lower_lambda = lam
 
     try:
         lo_origin, thr_origin, zetas = lower_bound_J_origin(plants, filters, m)

@@ -190,7 +190,7 @@ def cmd_bounds(args) -> int:
         )
     if report.lower_J is not None:
         print(f"lower bound J = {report.lower_J:.6g} "
-              f"thresholds={report.thresholds_star}")
+              f"thresholds={report.thresholds_star} lambda*={report.lower_lambda:.6g}")
     if report.lower_J_origin is not None:
         print(f"lower bound J_origin = {report.lower_J_origin:.6g}")
     if report.q_star is not None:

@@ -4,9 +4,15 @@ from hypothesis import settings
 
 from aoi_sched import PlantModel, steady_state_filter
 
-# every property test draws the same examples on every run (no example
-# database carried between runs) and has no deadline, since solver times
-# vary with the host; a test's own @settings sets only max_examples
+# every property test is derandomized and carries no example database
+# between runs, so its examples are set by the test, the Hypothesis version
+# and one more input: Hypothesis sometimes draws a literal constant from the
+# source of a local, non-test module in sys.modules (aoi_sched, perfbench).
+# So a test draws the same examples on every run of one pytest invocation on
+# one tree, but collecting other test files (which import other modules) or
+# editing a literal in such a module can change them. No deadline, since
+# solver times vary with the host; a test's own @settings sets only
+# max_examples
 settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
 settings.load_profile("tier1")
 

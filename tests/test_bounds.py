@@ -2,6 +2,7 @@
 
 import math
 import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -30,9 +31,10 @@ from aoi_sched import (
     threshold_average_cost,
     threshold_transmission_rate,
     upper_bound_J,
+    whittle_index_table,
 )
 from aoi_sched import bounds
-from aoi_sched.bounds import _dual_threshold_search, _exact_threshold_search
+from aoi_sched.bounds import _dual_threshold_search
 from aoi_sched.plants import filters_and_params
 
 
@@ -89,7 +91,7 @@ class TestOptimizeRandomizedQ:
 
 class TestLowerBound:
     def test_single_sensor_deterministic(self):
-        value, thr = lower_bound_J([2.0], [1.0], [1.0], 1)
+        value, thr, _ = lower_bound_J([2.0], [1.0], [1.0], 1)
         assert thr == [1]
         assert value == pytest.approx(2.0)
 
@@ -115,68 +117,41 @@ class TestLowerBound:
         alphas = rng.uniform(1.1, 1.6, 5).tolist()
         betas = rng.uniform(0.3, 3.0, 5).tolist()
         probs = rng.uniform(0.8, 1.0, 5).tolist()
-        _, thr = lower_bound_J(alphas, betas, probs, 2)
+        _, thr, _ = lower_bound_J(alphas, betas, probs, 2)
         load = sum(1.0 / (d * p + 1 - p) for d, p in zip(thr, probs))
         assert load <= 2.0 + 1e-12
 
     def test_overflowing_prune_sums_do_not_warn(self):
-        # two threshold-1 costs near float64's limit sum to inf in the exact
-        # search's prune sums, an inf the search handles by design: under
-        # RuntimeWarning as an error (the suite's setting) it runs through
-        value, thresholds = lower_bound_J([1.1, 1.1, 1.1], [1e308, 1e308, 1.0],
-                                          [1.0, 1.0, 1.0], 3)
+        # two threshold-1 costs near float64's limit sum to inf in the dual
+        # value and in the weak-duality check's integer cost, an inf the
+        # bound returns by design: under RuntimeWarning as an error (the
+        # suite's setting) it runs through
+        value, thresholds, _ = lower_bound_J([1.1, 1.1, 1.1], [1e308, 1e308, 1.0],
+                                             [1.0, 1.0, 1.0], 3)
         assert value == math.inf and thresholds == [1, 1, 1]
 
-    def test_exact_search_skips_thresholds_over_budget(self, monkeypatch):
-        # a tight budget (N = 6, M = 1): thresholds whose running load is
-        # already above M are skipped, so the search looked up 213,259
-        # terms, where exploring their subtrees looked up 4,434,939 and took
-        # seconds; the bound at the dual's multiplier cuts that to 764. The
-        # optimum is the one the full search found
-        lookups = []
-        at = bounds._RelaxedTerms.at
+    @pytest.mark.parametrize("excess, raises", [(1e-10, False), (1e-8, True)])
+    def test_weak_duality_check_has_a_relative_margin(self, monkeypatch, excess, raises):
+        # at M = N and p = 1 the dual value is the integer cost of the
+        # thresholds [1, 1]; a dual above it by more than 1e-9 relative raises
+        real = bounds._dual_threshold_search
 
-        def counted(self, i, d):
-            lookups.append(i)
-            return at(self, i, d)
+        def inflated(terms, m):
+            value, thresholds, lam = real(terms, m)
+            return value * (1.0 + excess), thresholds, lam
 
-        monkeypatch.setattr(bounds._RelaxedTerms, "at", counted)
-        value, thresholds = lower_bound_J(
-            [2.5216, 1.2647, 1.9091, 1.8538, 1.4841, 1.6188],
-            [0.8059, 825472.2, 0.2411, 29939.77, 0.0361, 189.41],
-            [0.8859, 0.8303, 0.7839, 0.9391, 0.876, 0.4253], 1)
-        assert value.hex() == "0x1.9c28047d944ecp+20"
-        assert thresholds == [13, 3, 19, 4, 34, 12]
-        assert len(lookups) < 2_000
+        monkeypatch.setattr(bounds, "_dual_threshold_search", inflated)
+        if raises:
+            with pytest.raises(RuntimeError, match="dual bound exceeded"):
+                lower_bound_J([1.2, 1.3], [1.0, 1.0], [1.0, 1.0], 2)
+        else:
+            assert lower_bound_J([1.2, 1.3], [1.0, 1.0], [1.0, 1.0], 2)[1] == [1, 1]
 
-    def test_dual_below_exact(self):
-        rng = np.random.default_rng(42)
-        alphas = rng.uniform(1.1, 1.5, 7).tolist()
-        betas = rng.uniform(0.3, 3.0, 7).tolist()
-        probs = rng.uniform(0.85, 1.0, 7).tolist()
-        terms = bounds._RelaxedTerms(alphas, betas, probs)
-        dual, dual_thr, lam = _dual_threshold_search(terms, 3)
-        exact, _ = _exact_threshold_search(terms, 3, dual_thr, lam)
-        assert dual <= exact + 1e-9
-        assert dual >= 0.5 * exact  # sane, not vacuous
-
-    def test_exact_search_independent_of_incumbent(self):
-        # the dual's thresholds are feasible, and the pruned search reaches
-        # the same optimum from them as from a far feasible start (the search
-        # time grows steeply with that distance, hence the smaller far start
-        # at N = 6)
-        rng = np.random.default_rng(43)
-        for n, m, far in ((2, 1, 200), (4, 2, 200), (6, 3, 20)):
-            alphas = rng.uniform(1.1, 1.6, n)
-            betas = rng.uniform(0.3, 3.0, n)
-            probs = rng.uniform(0.8, 1.0, n)
-            terms = bounds._RelaxedTerms(alphas, betas, probs)
-            _, dual_thr, lam = _dual_threshold_search(terms, m)
-            load = sum(1.0 / (d * p + 1 - p) for d, p in zip(dual_thr, probs))
-            assert load <= m
-            from_dual = _exact_threshold_search(terms, m, dual_thr, lam)
-            from_far = _exact_threshold_search(terms, m, [far] * n, lam)
-            assert from_dual == from_far
+    def test_multiplier_prices_the_budget(self):
+        # lam* is 0 when every sensor can transmit at every step, and
+        # positive when the budget binds
+        assert lower_bound_J([1.2, 1.3], [1.0, 1.0], [1.0, 1.0], 2)[2] == 0.0
+        assert lower_bound_J([1.2, 1.3], [1.0, 1.0], [0.9, 0.9], 1)[2] > 0.0
 
 
 def _scalar_terms(alphas, betas, probs):
@@ -216,40 +191,17 @@ def _scalar_dual_search(alphas, betas, probs, m):
     lam_lo, lam_hi = 0.0, 1.0
     while dual(lam_hi)[1] > m:
         lam_hi *= 4.0
-    best_value, best_thr = dual(0.0)[0], dual(lam_hi)[2]
+    best_value, best_lam, best_thr = dual(0.0)[0], 0.0, dual(lam_hi)[2]
     for _ in range(100):
         lam = 0.5 * (lam_lo + lam_hi)
         value, load, ds = dual(lam)
-        best_value = max(best_value, value)
+        if value > best_value:
+            best_value, best_lam = value, lam
         if load > m:
             lam_lo = lam
         else:
             lam_hi, best_thr = lam, ds
-    return best_value, best_thr
-
-
-def _scalar_exact_search(alphas, betas, probs, m, incumbent):
-    """Reference: the exact depth-first search on scalar closed-form calls."""
-    n = len(alphas)
-    cost, rate = _scalar_terms(alphas, betas, probs)
-    best = [sum(cost(i, incumbent[i]) for i in range(n)), list(incumbent)]
-    base = [cost(i, 1) for i in range(n)]
-    suffix_min = np.concatenate([np.cumsum(base[::-1])[::-1], [0.0]])
-
-    def dfs(i, partial, load, chosen):
-        if i == n:
-            if load <= m and partial < best[0]:
-                best[:] = partial, list(chosen)
-            return
-        d = 1
-        while partial + cost(i, d) + suffix_min[i + 1] < best[0]:
-            chosen.append(d)
-            dfs(i + 1, partial + cost(i, d), load + rate(i, d), chosen)
-            chosen.pop()
-            d += 1
-
-    dfs(0, 0.0, 0.0, [])
-    return best[0], best[1]
+    return best_value, best_thr, best_lam
 
 
 @st.composite
@@ -279,20 +231,13 @@ _OVERFLOWS = [([2.0, 1.5], [1e308, 1.0], [1.0, 0.9], 2),
 @example((np.array(_OVERFLOWS[0][0]), np.array(_OVERFLOWS[0][1]), np.array(_OVERFLOWS[0][2]), 2))
 @example((np.array(_OVERFLOWS[1][0]), np.array(_OVERFLOWS[1][1]), np.array(_OVERFLOWS[1][2]), 2))
 def test_threshold_searches_match_the_scalar_walk(problem):
-    # the tabulated searches reproduce the scalar walk bit for bit: the same
-    # float.hex values and the same thresholds. The exact search runs to
-    # N = 3 here: its reference prunes at price 0 alone, and its time grows
-    # steeply with N (lower_bound_J uses the exact search to N = 6).
-    # Overflowing costs make the reference's suffix sums warn
-    with np.errstate(over="ignore"):
-        terms = bounds._RelaxedTerms(*problem[:3])
-        dual_value, dual_thr, lam = _dual_threshold_search(terms, problem[3])
-        ref_value, ref_thr = _scalar_dual_search(*problem)
-        assert (float.hex(dual_value), dual_thr) == (float.hex(ref_value), ref_thr)
-        if len(dual_thr) <= 3:
-            exact_value, exact_thr = _exact_threshold_search(terms, problem[3], dual_thr, lam)
-            ref_value, ref_thr = _scalar_exact_search(*problem, ref_thr)
-            assert (float.hex(exact_value), exact_thr) == (float.hex(ref_value), ref_thr)
+    # the tabulated dual search reproduces the scalar walk bit for bit: the
+    # same float.hex values, thresholds and multiplier
+    terms = bounds._RelaxedTerms(*problem[:3])
+    value, thr, lam = _dual_threshold_search(terms, problem[3])
+    ref_value, ref_thr, ref_lam = _scalar_dual_search(*problem)
+    assert (float.hex(value), thr, float.hex(lam)) == (float.hex(ref_value), ref_thr,
+                                                       float.hex(ref_lam))
 
 
 @pytest.mark.parametrize("problem", _OVERFLOWS)
@@ -303,63 +248,162 @@ def test_overflow_examples_reach_inf(problem):
     assert math.isinf(costs[1]) and math.isinf(costs[0]) == (problem is _OVERFLOWS[0])
 
 
-def _exact_search_checked(alphas, betas, probs, m, seconds):
-    """Run the exact search from the dual's thresholds and multiplier, with
-    an alarm at ``seconds``; check that its thresholds fit the budget, its
-    value is theirs and at least the dual value, and no single +-1
-    threshold step gives a feasible, lower cost."""
+@contextmanager
+def _alarm(seconds):
+    """Raise TimeoutError in the block once it runs past ``seconds``."""
     def late(*_):
-        raise TimeoutError(f"the exact threshold search ran past {seconds} s")
+        raise TimeoutError(f"the lower bound ran past {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, late)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
-        terms = bounds._RelaxedTerms(alphas, betas, probs)
-        dual_value, dual_thr, lam = _dual_threshold_search(terms, m)
-        value, thr = _exact_threshold_search(terms, m, dual_thr, lam)
+        yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _closed_form_tables(alphas, betas, probs, cap):
+    """Reference: each sensor's average cost at zero price and attempt rate
+    at the thresholds 1..cap, two (N, cap) arrays of the closed forms."""
+    a, b, p = (np.asarray(x, dtype=float)[:, None] for x in (alphas, betas, probs))
+    d = np.arange(1, cap + 1, dtype=float)
+    rate = 1.0 / (1.0 + p * d - p)
+    cost = p * b * ((a**d - a) / (a - 1.0) + a**d / (1.0 - a + p * a)) * rate
+    return cost, rate
+
+
+def _breakpoint_dual(alphas, betas, probs, m, cap=400):
+    """Reference: the dual's maximum and its multiplier by a search over
+    breakpoints. At a price lam a sensor's best threshold is the first AoI
+    whose closed-form index reaches lam, so the dual is concave and
+    piecewise linear in lam with kinks at the index values, and its maximum
+    sits at 0 or at a kink. Every kink below the least last index is
+    searched, so a maximum below it is the dual's."""
+    cost, rate = _closed_form_tables(alphas, betas, probs, cap)
+    index = np.array([whittle_index_table(AoiFunction(*abp), cap)[1:]
+                      for abp in zip(alphas, betas, probs, strict=True)])
+    top = index[:, -1].min()
+    prices = np.concatenate([[0.0], index[(index > 0.0) & (index <= top)]])
+    first = np.array([np.searchsorted(row, prices) for row in index])
+    sensors = np.arange(len(index))[:, None]
+    duals = cost[sensors, first].sum(axis=0) + prices * (rate[sensors, first].sum(axis=0) - m)
+    k = int(np.argmax(duals))
+    assert prices[k] < top
+    return float(duals[k]), float(prices[k])
+
+
+def _check_feasible_and_above(alphas, betas, probs, m, value, thresholds):
+    """The thresholds fit the budget, and their integer cost (scalar closed
+    forms, summed in sensor order) is at least the bound: weak duality."""
     cost, rate = _scalar_terms(alphas, betas, probs)
-    # sums in sensor order, as the search adds them; the dual is below the
-    # integer optimum up to rounding (they tie where the budget binds at
-    # integer thresholds)
-    assert sum(rate(i, d) for i, d in enumerate(thr)) <= m
-    assert value == sum(cost(i, d) for i, d in enumerate(thr))
-    assert dual_value <= value + 1e-12 * abs(value)
-    for i in range(len(thr)):
-        for step in (-1, 1):
-            other = [d + step * (j == i) for j, d in enumerate(thr)]
-            if other[i] >= 1 and sum(rate(j, d) for j, d in enumerate(other)) <= m:
-                assert sum(cost(j, d) for j, d in enumerate(other)) >= value
+    assert sum(rate(i, d) for i, d in enumerate(thresholds)) <= m
+    integer = sum(cost(i, d) for i, d in enumerate(thresholds))
+    assert value <= integer + 1e-12 * abs(integer)
 
 
-def test_exact_search_bounded_by_the_dual_multiplier():
-    # N = 6, M = 1: pruned by the threshold-1 costs alone the search ran
-    # for over a minute; the bound at the dual's multiplier ends it in
-    # about 2 s on a 2-vCPU host
-    _exact_search_checked([1.8271, 2.1207, 2.1308, 1.0589, 1.1106, 1.281],
-                          [0.5118, 0.4224, 0.02464, 0.5466, 642.1, 122600.0],
-                          [0.657, 0.7139, 0.7379, 0.7045, 0.8109, 0.9551], 1, 30.0)
+# N = 6 inputs on which an exact integer search of the thresholds took from
+# 2 s to half a minute; the lower bound keeps the value it had then
+_FORMER_SLOW_SEARCHES = {
+    "alpha-near-1.1-m2": (
+        ([1.1, 1.1, 1.108, 1.1, 1.1, 1.1], [0.1, 0.1, 1000.0, 0.1, 0.1, 1000.0],
+         [0.4, 0.7, 0.5, 0.7, 1.0, 0.4], 2), "0x1.402a01870b90cp+11"),
+    "m1-beta-six-decades": (
+        ([1.8271, 2.1207, 2.1308, 1.0589, 1.1106, 1.281],
+         [0.5118, 0.4224, 0.02464, 0.5466, 642.1, 122600.0],
+         [0.657, 0.7139, 0.7379, 0.7045, 0.8109, 0.9551], 1), "0x1.608c4569e34b6p+17"),
+    "m1-beta-seven-decades": (
+        ([2.5216, 1.2647, 1.9091, 1.8538, 1.4841, 1.6188],
+         [0.8059, 825472.2, 0.2411, 29939.77, 0.0361, 189.41],
+         [0.8859, 0.8303, 0.7839, 0.9391, 0.876, 0.4253], 1), "0x1.9c28047d944ecp+20"),
+}
 
 
-@settings(max_examples=20)
-@given(st.data())
-def test_exact_search_optimal_at_four_to_six_sensors(data):
-    # alpha >= 1.3 and beta within three decades: at the corners of these
-    # ranges a search takes at most about 0.5 s, where alpha near 1.1 with
-    # betas four decades apart can still take over 10 s
-    n = data.draw(st.integers(4, 6))
-    m = data.draw(st.integers(1, n - 1))
-    probs = data.draw(st.lists(st.floats(0.4, 1.0), min_size=n, max_size=n))
-    alphas = [1.3 + data.draw(st.floats(0.0, 1.0)) * (min(2.6, 0.95 / max(1.0 - p, 1e-9)) - 1.3)
-              for p in probs]
-    betas = [10.0 ** data.draw(st.floats(-1.0, 2.0)) for _ in range(n)]
-    _exact_search_checked(alphas, betas, probs, m, 30.0)
+@pytest.mark.parametrize("case", list(_FORMER_SLOW_SEARCHES))
+def test_lower_bound_keeps_its_bits_without_a_search(case):
+    args, bits = _FORMER_SLOW_SEARCHES[case]
+    with _alarm(5.0):
+        value, thresholds, _ = lower_bound_J(*args)
+    assert value.hex() == bits
+    _check_feasible_and_above(*args, value, thresholds)
+
+
+def test_corner_sweep_finishes_on_the_dual():
+    # N = 4..6, M = 1..2, alpha near 1.1, each beta 0.1 or 1000 and both
+    # present: corners where an exact integer search of the thresholds ran
+    # past 10 s alarms (one of these 30 did, and another took over 2 s).
+    # The whole sweep takes well under a second, and each bound is the
+    # breakpoint search's
+    rng = np.random.default_rng(31)
+    with _alarm(20.0):
+        for _ in range(30):
+            n, m = int(rng.integers(4, 7)), int(rng.integers(1, 3))
+            alphas = 1.1 + rng.uniform(0.0, 0.01, n)
+            probs = rng.uniform(0.4, 1.0, n)
+            exps = rng.choice([-1.0, 3.0], n)
+            exps[rng.choice(n, 2, replace=False)] = -1.0, 3.0
+            betas = 10.0**exps
+            value, thresholds, _ = lower_bound_J(alphas, betas, probs, m)
+            _check_feasible_and_above(alphas, betas, probs, m, value, thresholds)
+            assert value == pytest.approx(_breakpoint_dual(alphas, betas, probs, m)[0],
+                                          rel=1e-13)
+
+
+def test_relaxed_minimum_is_the_first_aoi_whose_index_reaches_the_price():
+    # the threshold that minimizes cost + lam * rate is where the closed-form
+    # Whittle index first reaches lam: adjacent thresholds tie at the index
+    rng = np.random.default_rng(32)
+    for _ in range(40):
+        n = int(rng.integers(1, 6))
+        probs = rng.uniform(0.3, 1.0, n)
+        alphas = 1.1 + rng.uniform(0.0, 1.0, n) * (np.minimum(3.0, 0.95 / (1.0 - probs)) - 1.1)
+        terms = bounds._RelaxedTerms(alphas, 10.0 ** rng.uniform(-3.0, 6.0, n), probs)
+        for lam in 10.0 ** rng.uniform(-4.0, 9.0, 5):
+            _, ds = terms.minima(lam)
+            for fn, d in zip(terms.fns, ds.tolist(), strict=True):
+                index = whittle_index_table(fn, d)
+                assert index[d] >= lam and (d == 1 or index[d - 1] < lam), (fn, lam, d)
+
+
+def test_dual_matches_the_breakpoint_search_from_2_to_39_sensors():
+    rng = np.random.default_rng(33)
+    for n in range(2, 40):
+        m = int(rng.integers(1, n))
+        alphas = rng.uniform(1.1, 1.6, n)
+        betas = 10.0 ** rng.uniform(-1.0, 3.0, n)
+        probs = rng.uniform(0.5, 1.0, n)
+        value, thresholds, lam = lower_bound_J(alphas, betas, probs, m)
+        ref_value, ref_lam = _breakpoint_dual(alphas, betas, probs, m)
+        assert value == pytest.approx(ref_value, rel=1e-13), n
+        assert lam == pytest.approx(ref_lam, rel=1e-9), n
+        _check_feasible_and_above(alphas, betas, probs, m, value, thresholds)
+
+
+def test_no_enumerated_feasible_thresholds_cost_less_than_the_bound():
+    # weak duality against brute force: every threshold vector in 1..CAP^N
+    # at N <= 4 whose load fits the budget costs at least the bound, and the
+    # least of them is within a factor of two of it (the bound is not vacuous)
+    cap = 20
+    rng = np.random.default_rng(34)
+    for n in (1, 2, 3, 4) * 5:
+        m = int(rng.integers(1, n + 1))
+        alphas = rng.uniform(1.1, 1.6, n)
+        betas = 10.0 ** rng.uniform(-1.0, 3.0, n)
+        probs = rng.uniform(0.5, 1.0, n)
+        value, _, _ = lower_bound_J(alphas, betas, probs, m)
+        cost, rate = _closed_form_tables(alphas, betas, probs, cap)
+        total = load = np.zeros((1,) * n)
+        for i in range(n):
+            shape = [1] * n
+            shape[i] = cap
+            total = total + cost[i].reshape(shape)
+            load = load + rate[i].reshape(shape)
+        least = total[load <= m].min()
+        assert 0.5 * least <= value <= least * (1.0 + 1e-12), (n, m)
 
 
 def test_lower_bound_builds_one_table(monkeypatch):
-    # the dual and the exact search read the same relaxed terms
+    # the dual search and its weak-duality check read one relaxed problem
     built = []
     init = bounds._RelaxedTerms.__init__
     monkeypatch.setattr(bounds._RelaxedTerms, "__init__",
@@ -369,13 +413,12 @@ def test_lower_bound_builds_one_table(monkeypatch):
         lower_bound_J([1.2 + 0.05 * i for i in range(n)], [1.0] * n, [0.9] * n, 2)
         assert len(built) == 1
 
-
 class TestLowerBoundOrigin:
     def test_scalar_reduces_to_min_eigen_form(self, scalar_plant, scalar_filter):
         value, thr, zetas = lower_bound_J_origin([scalar_plant], [scalar_filter], 1)
         assert zetas[0] == pytest.approx(1.0, rel=1e-10)
         beta_hat = min(1.0, scalar_filter.posterior_cov[0, 0])
-        oracle, _ = lower_bound_J([1.44], [beta_hat], [0.9], 1)
+        oracle, _, _ = lower_bound_J([1.44], [beta_hat], [0.9], 1)
         assert value == pytest.approx(oracle, rel=1e-10)
 
     def test_diagonal_dynamics_zeta_one(self):

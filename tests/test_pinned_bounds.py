@@ -1,8 +1,8 @@
 """Bounds reports and VoI trace rows pinned against a recorded file.
 
 ``pinned_bounds.json`` holds ``float.hex`` of every float in two bounds
-reports, one on each threshold-search path (the Lagrangian dual at N = 20,
-the exact search at N = 4), and the sha256 of the trace-cost rows that
+reports, at N = 20 and at N = 4 (both on the Lagrangian dual, the one
+threshold search), and the sha256 of the trace-cost rows that
 VoI-Whittle and VoI-greedy build on a mixed-dimension ensemble with a row
 that overflows to ``inf``. All of them must match bit for bit. A change that
 moves these outputs on purpose records the file again
@@ -26,8 +26,8 @@ from aoi_sched import (
 from aoi_sched.plants import filters_and_params
 
 PINNED = pathlib.Path(__file__).with_name("pinned_bounds.json")
-# (N, M, seed) on the oracles workload's plant family; N = 20 takes the dual
-# path, N = 4 the exact one
+# (N, M, seed) on the oracles workload's plant family, one paper-scale
+# ensemble and one small one
 REPORTS = [(20, 10, 0), (4, 2, 1)]
 MIXED_DIMS = (1, 2, 3, 6, 2, 1)  # state dimension of each plant, in order
 
