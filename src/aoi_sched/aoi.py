@@ -137,7 +137,7 @@ def threshold_average_cost(fn: AoiFunction, tp: ThresholdPolicy, lagrange_w: flo
         + p * b * (_pow(a, dth) - a) / (a - 1.0)
         + p * b * _pow(a, dth) / (1.0 - a + p * a)
     )
-    return num / (1.0 + p * dth - p)
+    return num / (1.0 + p * (dth - 1))
 
 
 def threshold_value_function(
@@ -169,10 +169,11 @@ def threshold_value_function(
 
 
 def threshold_transmission_rate(p: float, tp: ThresholdPolicy) -> float:
-    """Long-run attempt frequency of a threshold policy: 1 / (dth*p + 1 - p)."""
+    """Long-run attempt frequency of a threshold policy: 1 / (1 + p (dth - 1)),
+    so threshold 1 transmits at rate exactly 1 at any p."""
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p={p} outside (0, 1]")
-    return 1.0 / (tp.delta_th * p + 1.0 - p)
+    return 1.0 / (1.0 + p * (tp.delta_th - 1))
 
 
 def stationary_aoi_distribution(

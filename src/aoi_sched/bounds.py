@@ -16,6 +16,7 @@ sufficient (rho^2 (1 - q* p) < 1).
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -140,7 +141,7 @@ class _RelaxedTerms:
         self.grow()
 
     def grow(self) -> None:
-        """Double D (to 16 from empty), for a search that walks past it."""
+        """Double D (to 16 from empty), for a search that needs more kinks."""
         pols = [ThresholdPolicy(d) for d in
                 range(self.cost.shape[1] + 1, max(16, 2 * self.cost.shape[1]) + 1)]
         self.cost = np.hstack([self.cost, [[threshold_average_cost(fn, tp, 0.0)
@@ -148,57 +149,42 @@ class _RelaxedTerms:
         self.rate = np.hstack([self.rate, [[threshold_transmission_rate(fn.p, tp)
                                             for tp in pols] for fn in self.fns]])
 
-    def minima(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per sensor, the least cost + lam * rate over all thresholds and the
-        first threshold that reaches it: walk d up while tracking the best,
-        and stop at the first d whose lam-free part alone reaches that best."""
-        while True:
-            vals = self.cost + lam * self.rate
-            best = np.minimum.accumulate(vals, axis=1)
-            stops = self.cost >= best
-            if stops.any(axis=1).all():
-                break
-            self.grow()
-        best = best[np.arange(len(self.fns)), stops.argmax(axis=1)]
-        return best, (vals == best[:, None]).argmax(axis=1) + 1
-
 
 def _dual_threshold_search(terms: _RelaxedTerms, m: int) -> tuple[float, list[int], float]:
     """Lagrangian-dual bound of the relaxed threshold problem, at every N.
 
-    Bisects the budget multiplier; each inner problem is a one-dimensional
-    integer minimization per sensor. The returned value is the largest dual
-    value seen, a (possibly slightly loose) valid lower bound on the relaxed
-    problem, with the multiplier that reached it; the thresholds are the
-    minimizers at the smallest multiplier seen whose load fits the budget,
-    so they are always feasible.
+    As the price lam rises past a sensor's kink (cost[d+1] - cost[d]) /
+    (rate[d] - rate[d+1]), its index at d, its best threshold moves from d
+    to d + 1. So the dual is concave and piecewise linear in lam, and its
+    maximum lam* is 0 if the thresholds 1 fit the budget, else the first
+    kink at which the load fits. The kinks below the least last kink of the
+    table are sorted once, and the first that fits is found among them; the
+    table doubles while none fits. Returns the dual value at lam*, the
+    thresholds one past each sensor's kinks <= lam*, and lam*. Loads and the
+    value are summed in sensor order over Python floats (numpy's pairwise
+    sum rounds otherwise), so the load is monotone in lam and the returned
+    thresholds fit M summed that way.
     """
     sensors = np.arange(len(terms.fns))
 
-    def dual(lam: float) -> tuple[float, float, list[int]]:
-        best, ds = terms.minima(lam)
-        # sums in sensor order over Python floats: numpy's pairwise sum rounds otherwise
-        load = sum(terms.rate[sensors, ds - 1].tolist())
-        return sum(best.tolist()) - lam * m, load, ds.tolist()
+    def at(lam: float) -> tuple[np.ndarray, float]:
+        ds = 1 + np.count_nonzero(kinks <= lam, axis=1)
+        return ds, sum(terms.rate[sensors, ds - 1].tolist())
 
-    lam_lo, lam_hi = 0.0, 1.0
-    while (hi := dual(lam_hi))[1] > m:
-        lam_hi *= 4.0
-        if lam_hi > 1e300:
-            raise FeasibilityError("dual search failed to bracket the multiplier")
-    best_value, best_lam = dual(0.0)[0], 0.0
-    best_thr = hi[2]
-    for _ in range(100):
-        lam = 0.5 * (lam_lo + lam_hi)
-        value, load, ds = dual(lam)
-        if value > best_value:
-            best_value, best_lam = value, lam
-        if load > m:
-            lam_lo = lam
-        else:
-            lam_hi = lam
-            best_thr = ds
-    return best_value, best_thr, best_lam
+    while True:
+        with np.errstate(invalid="ignore", over="ignore"):
+            kinks = np.diff(terms.cost, axis=1) / -np.diff(terms.rate, axis=1)
+        kinks[np.isnan(kinks)] = np.inf  # inf - inf: the sensor never moves on
+        top = kinks[:, -1].min()
+        prices = np.concatenate([[0.0], np.sort(kinks[kinks < top])]).tolist()
+        k = bisect.bisect_left(prices, True, key=lambda lam: at(lam)[1] <= m)
+        if k < len(prices):
+            ds, load = at(prices[k])
+            value = sum(terms.cost[sensors, ds - 1].tolist()) + prices[k] * (load - m)
+            return value, ds.tolist(), prices[k]
+        if top == np.inf:
+            raise FeasibilityError(f"no thresholds fit M={m}: the load exceeds it at every price")
+        terms.grow()
 
 
 def lower_bound_J(alphas, betas, probs, m: int) -> tuple[float, list[int], float]:
@@ -212,8 +198,8 @@ def lower_bound_J(alphas, betas, probs, m: int) -> tuple[float, list[int], float
     slightly above the relaxed optimum and is NOT a valid lower bound on
     scheduler performance (simulation exceeds it by up to a couple of
     percent on tight instances). lam* is the price of the budget in the
-    units of the lightweight index: at lam* each sensor's threshold is the
-    first AoI whose index reaches lam*.
+    units of the lightweight index, 0 or one sensor's index: at lam* each
+    sensor's threshold is the first AoI whose index exceeds lam*.
     """
     alphas, betas, probs = _sensor_arrays(m, alphas, betas, probs)
     unstable = alphas * (1.0 - probs) >= 1.0

@@ -445,14 +445,14 @@ class TestStationaryDistribution:
 
     def test_matches_quotient_form_to_one_rounding(self):
         # the law is built as p * rate with rate from the transmission-rate
-        # closed form; the direct quotient p / (dth p + 1 - p) differs from it
-        # by at most one double-precision epsilon, relative
+        # closed form; the direct quotient p / (1 + p (dth - 1)) differs from
+        # it by at most one double-precision epsilon, relative
         eps = np.finfo(float).eps
         for p in np.linspace(0.01, 1.0, 100):
             for dth in range(1, 31):
                 cap = dth + 40
                 psi, tail = stationary_aoi_distribution(p, ThresholdPolicy(dth), cap)
-                denom = dth * p + 1.0 - p
+                denom = 1.0 + p * (dth - 1)
                 d = np.arange(1, cap + 1)
                 old = np.where(d < dth, p / denom,
                                p * (1.0 - p) ** np.maximum(d - dth, 0) / denom)
@@ -463,7 +463,10 @@ class TestStationaryDistribution:
 
 class TestTransmissionRate:
     def test_always(self):
-        assert threshold_transmission_rate(1.0, ThresholdPolicy(1)) == 1.0
+        # exactly 1 at every p: 1 + p (1 - 1) has no rounding, where
+        # 1 * p + 1 - p rounds below 1 for about a fifth of these p
+        for p in np.arange(10, 1001) / 1000:
+            assert threshold_transmission_rate(p, ThresholdPolicy(1)) == 1.0, p
 
     def test_hand_value(self):
         assert threshold_transmission_rate(0.5, ThresholdPolicy(2)) == pytest.approx(2 / 3)

@@ -149,9 +149,18 @@ class TestLowerBound:
 
     def test_multiplier_prices_the_budget(self):
         # lam* is 0 when every sensor can transmit at every step, and
-        # positive when the budget binds
+        # positive when the budget binds; at M = N the thresholds are all 1
+        # at any p, since threshold 1 transmits at rate exactly 1
         assert lower_bound_J([1.2, 1.3], [1.0, 1.0], [1.0, 1.0], 2)[2] == 0.0
+        assert lower_bound_J([1.2, 1.3], [1.0, 1.0], [0.9, 0.9], 2)[1:] == ([1, 1], 0.0)
         assert lower_bound_J([1.2, 1.3], [1.0, 1.0], [0.9, 0.9], 1)[2] > 0.0
+
+    def test_budget_no_thresholds_fit_raises(self):
+        # sensor 0 costs inf at every threshold, so it never moves on from
+        # threshold 1, which at p = 1 alone fills M = 1; once sensor 1's
+        # costs overflow too, no price lowers the load to M
+        with pytest.raises(FeasibilityError, match="no thresholds fit M=1"):
+            lower_bound_J([2.0, 1.5], [1e308, 1.0], [1.0, 0.9], 1)
 
 
 def _scalar_terms(alphas, betas, probs):
@@ -166,9 +175,10 @@ def _scalar_terms(alphas, betas, probs):
     return cost, rate
 
 
-def _scalar_dual_search(alphas, betas, probs, m):
-    """Reference: the dual search as a scalar walk over thresholds, one
-    closed-form call per (sensor, threshold) it visits."""
+def _scalar_dual(alphas, betas, probs, m):
+    """Reference: the dual at a price lam as a scalar walk over thresholds,
+    one closed-form call per (sensor, threshold) it visits. Returns the dual
+    value, the load and the thresholds."""
     n = len(alphas)
     cost, rate = _scalar_terms(alphas, betas, probs)
 
@@ -188,6 +198,12 @@ def _scalar_dual_search(alphas, betas, probs, m):
         vals, ds = zip(*(per_sensor(i, lam) for i in range(n)))
         return sum(vals) - lam * m, sum(rate(i, ds[i]) for i in range(n)), list(ds)
 
+    return dual
+
+
+def _scalar_dual_search(alphas, betas, probs, m):
+    """Reference: bisection of the multiplier over the scalar walk's dual."""
+    dual = _scalar_dual(alphas, betas, probs, m)
     lam_lo, lam_hi = 0.0, 1.0
     while dual(lam_hi)[1] > m:
         lam_hi *= 4.0
@@ -226,18 +242,47 @@ _OVERFLOWS = [([2.0, 1.5], [1e308, 1.0], [1.0, 0.9], 2),
               ([2.0, 1.3, 1.6], [5e307, 2.0, 0.5], [1.0, 0.8, 0.95], 2)]
 
 
+# N = 6 inputs on which an exact integer search of the thresholds took from
+# 2 s to half a minute; the lower bound's value is pinned bit for bit
+_FORMER_SLOW_SEARCHES = {
+    "alpha-near-1.1-m2": (
+        ([1.1, 1.1, 1.108, 1.1, 1.1, 1.1], [0.1, 0.1, 1000.0, 0.1, 0.1, 1000.0],
+         [0.4, 0.7, 0.5, 0.7, 1.0, 0.4], 2), "0x1.402a01870b90bp+11"),
+    "m1-beta-six-decades": (
+        ([1.8271, 2.1207, 2.1308, 1.0589, 1.1106, 1.281],
+         [0.5118, 0.4224, 0.02464, 0.5466, 642.1, 122600.0],
+         [0.657, 0.7139, 0.7379, 0.7045, 0.8109, 0.9551], 1), "0x1.608c4569e34b6p+17"),
+    "m1-beta-seven-decades": (
+        ([2.5216, 1.2647, 1.9091, 1.8538, 1.4841, 1.6188],
+         [0.8059, 825472.2, 0.2411, 29939.77, 0.0361, 189.41],
+         [0.8859, 0.8303, 0.7839, 0.9391, 0.876, 0.4253], 1), "0x1.9c28047d944e9p+20"),
+}
+
+
+def _arrays(alphas, betas, probs, m):
+    return np.array(alphas), np.array(betas), np.array(probs), m
+
+
 @settings(max_examples=30)
 @given(_relaxed_problems())
-@example((np.array(_OVERFLOWS[0][0]), np.array(_OVERFLOWS[0][1]), np.array(_OVERFLOWS[0][2]), 2))
-@example((np.array(_OVERFLOWS[1][0]), np.array(_OVERFLOWS[1][1]), np.array(_OVERFLOWS[1][2]), 2))
+@example(_arrays(*_OVERFLOWS[0]))
+@example(_arrays(*_OVERFLOWS[1]))
+@example(_arrays([1.2, 1.3], [1.0, 1.0], [0.9, 0.9], 2))  # M = N: lam* = 0, thresholds 1
+@example(_arrays([1.1, 1.3], [1.0, 100.0], [0.5, 0.35], 1))  # lam* past 16 thresholds
+@example(_arrays([1.1] * 4, [1.0] * 4, [0.3] * 4, 1))  # load exactly M after a kink
+@example(_arrays(*_FORMER_SLOW_SEARCHES["alpha-near-1.1-m2"][0]))
+@example(_arrays(*_FORMER_SLOW_SEARCHES["m1-beta-six-decades"][0]))
+@example(_arrays(*_FORMER_SLOW_SEARCHES["m1-beta-seven-decades"][0]))
 def test_threshold_searches_match_the_scalar_walk(problem):
-    # the tabulated dual search reproduces the scalar walk bit for bit: the
-    # same float.hex values, thresholds and multiplier
-    terms = bounds._RelaxedTerms(*problem[:3])
-    value, thr, lam = _dual_threshold_search(terms, problem[3])
-    ref_value, ref_thr, ref_lam = _scalar_dual_search(*problem)
-    assert (float.hex(value), thr, float.hex(lam)) == (float.hex(ref_value), ref_thr,
-                                                       float.hex(ref_lam))
+    # the kink sweep finds the scalar walk's thresholds and, within rounding,
+    # its value. Its lam* is a maximum of the walk's dual; the bisection's own
+    # lam can sit elsewhere on a top that is flat in floats: where the load
+    # after a kink is exactly M, or the value absorbs lam * M
+    value, thr, lam = _dual_threshold_search(bounds._RelaxedTerms(*problem[:3]), problem[3])
+    ref_value, ref_thr, _ = _scalar_dual_search(*problem)
+    assert thr == ref_thr
+    assert value == pytest.approx(ref_value, rel=1e-13) or value == ref_value == math.inf
+    assert _scalar_dual(*problem)(lam)[0] >= ref_value * (1.0 - 1e-13)
 
 
 @pytest.mark.parametrize("problem", _OVERFLOWS)
@@ -302,23 +347,6 @@ def _check_feasible_and_above(alphas, betas, probs, m, value, thresholds):
     assert value <= integer + 1e-12 * abs(integer)
 
 
-# N = 6 inputs on which an exact integer search of the thresholds took from
-# 2 s to half a minute; the lower bound keeps the value it had then
-_FORMER_SLOW_SEARCHES = {
-    "alpha-near-1.1-m2": (
-        ([1.1, 1.1, 1.108, 1.1, 1.1, 1.1], [0.1, 0.1, 1000.0, 0.1, 0.1, 1000.0],
-         [0.4, 0.7, 0.5, 0.7, 1.0, 0.4], 2), "0x1.402a01870b90cp+11"),
-    "m1-beta-six-decades": (
-        ([1.8271, 2.1207, 2.1308, 1.0589, 1.1106, 1.281],
-         [0.5118, 0.4224, 0.02464, 0.5466, 642.1, 122600.0],
-         [0.657, 0.7139, 0.7379, 0.7045, 0.8109, 0.9551], 1), "0x1.608c4569e34b6p+17"),
-    "m1-beta-seven-decades": (
-        ([2.5216, 1.2647, 1.9091, 1.8538, 1.4841, 1.6188],
-         [0.8059, 825472.2, 0.2411, 29939.77, 0.0361, 189.41],
-         [0.8859, 0.8303, 0.7839, 0.9391, 0.876, 0.4253], 1), "0x1.9c28047d944ecp+20"),
-}
-
-
 @pytest.mark.parametrize("case", list(_FORMER_SLOW_SEARCHES))
 def test_lower_bound_keeps_its_bits_without_a_search(case):
     args, bits = _FORMER_SLOW_SEARCHES[case]
@@ -349,20 +377,21 @@ def test_corner_sweep_finishes_on_the_dual():
                                           rel=1e-13)
 
 
-def test_relaxed_minimum_is_the_first_aoi_whose_index_reaches_the_price():
-    # the threshold that minimizes cost + lam * rate is where the closed-form
-    # Whittle index first reaches lam: adjacent thresholds tie at the index
+def test_relaxed_kinks_are_the_lightweight_indexes():
+    # the sweep's premise: the price at which thresholds d and d + 1 of a
+    # table row tie, (cost[d+1] - cost[d]) / (rate[d] - rate[d+1]), is the
+    # closed-form Whittle index at d, so a row's kinks rise with d
     rng = np.random.default_rng(32)
     for _ in range(40):
         n = int(rng.integers(1, 6))
         probs = rng.uniform(0.3, 1.0, n)
         alphas = 1.1 + rng.uniform(0.0, 1.0, n) * (np.minimum(3.0, 0.95 / (1.0 - probs)) - 1.1)
         terms = bounds._RelaxedTerms(alphas, 10.0 ** rng.uniform(-3.0, 6.0, n), probs)
-        for lam in 10.0 ** rng.uniform(-4.0, 9.0, 5):
-            _, ds = terms.minima(lam)
-            for fn, d in zip(terms.fns, ds.tolist(), strict=True):
-                index = whittle_index_table(fn, d)
-                assert index[d] >= lam and (d == 1 or index[d - 1] < lam), (fn, lam, d)
+        kinks = np.diff(terms.cost, axis=1) / -np.diff(terms.rate, axis=1)
+        for fn, row in zip(terms.fns, kinks, strict=True):
+            finite = np.isfinite(row)
+            index = whittle_index_table(fn, row.size)[1:]
+            np.testing.assert_allclose(row[finite], index[finite], rtol=1e-12, err_msg=str(fn))
 
 
 def test_dual_matches_the_breakpoint_search_from_2_to_39_sensors():
@@ -377,6 +406,20 @@ def test_dual_matches_the_breakpoint_search_from_2_to_39_sensors():
         assert value == pytest.approx(ref_value, rel=1e-13), n
         assert lam == pytest.approx(ref_lam, rel=1e-9), n
         _check_feasible_and_above(alphas, betas, probs, m, value, thresholds)
+
+
+def test_report_at_2000_sensors_within_seconds():
+    # 20 plants cycled to N = 2000, M = 1000: one sort per bound, and a
+    # table that grows only while no tabulated kink fits
+    base = generate_ensemble(20, 3, 3, (1.05, 1.25), seed=0, p_range=(0.85, 1.0))
+    plants = [base[i % 20] for i in range(2000)]
+    filters, cps = filters_and_params(plants)
+    with _alarm(5.0):
+        rep = compute_bounds_report(plants, filters, cps, 1000)
+    _check_feasible_and_above(rep.alphas, rep.betas, rep.probs, 1000, rep.lower_J,
+                              rep.thresholds_star)
+    _, rate = _scalar_terms(rep.alphas, rep.betas, rep.probs)
+    assert sum(rate(i, d) for i, d in enumerate(rep.origin_thresholds)) <= 1000
 
 
 def test_no_enumerated_feasible_thresholds_cost_less_than_the_bound():
