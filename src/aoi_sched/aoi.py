@@ -96,9 +96,10 @@ def _require_stable(fn: AoiFunction) -> None:
 def whittle_index(fn: AoiFunction, delta: int) -> float:
     """Closed-form Whittle index of the AoI-cost sensor at AoI ``delta``.
 
-    Strictly increasing in delta (the indexability property); may be
-    negative at small delta for weak channels, which is harmless because
-    scheduling only compares indexes.
+    Positive and strictly increasing in delta (the indexability property):
+    W(1) = beta p alpha (alpha - 1) / (1 - alpha (1 - p)) > 0. In floats
+    the closed form cancels once alpha - 1 is below about 1e-7, where it
+    can read 0 or negative.
     """
     if delta < 1:
         raise ValueError("delta must be a positive integer")

@@ -19,19 +19,17 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .aoi import (AoiFunction, ThresholdPolicy, threshold_average_cost,
-                  threshold_transmission_rate)
+from .aoi import AoiFunction, ThresholdPolicy, threshold_average_cost, whittle_index_table
 from .errors import FeasibilityError, StabilityError, UnsupportedPlantError
 from .plants import PlantModel, SteadyStateFilter, write_atomic
 
 _DEFECTIVE_COND = 1e8  # eigenvector basis above this condition number is treated as defective
 _DELTA_TILDE_CAP = 10**6
 _Q_EPS = 1e-9  # smallest margin of a randomized rate above its stabilizing minimum
-_WATERFILL_TOL = 1e-13  # relative width at which the multiplier bisection stops
 
 
 def necessary_stability(plant: PlantModel) -> bool:
@@ -68,9 +66,14 @@ def optimize_randomized_q(alphas, betas, probs, m: int) -> tuple[np.ndarray, flo
     Minimizes sum_i beta_i (alpha_i - 1) / (1 - alpha_i + alpha_i p_i q_i)
     subject to sum q <= M and the per-sensor convergence requirement
     alpha (1 - p q) < 1. Every term is convex and decreasing in its q, so
-    the optimum saturates sum q = min(M, N) and KKT water-filling applies:
-    q_i(lam) clamps the unconstrained stationarity point into
-    [q_i^min + _Q_EPS, 1] and a bisection on lam matches the budget.
+    the optimum saturates sum q = min(M, N) and KKT water-filling applies.
+    With s = lam^(-1/2) for the multiplier lam, each q_i(s) clamps its
+    stationarity point q_i^min + g_i s, g_i = sqrt(beta_i (alpha_i - 1)
+    alpha_i p_i) / (alpha_i p_i), into [q_i^min + _Q_EPS, 1]. So sum q is
+    piecewise linear and increasing in s, with a kink where each sensor
+    leaves its lower clamp and where it reaches 1. The kinks are sorted
+    once, a binary search finds the segment on which sum q reaches M, and
+    that segment's linear equation gives s exactly.
     """
     alphas, betas, probs = _sensor_arrays(m, alphas, betas, probs)
     n = alphas.shape[0]
@@ -81,12 +84,12 @@ def optimize_randomized_q(alphas, betas, probs, m: int) -> tuple[np.ndarray, flo
             f"sensor {bad}: alpha (1 - p) >= 1, no scheduling rate in (0, 1] "
             "stabilizes it"
         )
-    if float(np.sum(q_min)) >= m:
+    lo_clip = q_min + _Q_EPS
+    if float(np.sum(lo_clip)) >= m:
         raise FeasibilityError(
-            f"sum of minimum rates {np.sum(q_min):.6g} >= M={m}; no stabilizing "
+            f"sum of minimum rates {np.sum(lo_clip):.6g} >= M={m}; no stabilizing "
             "randomized policy exists"
         )
-    lo_clip = q_min + _Q_EPS
 
     def objective(q: np.ndarray) -> float:
         return float(np.sum(betas * (alphas - 1.0) / (1.0 - alphas + alphas * probs * q)))
@@ -95,32 +98,17 @@ def optimize_randomized_q(alphas, betas, probs, m: int) -> tuple[np.ndarray, flo
         q = np.ones(n)
         return q, objective(q)
 
-    def q_of(lam: float) -> np.ndarray:
-        raw = (np.sqrt(betas * (alphas - 1.0) * alphas * probs / lam) - 1.0 + alphas) / (
-            alphas * probs
-        )
-        return np.clip(raw, lo_clip, 1.0)
+    g = np.sqrt(betas * (alphas - 1.0) * alphas * probs) / (alphas * probs)
 
-    lam_lo, lam_hi = 1e-12, 1.0
-    while np.sum(q_of(lam_hi)) > m:
-        lam_hi *= 4.0
-        if lam_hi > 1e300:
-            raise FeasibilityError("water-filling failed to bracket the multiplier")
-    for _ in range(200):
-        lam = math.sqrt(lam_lo * lam_hi)
-        if np.sum(q_of(lam)) > m:
-            lam_lo = lam
-        else:
-            lam_hi = lam
-        if lam_hi - lam_lo <= _WATERFILL_TOL * lam_hi:
-            break
-    q = q_of(math.sqrt(lam_lo * lam_hi))
-    # tiny residual from clamping: rescale the interior coordinates onto the budget
-    interior = (q > lo_clip + 1e-12) & (q < 1.0 - 1e-12)
-    slack = m - float(q.sum())
-    if abs(slack) > 0 and interior.any():
-        q[interior] += slack / interior.sum()
-        q = np.clip(q, lo_clip, 1.0)
+    def total(s: float) -> float:
+        return float(np.sum(np.clip(q_min + g * s, lo_clip, 1.0)))
+
+    # the load at s = 0 is sum lo_clip < M, and past the last kink it is N > M
+    kinks = [0.0, *np.sort(np.concatenate([_Q_EPS / g, (1.0 - q_min) / g])).tolist()]
+    k = bisect.bisect_left(kinks, True, key=lambda s: total(s) >= m)
+    left, right = kinks[k - 1], kinks[k]
+    s = left + (right - left) * (m - total(left)) / (total(right) - total(left))
+    q = np.clip(q_min + g * s, lo_clip, 1.0)
     return q, objective(q)
 
 
@@ -129,62 +117,66 @@ def optimize_randomized_q(alphas, betas, probs, m: int) -> tuple[np.ndarray, flo
 # ---------------------------------------------------------------------------
 
 
-class _RelaxedTerms:
-    """Each sensor's average cost (at zero price) and attempt rate at the
-    thresholds 1..D: rows of two (N, D) tables of the scalar closed forms,
-    Python floats, since numpy's ``power`` can differ in the last bit."""
-
-    def __init__(self, alphas, betas, probs):
-        self.fns = [AoiFunction(*map(float, abp))
-                    for abp in zip(alphas, betas, probs, strict=True)]
-        self.cost = self.rate = np.empty((len(self.fns), 0))
-        self.grow()
-
-    def grow(self) -> None:
-        """Double D (to 16 from empty), for a search that needs more kinks."""
-        pols = [ThresholdPolicy(d) for d in
-                range(self.cost.shape[1] + 1, max(16, 2 * self.cost.shape[1]) + 1)]
-        self.cost = np.hstack([self.cost, [[threshold_average_cost(fn, tp, 0.0)
-                                            for tp in pols] for fn in self.fns]])
-        self.rate = np.hstack([self.rate, [[threshold_transmission_rate(fn.p, tp)
-                                            for tp in pols] for fn in self.fns]])
+def _cost(fn: AoiFunction, d: int) -> float:
+    """A sensor's average cost at zero price under threshold d."""
+    return threshold_average_cost(fn, ThresholdPolicy(d), 0.0)
 
 
-def _dual_threshold_search(terms: _RelaxedTerms, m: int) -> tuple[float, list[int], float]:
+def _kinks(fn: AoiFunction, width: int) -> np.ndarray:
+    """The prices at which a sensor's best threshold moves from d to d + 1,
+    for d = 1..width: its lightweight index at d, or +inf where it never
+    moves on. Where the index's products overflow or cancel to nan (beta
+    near float64's limit), beta is factored out, since the index is linear
+    in it; that leaves +inf only where the index itself overflows. Every
+    move on to a threshold whose cost overflows reads +inf too (costs rise
+    with the threshold)."""
+    row = whittle_index_table(fn, width)[1:]
+    bad = ~np.isfinite(row)
+    if bad.any():
+        with np.errstate(over="ignore"):
+            row[bad] = fn.beta * whittle_index_table(replace(fn, beta=1.0), width)[1:][bad]
+    if _cost(fn, width + 1) == math.inf:
+        first = bisect.bisect_left(range(1, width + 1), math.inf, key=lambda d: _cost(fn, d))
+        row[max(first - 1, 0):] = np.inf
+    return row
+
+
+def _dual_threshold_search(fns: list[AoiFunction], m: int) -> tuple[float, list[int], float]:
     """Lagrangian-dual bound of the relaxed threshold problem, at every N.
 
-    As the price lam rises past a sensor's kink (cost[d+1] - cost[d]) /
-    (rate[d] - rate[d+1]), its index at d, its best threshold moves from d
-    to d + 1. So the dual is concave and piecewise linear in lam, and its
-    maximum lam* is 0 if the thresholds 1 fit the budget, else the first
-    kink at which the load fits. The kinks below the least last kink of the
-    table are sorted once, and the first that fits is found among them; the
-    table doubles while none fits. Returns the dual value at lam*, the
-    thresholds one past each sensor's kinks <= lam*, and lam*. Loads and the
-    value are summed in sensor order over Python floats (numpy's pairwise
-    sum rounds otherwise), so the load is monotone in lam and the returned
-    thresholds fit M summed that way.
+    Adjacent thresholds d and d + 1 of a sensor tie at the price lam equal
+    to its closed-form Whittle index at d, the lightweight index: as lam
+    rises past it, the sensor's best threshold moves from d to d + 1. So
+    the dual is concave and piecewise linear in lam, and its maximum lam* is
+    0 if the thresholds 1 fit the budget, else the first kink at which the
+    load fits. The kinks over AoI 1..D (``_kinks``) below the least last
+    kink are sorted once, and the first that fits is found among them; D
+    doubles while none fits. Returns the dual value at lam*, the thresholds
+    one past each sensor's kinks <= lam*, and lam*. Loads and the value are
+    summed in sensor order over Python floats (numpy's pairwise sum rounds
+    otherwise), so the load is monotone in lam and the returned thresholds
+    fit M summed that way. The attempt rate 1 / (1 + p (d - 1)) is
+    ``threshold_transmission_rate``'s expression, elementwise.
     """
-    sensors = np.arange(len(terms.fns))
+    probs = np.array([fn.p for fn in fns])
 
-    def at(lam: float) -> tuple[np.ndarray, float]:
+    def at(lam: float) -> tuple[list[int], float]:
         ds = 1 + np.count_nonzero(kinks <= lam, axis=1)
-        return ds, sum(terms.rate[sensors, ds - 1].tolist())
+        return ds.tolist(), sum((1.0 / (1.0 + probs * (ds - 1))).tolist())
 
+    width = 16
     while True:
-        with np.errstate(invalid="ignore", over="ignore"):
-            kinks = np.diff(terms.cost, axis=1) / -np.diff(terms.rate, axis=1)
-        kinks[np.isnan(kinks)] = np.inf  # inf - inf: the sensor never moves on
+        kinks = np.vstack([_kinks(fn, width) for fn in fns])
         top = kinks[:, -1].min()
         prices = np.concatenate([[0.0], np.sort(kinks[kinks < top])]).tolist()
         k = bisect.bisect_left(prices, True, key=lambda lam: at(lam)[1] <= m)
         if k < len(prices):
             ds, load = at(prices[k])
-            value = sum(terms.cost[sensors, ds - 1].tolist()) + prices[k] * (load - m)
-            return value, ds.tolist(), prices[k]
+            cost = sum(_cost(fn, d) for fn, d in zip(fns, ds, strict=True))
+            return cost + prices[k] * (load - m), ds, prices[k]
         if top == np.inf:
             raise FeasibilityError(f"no thresholds fit M={m}: the load exceeds it at every price")
-        terms.grow()
+        width *= 2
 
 
 def lower_bound_J(alphas, betas, probs, m: int) -> tuple[float, list[int], float]:
@@ -207,10 +199,10 @@ def lower_bound_J(alphas, betas, probs, m: int) -> tuple[float, list[int], float
         raise StabilityError(
             f"sensors {np.flatnonzero(unstable).tolist()} violate alpha (1-p) < 1"
         )
-    terms = _RelaxedTerms(alphas, betas, probs)
-    value, thresholds, lam = _dual_threshold_search(terms, m)
+    fns = [AoiFunction(*map(float, abp)) for abp in zip(alphas, betas, probs, strict=True)]
+    value, thresholds, lam = _dual_threshold_search(fns, m)
     # weak duality: no dual value exceeds the cost of feasible thresholds
-    primal = sum(terms.cost[np.arange(len(thresholds)), np.subtract(thresholds, 1)].tolist())
+    primal = sum(_cost(fn, d) for fn, d in zip(fns, thresholds, strict=True))
     if value > primal + 1e-9 * max(1.0, abs(primal)):
         raise RuntimeError("dual bound exceeded the integer primal")
     return value, thresholds, lam
@@ -228,29 +220,35 @@ def lower_bound_J_origin(
     scales the smallest eigenvalue of Q and the filter posterior into a
     geometric lower envelope, and the threshold search runs on those
     pessimistic parameters. Only diagonalizable A is supported; complex
-    eigenvector bases use the conjugate transpose.
+    eigenvector bases use the conjugate transpose. beta and zeta are worked
+    out once per distinct (plant, filter) pair of objects.
     """
+    pairs: dict[tuple[int, int], tuple[float, float]] = {}  # (beta, zeta) per pair
     alphas, betas, zetas = [], [], []
     for idx, (pl, ss) in enumerate(zip(plants, filters, strict=True)):
         rho = pl.rho
         alpha = rho * rho
         if alpha * (1.0 - pl.p) >= 1.0:
             raise StabilityError(f"sensor {idx} violates rho^2 (1-p) < 1")
-        eigvals, u = np.linalg.eig(pl.A)
-        if np.linalg.cond(u) > _DEFECTIVE_COND:
-            raise UnsupportedPlantError(
-                f"sensor {idx}: A is numerically defective; the Jordan-basis "
-                "bound is not supported"
+        key = (id(pl), id(ss))
+        if key not in pairs:
+            _, u = np.linalg.eig(pl.A)
+            if np.linalg.cond(u) > _DEFECTIVE_COND:
+                raise UnsupportedPlantError(
+                    f"sensor {idx}: A is numerically defective; the Jordan-basis "
+                    "bound is not supported"
+                )
+            uinv = np.linalg.inv(u)
+            zeta = float(
+                np.min(np.linalg.eigvalsh(u @ u.conj().T)).real
+                * np.min(np.linalg.eigvalsh(uinv @ uinv.conj().T)).real
             )
-        uinv = np.linalg.inv(u)
-        zeta = float(
-            np.min(np.linalg.eigvalsh(u @ u.conj().T)).real
-            * np.min(np.linalg.eigvalsh(uinv @ uinv.conj().T)).real
-        )
-        lam_q = float(np.min(np.linalg.eigvalsh(pl.Q)))
-        lam_p = float(np.min(np.linalg.eigvalsh(ss.posterior_cov)))
+            lam_q = float(np.min(np.linalg.eigvalsh(pl.Q)))
+            lam_p = float(np.min(np.linalg.eigvalsh(ss.posterior_cov)))
+            pairs[key] = zeta * min(lam_q, lam_p), zeta
+        beta, zeta = pairs[key]
         alphas.append(alpha)
-        betas.append(zeta * min(lam_q, lam_p))
+        betas.append(beta)
         zetas.append(zeta)
     probs = [pl.p for pl in plants]
     value, thr, _ = lower_bound_J(alphas, betas, probs, m)

@@ -111,6 +111,23 @@ class TestWhittleIndex:
             assert all(w[i + 1] > w[i] for i in range(len(w) - 1))
             done += 1
 
+    def test_positive_from_its_first_aoi(self):
+        # W(1) = beta p alpha (alpha - 1) / (1 - alpha (1 - p)), so the
+        # index is positive, and the table rises from there, on the domain
+        # of the bounds' tests (alpha >= 1.01, alpha (1 - p) <= 0.95): both
+        # sweeps of sorted kinks put price 0 first. The closed form cancels
+        # as alpha nears 1, to about 1e-14 / (alpha - 1) relative
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            p = rng.uniform(0.3, 1.0)
+            a = 1.01 + rng.uniform(0.0, 1.0) * (min(3.0, 0.95 / max(1.0 - p, 1e-9)) - 1.01)
+            fn = AoiFunction(a, 10.0 ** rng.uniform(-3.0, 6.0), p)
+            w1 = fn.beta * p * a * (a - 1.0) / (1.0 - a * (1.0 - p))
+            assert whittle_index(fn, 1) == pytest.approx(w1, rel=1e-13 / (a - 1.0))
+            tab = whittle_index_table(fn, 64)[1:]
+            finite = tab[np.isfinite(tab)]
+            assert finite[0] > 0.0 and np.all(np.diff(finite) > 0.0), fn
+
     def test_linear_in_beta(self):
         fn1 = AoiFunction(1.6, 1.0, 0.7)
         fn3 = AoiFunction(1.6, 3.0, 0.7)
