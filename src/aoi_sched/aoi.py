@@ -94,29 +94,30 @@ def _require_stable(fn: AoiFunction) -> None:
 
 
 def whittle_index(fn: AoiFunction, delta: int) -> float:
-    """Closed-form Whittle index of the AoI-cost sensor at AoI ``delta``.
-
-    Positive and strictly increasing in delta (the indexability property):
-    W(1) = beta p alpha (alpha - 1) / (1 - alpha (1 - p)) > 0. In floats
-    the closed form cancels once alpha - 1 is below about 1e-7, where it
-    can read 0 or negative.
-    """
+    """Closed-form Whittle index of the AoI-cost sensor at AoI ``delta``:
+    entry ``delta`` of ``whittle_index_table``, read in O(delta)."""
     if delta < 1:
         raise ValueError("delta must be a positive integer")
-    _require_stable(fn)
-    a, b, p = fn.alpha, fn.beta, fn.p
-    bracket = p * delta / (1.0 + a * p - a) - 1.0 / (a - 1.0)
-    return b * p * _pow(a, delta + 1) * bracket + b * p * a / (a - 1.0)
+    return float(whittle_index_table(fn, delta)[delta])
 
 
 def whittle_index_table(fn: AoiFunction, max_delta: int) -> np.ndarray:
-    """whittle_index for delta = 1..max_delta; index 0 unused (zero)."""
+    """Whittle index at delta = 1..max_delta; index 0 unused (zero).
+
+    W(d) = beta (p / c) B(d) alpha^(d+1), where c = 1 - alpha (1 - p) is
+    computed as p - (alpha - 1)(1 - p) and B(d) = (1 - alpha^-d) + p sum_{i<d}
+    (1 - alpha^-i). Every term is positive, so nothing cancels, and the index
+    is positive and strictly increasing (indexability). beta (p / c) B is at
+    most W: an entry is ``inf`` only where alpha^(d+1) or W leaves float64.
+    """
     _require_stable(fn)
     a, b, p = fn.alpha, fn.beta, fn.p
     d = np.arange(max_delta + 1, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        bracket = p * d / (1.0 + a * p - a) - 1.0 / (a - 1.0)
-        tab = b * p * np.power(a, d + 1.0) * bracket + b * p * a / (a - 1.0)
+    gap = -np.expm1(-math.log(a) * d)  # 1 - alpha^-d
+    below = np.concatenate(([0.0], np.cumsum(gap[:-1])))
+    c = p - (a - 1.0) * (1.0 - p)
+    with np.errstate(over="ignore"):
+        tab = b * (p / c * (gap + p * below)) * np.power(a, d + 1.0)
     tab[0] = 0.0
     return tab
 

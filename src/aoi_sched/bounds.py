@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -125,16 +125,9 @@ def _cost(fn: AoiFunction, d: int) -> float:
 def _kinks(fn: AoiFunction, width: int) -> np.ndarray:
     """The prices at which a sensor's best threshold moves from d to d + 1,
     for d = 1..width: its lightweight index at d, or +inf where it never
-    moves on. Where the index's products overflow or cancel to nan (beta
-    near float64's limit), beta is factored out, since the index is linear
-    in it; that leaves +inf only where the index itself overflows. Every
-    move on to a threshold whose cost overflows reads +inf too (costs rise
-    with the threshold)."""
+    moves on. Every move on to a threshold whose cost overflows reads +inf
+    too (costs rise with the threshold)."""
     row = whittle_index_table(fn, width)[1:]
-    bad = ~np.isfinite(row)
-    if bad.any():
-        with np.errstate(over="ignore"):
-            row[bad] = fn.beta * whittle_index_table(replace(fn, beta=1.0), width)[1:][bad]
     if _cost(fn, width + 1) == math.inf:
         first = bisect.bisect_left(range(1, width + 1), math.inf, key=lambda d: _cost(fn, d))
         row[max(first - 1, 0):] = np.inf

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 import os
 from dataclasses import dataclass, field, replace
@@ -417,13 +418,17 @@ def scalar_error_bound(cp: CharParams, delta: int) -> float:
     """Cumulative geometric bound sum_{k=1..delta} beta * alpha^k.
 
     Upper-bounds the error trace (``error_trace_table``) at the same AoI.
+    alpha^delta - 1 is ``expm1(delta log alpha)``, which does not cancel as
+    alpha nears 1; ``inf`` where beta * alpha^delta overflows float64.
     """
     if delta < 1:
         raise ValueError("delta must be a positive integer")
-    if cp.alpha <= 1.0:
-        raise ValueError("bound requires alpha > 1")
     a, b = cp.alpha, cp.beta
-    return b * a * (a**delta - 1.0) / (a - 1.0)
+    try:
+        growth = math.expm1(delta * math.log(a))
+    except OverflowError:
+        return math.inf
+    return b * a * (growth / (a - 1.0))
 
 
 def _haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -430,9 +430,14 @@ def measure_decision_time(
     Each decision is one ``policy.decide`` call on one AoI vector from a
     pool of warm AoI states (the deployed call pattern, not the vectorized
     batch path). Policies slower than the per-cell time budget are measured
-    on fewer decisions; the count actually timed is reported alongside the
-    median.
+    on fewer decisions, but on at least one batch; the count actually timed
+    is reported alongside the median. ``decisions < 1`` or a budget that is
+    not positive raises ``ValueError``.
     """
+    if decisions < 1:
+        raise ValueError(f"decisions={decisions} must be at least 1")
+    if not time_budget_s > 0.0:
+        raise ValueError(f"time_budget_s={time_budget_s} must be positive")
     rows: list[dict] = []
     for n in n_list:
         ens = _cycle(plants, n)
@@ -454,21 +459,15 @@ def measure_decision_time(
             samples: list[float] = []
             done = 0
             start = time.perf_counter()
-            while done < decisions and time.perf_counter() - start < time_budget_s:
+            while not samples or (done < decisions
+                                  and time.perf_counter() - start < time_budget_s):
                 t0 = time.perf_counter()
                 for k in range(batch):
                     policy.decide(pool[(done + k) % 128])
                 samples.append((time.perf_counter() - t0) / batch)
                 done += batch
-            rows.append(
-                {
-                    "policy": spec.kind,
-                    "n": n,
-                    "m": m,
-                    "median_s": float(np.median(samples)),
-                    "decisions": done,
-                }
-            )
+            rows.append({"policy": spec.kind, "n": n, "m": m,
+                         "median_s": float(np.median(samples)), "decisions": done})
     return rows
 
 

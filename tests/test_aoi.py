@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,17 +114,16 @@ class TestWhittleIndex:
 
     def test_positive_from_its_first_aoi(self):
         # W(1) = beta p alpha (alpha - 1) / (1 - alpha (1 - p)), so the
-        # index is positive, and the table rises from there, on the domain
-        # of the bounds' tests (alpha >= 1.01, alpha (1 - p) <= 0.95): both
-        # sweeps of sorted kinks put price 0 first. The closed form cancels
-        # as alpha nears 1, to about 1e-14 / (alpha - 1) relative
+        # index is positive, and the table rises from there, down to
+        # alpha - 1 = 1e-12 (alpha (1 - p) <= 0.95): both sweeps of sorted
+        # kinks put price 0 first
         rng = np.random.default_rng(12)
         for _ in range(500):
-            p = rng.uniform(0.3, 1.0)
-            a = 1.01 + rng.uniform(0.0, 1.0) * (min(3.0, 0.95 / max(1.0 - p, 1e-9)) - 1.01)
+            a = 1.0 + 10.0 ** rng.uniform(-12.0, math.log10(2.0))
+            p = rng.uniform(max(0.3, 1.0 - 0.95 / a), 1.0)
             fn = AoiFunction(a, 10.0 ** rng.uniform(-3.0, 6.0), p)
             w1 = fn.beta * p * a * (a - 1.0) / (1.0 - a * (1.0 - p))
-            assert whittle_index(fn, 1) == pytest.approx(w1, rel=1e-13 / (a - 1.0))
+            assert whittle_index(fn, 1) == pytest.approx(w1, rel=1e-13)
             tab = whittle_index_table(fn, 64)[1:]
             finite = tab[np.isfinite(tab)]
             assert finite[0] > 0.0 and np.all(np.diff(finite) > 0.0), fn
@@ -140,11 +140,44 @@ class TestWhittleIndex:
         with pytest.raises(StabilityError):
             whittle_index(AoiFunction(2.0, 1.0, 0.4), 1)
 
-    def test_table_matches_scalar(self):
-        fn = AoiFunction(1.44, 0.8, 0.9)
-        tab = whittle_index_table(fn, 20)
-        for d in range(1, 21):
-            assert tab[d] == pytest.approx(whittle_index(fn, d), rel=1e-12)
+    def test_table_matches_exact_rationals(self):
+        # every finite entry over AoI 1..48 is within 1e-13 relative of the
+        # closed form in exact rational arithmetic on the same float inputs,
+        # from alpha - 1 = 1e-12 up and with beta up to 1e307, and the table
+        # is positive and strictly increasing. c = p - (alpha - 1)(1 - p)
+        # rounds to about 1e-16 absolute, so alpha (1 - p) stays <= 0.99
+        rng = np.random.default_rng(34)
+        for _ in range(400):
+            a = 1.0 + 10.0 ** rng.uniform(-12.0, math.log10(2.0))
+            p = rng.uniform(max(0.05, 1.0 - 0.99 / a), 1.0)
+            fn = AoiFunction(a, 10.0 ** rng.uniform(-3.0, 307.0), p)
+            tab = whittle_index_table(fn, 48)[1:]
+            finite = np.isfinite(tab)
+            assert np.all(tab[finite] > 0.0) and np.all(np.diff(tab[finite]) > 0.0), fn
+            for got, want in zip(tab[finite].tolist(), _exact_index(fn, 48)):
+                assert abs(got - float(want)) <= 1e-13 * float(want), fn
+
+    def test_beta_near_float64_limit(self):
+        # beta (p / c) B(d) is at most the index, so a finite index reads
+        # finite: 1.965e307 at AoI 1, where the expanded closed form
+        # overflowed to nan
+        a, b, p = 1.27, 5.5e307, 0.87
+        w1 = b * p * a * (a - 1.0) / (1.0 - a * (1.0 - p))
+        assert whittle_index(AoiFunction(a, b, p), 1) == pytest.approx(w1, rel=1e-13)
+
+
+def _exact_index(fn, max_delta):
+    """The index at AoI 1..max_delta in exact rational arithmetic:
+    W(d) = beta p (alpha^(d+1) (p d / c - 1 / (alpha - 1)) + alpha / (alpha - 1)),
+    c = 1 - alpha (1 - p)."""
+    a, b, p = Fraction(fn.alpha), Fraction(fn.beta), Fraction(fn.p)
+    slope, tail = p / (1 - a * (1 - p)), 1 / (a - 1)
+    bp, lead = b * p, a * tail
+    out, power = [], a
+    for d in range(1, max_delta + 1):
+        power *= a
+        out.append(bp * (power * (slope * d - tail) + lead))
+    return out
 
 
 def _rvi_reference(costs, p, w):

@@ -3,10 +3,12 @@
 import copy
 import itertools
 import json
+import math
 import pickle
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -453,6 +455,22 @@ class TestScalarErrorBound:
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             scalar_error_bound(CharParams(2.0, 1.0), 0)
+        # alpha <= 1 never reaches the bound: the parameters refuse it
+        for alpha in (1.0, 0.5):
+            with pytest.raises(PlantInvariantError, match="must exceed 1"):
+                CharParams(alpha, 1.0)
+
+    def test_overflow_reads_inf(self):
+        # 1.5^2000 overflows float64, and so does 1e300 * 1.5^1700
+        assert scalar_error_bound(CharParams(1.5, 1.0), 2000) == math.inf
+        assert scalar_error_bound(CharParams(1.5, 1e300), 1700) == math.inf
+        assert math.isfinite(scalar_error_bound(CharParams(1.5, 1.0), 1700))
+
+    def test_no_cancellation_near_alpha_one(self):
+        # alpha (alpha^5 - 1) / (alpha - 1) = 5.000000000015 at alpha - 1 = 1e-12
+        a = 1.0 + 1e-12
+        exact = Fraction(a) * (Fraction(a) ** 5 - 1) / (Fraction(a) - 1)
+        assert scalar_error_bound(CharParams(a, 1.0), 5) == pytest.approx(float(exact), rel=1e-15)
 
     def test_cumulative_bound_on_normal_plants(self):
         # the geometric bound is valid on normal dynamics, where growth is

@@ -115,6 +115,14 @@ class TestLightweight:
             for row in deltas:
                 assert pol.decide(row).scheduled == (0,)
 
+    def test_beta_near_float64_limit_ranks_first(self):
+        # sensor 0's index at AoI 1 is 1.97e307, far above sensor 1's at
+        # AoI 5; the expanded closed form overflowed to nan there, which
+        # ranks last
+        cps = [CharParams(1.27, 5.5e307), CharParams(1.5, 1.0)]
+        pol = LightweightPolicy(cps, [0.87, 0.9], 1)
+        assert pol.decide(np.array([1, 5])).scheduled == (0,)
+
     def test_selection_invariant_to_uniform_beta_scale(self):
         rng = np.random.default_rng(20)
         cps = [CharParams(rng.uniform(1.1, 1.9), rng.uniform(0.2, 4.0)) for _ in range(6)]

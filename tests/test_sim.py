@@ -564,6 +564,22 @@ def test_measure_decision_time_smoke():
     assert all(r["median_s"] > 0 for r in rows)
 
 
+@pytest.mark.parametrize("kwargs,name", [({"decisions": 0}, "decisions"),
+                                         ({"time_budget_s": 0.0}, "time_budget_s"),
+                                         ({"time_budget_s": -1.0}, "time_budget_s")])
+def test_decision_timing_refuses_an_empty_measurement(kwargs, name):
+    # nothing would be timed, and the median of no samples is nan
+    plants = generate_ensemble(2, 2, 2, (1.05, 1.2), seed=22, p_range=(0.9, 1.0))
+    with pytest.raises(ValueError, match=f"^{name}="):
+        measure_decision_time(plants, [PolicySpec("lightweight")], [2], **kwargs)
+
+
+def test_decision_timing_times_one_batch_on_any_budget():
+    plants = generate_ensemble(2, 2, 2, (1.05, 1.2), seed=22, p_range=(0.9, 1.0))
+    [row] = measure_decision_time(plants, [PolicySpec("lightweight")], [2], time_budget_s=1e-12)
+    assert row["decisions"] == 16 and row["median_s"] > 0.0
+
+
 def test_decision_timing_pool_is_the_greedy_chain():
     # the warm pool is 256 AoI-greedy steps of 128 runs on the Philox stream
     # (seed, 7); the reference steps the same chain by where(gamma, 1, d + 1)
